@@ -12,7 +12,6 @@ from .belief import (
     UniformPrior,
     efficiency,
     expected_utility_closed,
-    expected_utility_numeric,
     g_of_xi,
     realized_utility,
     xi_opt,
@@ -62,7 +61,6 @@ from .nash import (
 )
 from .sim import (
     CycleEvent,
-    Estimator,
     EstimatorRole,
     SimConfig,
     SimTrace,

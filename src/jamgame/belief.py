@@ -3,10 +3,9 @@
 The target does not know the true weight c_t, only a prior for it.  It picks
 an assumed weight xi, commits to the corresponding Stackelberg strategy
 g(xi), and the true jammer best-responds.  This module evaluates the realized
-utility of that play, its expectation under a uniform prior (by quadrature
-and by the printed closed form, kept as two independent routes), the
-expectation-maximizing assumed weight, and the resulting efficiency relative
-to perfect knowledge.
+utility of that play, its expectation under a uniform prior (by the printed
+closed form), the expectation-maximizing assumed weight, and the resulting
+efficiency relative to perfect knowledge.
 
 Everything here runs on the zero-transmit-cost convention (the constant
 c_t_star term cancels from every comparison of interest).
@@ -18,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
@@ -29,7 +26,6 @@ __all__ = [
     "UniformPrior",
     "g_of_xi",
     "realized_utility",
-    "expected_utility_numeric",
     "expected_utility_closed",
     "xi_opt",
     "efficiency",
@@ -90,45 +86,15 @@ def realized_utility(p: GameParams, xi: float) -> float:
     return log2g / (p.t_aj + g / 2.0)
 
 
-def expected_utility_numeric(p: GameParams, prior: UniformPrior, xi: float) -> float:
-    """Prior-expected utility of committing to g(xi), by adaptive quadrature.
-
-    Integrates the realized utility against the prior density, split at the
-    branch point alpha = xi.  This is the authoritative route; the closed
-    form below is checked against it.
-    """
-    g = g_of_xi(p, xi)
-    log2g = math.log2(g / p.delta)
-    a, b = prior.xi_min, prior.xi_max
-    dens = prior.density
-    split = min(max(xi, a), b)
-
-    total = 0.0
-    if split > a:
-        val, _ = quad(
-            lambda alpha: math.sqrt(alpha * p.p_j * log2g) * dens,
-            a,
-            split,
-            epsabs=0.0,
-            epsrel=1e-10,
-            limit=200,
-        )
-        total += val
-    if b > split:
-        free = log2g / (p.t_aj + g / 2.0) * dens
-        val, _ = quad(lambda alpha: free, split, b, epsabs=0.0, epsrel=1e-10, limit=200)
-        total += val
-    return total
-
-
 def expected_utility_closed(p: GameParams, prior: UniformPrior, xi: float) -> float:
     """Closed form of the prior-expected utility on the prior support.
 
     p_j * (t_aj + g(xi)/2) / (xi_max - xi_min)
         * [xi*xi_max - xi^2/3 - (2/3)*sqrt(xi)*xi_min^(3/2)]
 
-    Implemented exactly as derived; agreement with the quadrature route is a
-    test-suite concern, not silently patched here.
+    Implemented exactly as derived.  The test suite checks it against an
+    independent quadrature of the realized utility; a disagreement is not
+    silently patched here.
     """
     if not (prior.xi_min <= xi <= prior.xi_max):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")

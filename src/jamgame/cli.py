@@ -9,17 +9,15 @@ Subcommands::
 
 All output is CSV with a header row; floats are printed with shortest
 round-trip precision (repr).  Exit codes: 0 ok, 2 config/usage error,
-3 game-invariant violation, 4 I/O error.  The environment variable
-JAMGAME_THREADS caps sweep parallelism (0 or unset = auto).
+3 game-invariant violation, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .belief import UniformPrior, efficiency, xi_opt
@@ -58,35 +56,50 @@ def _csv(rows, header, out) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("JAMGAME_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+def _check_positive_finite(name: str, v: float) -> None:
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+
+
+def _finite(cfg: dict, key: str, default: float) -> float:
+    v = cfg.get(key, default)
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
+    return v
+
+
+def _count(cfg: dict, key: str, default: int) -> int:
+    v = cfg.get(key, default)
+    if not (math.isfinite(v) and v >= 1 and v == int(v)):
+        raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
+    return int(v)
 
 
 # ---------------------------------------------------------------------------
 # nash
 
 def _cmd_nash(args) -> int:
+    _check_positive_finite("--tol", args.tol)
+    if args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
     cfg = read_config(args.config)
     p = game_params_from_config(cfg)
     res = nash_closed_form(p)
     th = thresholds(p)
-    _csv(
-        [(res.profile.x, res.profile.y, res.regime.value, res.utilities.u_t,
-          res.utilities.u_j, th.c_t_tilde, th.c_t_max)],
-        ["x_ne", "y_ne", "regime", "u_t", "u_j", "c_t_tilde", "c_t_max"],
-        sys.stdout,
-    )
+    trace = None
     if args.brd:
         start = StrategyProfile(
             x=args.start_x if args.start_x is not None else 2.0 * p.delta,
             y=args.start_y if args.start_y is not None else 0.0,
         )
         trace = brd(p, start, tol=args.tol, max_iter=args.max_iter)
+    _csv(
+        [(res.profile.x, res.profile.y, res.regime.value, res.utilities.u_t,
+          res.utilities.u_j, th.c_t_tilde, th.c_t_max)],
+        ["x_ne", "y_ne", "regime", "u_t", "u_j", "c_t_tilde", "c_t_max"],
+        sys.stdout,
+    )
+    if trace is not None:
         sys.stdout.write("\n")
         _csv(
             [(i, s.x, s.y) for i, s in enumerate(trace.iterates)],
@@ -100,6 +113,8 @@ def _cmd_nash(args) -> int:
 # stackelberg
 
 def _cmd_stackelberg(args) -> int:
+    if args.x_tol is not None:
+        _check_positive_finite("--x-tol", args.x_tol)
     cfg = read_config(args.config)
     p = game_params_from_config(cfg)
     se = stackelberg_exact(p, x_tol=args.x_tol)
@@ -211,7 +226,7 @@ def _cmd_sweep(args) -> int:
     extra: dict = {}
     if args.figure == "efficiency":
         prior = UniformPrior(
-            xi_min=cfg.get("xi_min", 1e5), xi_max=cfg.get("xi_max", 1e9)
+            xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
         )
         extra = {"prior": prior, "xi_opt": xi_opt(p0, prior)}
 
@@ -222,8 +237,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"unsupported sweep parameter {param!r}")
         return _sweep_row(args.figure, replace(p0, c_t=v), v, extra)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(point, values))
+    rows = [point(v) for v in values]
 
     if args.out:
         try:
@@ -246,8 +260,8 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     sim_cfg = SimConfig(
         params=p,
-        total_cycles=int(cfg.get("total_cycles", 200)),
-        update_period_cycles=int(cfg.get("update_period_cycles", 10)),
+        total_cycles=_count(cfg, "total_cycles", 200),
+        update_period_cycles=_count(cfg, "update_period_cycles", 10),
         rng_seed=seed,
     )
     trace = run_sim(sim_cfg)

@@ -1,6 +1,7 @@
 """Flat `key = value` scenario configuration files.
 
-One assignment per line, SI-unit numeric literals, `#` comments::
+One assignment per line, each key at most once, SI-unit numeric literals,
+`#` comments::
 
     # Lab scenario
     t_aj  = 15e-6
@@ -37,6 +38,7 @@ REQUIRED_KEYS = ("t_aj", "delta", "p_t", "p_j", "t_p", "c_t")
 
 def parse_config_text(text: str) -> dict[str, float]:
     cfg: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -47,6 +49,9 @@ def parse_config_text(text: str) -> dict[str, float]:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             cfg[key] = float(value.strip())
         except ValueError:

@@ -167,12 +167,14 @@ def brd(
 def s_prime_bounds(p: GameParams) -> SPrimeBounds:
     """The absorbing box S' = [x_m, x_M] x [0, y_M] of the dynamics.
 
-    x_m = b_t(0) bounds the target's response from below, y_M = b_j(x_hat)
-    bounds the jammer's response globally, and x_M = b_t(y_M) closes the box.
-    Any start lands inside within two iterations.
+    x_m = b_t(0) bounds the target's response from below, y_M =
+    b_j(max(x_hat, 2*delta)) bounds the jammer's response globally (chi peaks
+    at x_hat, which drops below 2*delta for a costly jammer, and decreases
+    above it), and x_M = b_t(y_M) closes the box.  Any start lands inside
+    within two iterations.
     """
     x_m = float(best_response_target(p, 0.0))
-    y_M = float(best_response_jammer(p, x_hat(p)))
+    y_M = float(best_response_jammer(p, max(x_hat(p), 2.0 * p.delta)))
     x_M = float(best_response_target(p, y_M))
     return SPrimeBounds(x_m=x_m, x_M=x_M, y_M=y_M)
 

@@ -22,13 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .best_response import best_response_jammer, best_response_target, x_hat
+from .best_response import best_response_jammer, best_response_target
 from .errors import EmptyWindow, InvalidParams
 from .model import GameParams, UtilityPair
-from .nash import nash_closed_form
+from .nash import nash_closed_form, s_prime_bounds
 
 __all__ = [
-    "Estimator",
     "EstimatorRole",
     "SimConfig",
     "CycleEvent",
@@ -43,12 +42,6 @@ __all__ = [
 RNG_ALGORITHM = "numpy-PCG64"
 
 
-class Estimator(Enum):
-    """Opponent-strategy estimators available to the players."""
-
-    SAMPLE_MEAN_Y_MAX_X = "sample_mean_y_max_x"
-
-
 class EstimatorRole(Enum):
     TARGET_ESTIMATES_Y = "target_estimates_y"
     JAMMER_ESTIMATES_X = "jammer_estimates_x"
@@ -60,7 +53,6 @@ class SimConfig:
     total_cycles: int
     update_period_cycles: int = 10
     rng_seed: int = 0
-    estimator: Estimator = Estimator.SAMPLE_MEAN_Y_MAX_X
     # Pin the initial strategies instead of drawing them from the seed.
     x0: Optional[float] = None
     y0: Optional[float] = None
@@ -119,10 +111,9 @@ def estimate_opponent(observations: list[CycleEvent], role: EstimatorRole) -> fl
 
 
 def _draw_initial(p: GameParams, rng: np.random.Generator) -> tuple[float, float]:
-    x_m = float(best_response_target(p, 0.0))
-    y_scale = max(float(best_response_jammer(p, x_hat(p))), p.t_aj)
-    x0 = rng.uniform(2.0 * p.delta, 4.0 * x_m)
-    y0 = rng.uniform(0.0, 4.0 * y_scale)
+    box = s_prime_bounds(p)
+    x0 = rng.uniform(2.0 * p.delta, 4.0 * box.x_m)
+    y0 = rng.uniform(0.0, 4.0 * max(box.y_M, p.t_aj))
     return x0, y0
 
 

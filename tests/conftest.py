@@ -26,6 +26,14 @@ def table2() -> GameParams:
 
 
 @pytest.fixture
+def costly_jammer() -> GameParams:
+    """A jammer costly enough that x_hat < 2*delta: chi peaks outside x >= 2*delta."""
+    return GameParams(
+        t_aj=3.33e-6, delta=4.03e-7, p_t=4.75, p_j=7.5, t_p=6.05e-5, c_t=4.32e11
+    )
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 

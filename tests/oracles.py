@@ -2,8 +2,9 @@
 
 Deliberately disjoint from the library's numerics: plain Newton iteration for
 the W function (the library uses Halley with series starts), Decimal
-arithmetic for extended-precision capacity/chi evaluations, and brute-force
-grid search for optimality claims.
+arithmetic for extended-precision capacity/chi evaluations, brute-force grid
+search for optimality claims, and adaptive quadrature (scipy) for the
+prior-expected utility whose closed form the library implements.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import math
 from decimal import Decimal, getcontext
 
 import numpy as np
+from scipy.integrate import quad
+
+from jamgame.belief import UniformPrior, g_of_xi
+from jamgame.model import GameParams
 
 getcontext().prec = 60
 
@@ -61,3 +66,34 @@ def grid_argmax(f, lo: float, hi: float, n: int) -> tuple[float, float]:
     vals = np.asarray(f(grid))
     k = int(np.argmax(vals))
     return float(grid[k]), float(vals[k])
+
+
+def expected_utility_numeric(p: GameParams, prior: UniformPrior, xi: float) -> float:
+    """Prior-expected utility of committing to g(xi), by adaptive quadrature.
+
+    Integrates the realized utility against the prior density, split at the
+    branch point alpha = xi.  This is the authoritative route; the library's
+    closed form ``expected_utility_closed`` is checked against it.
+    """
+    g = g_of_xi(p, xi)
+    log2g = math.log2(g / p.delta)
+    a, b = prior.xi_min, prior.xi_max
+    dens = prior.density
+    split = min(max(xi, a), b)
+
+    total = 0.0
+    if split > a:
+        val, _ = quad(
+            lambda alpha: math.sqrt(alpha * p.p_j * log2g) * dens,
+            a,
+            split,
+            epsabs=0.0,
+            epsrel=1e-10,
+            limit=200,
+        )
+        total += val
+    if b > split:
+        free = log2g / (p.t_aj + g / 2.0) * dens
+        val, _ = quad(lambda alpha: free, split, b, epsabs=0.0, epsrel=1e-10, limit=200)
+        total += val
+    return total

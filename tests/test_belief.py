@@ -14,7 +14,6 @@ from jamgame import (
     chi,
     efficiency,
     expected_utility_closed,
-    expected_utility_numeric,
     g_of_xi,
     leader_utility,
     realized_utility,
@@ -23,6 +22,7 @@ from jamgame import (
     xi_opt,
 )
 from jamgame.belief import foc_residual
+from oracles import expected_utility_numeric
 
 
 @pytest.fixture

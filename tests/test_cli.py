@@ -246,3 +246,64 @@ def test_config_parse_errors():
         parse_config_text("just some words\n")
     with pytest.raises(ConfigError, match="c_t"):
         parse_config_text("c_t = abc\n")
+    with pytest.raises(ConfigError, match="line 9: key 'c_t' already set on line 7"):
+        parse_config_text(TABLE1_CFG + "c_t = 2e6\n")
+
+
+def test_nash_brd_bad_start_leaves_no_partial_stdout(cfg1):
+    res = run_cli("nash", cfg1, "--brd", "--start-x", "1e-7")
+    assert res.returncode == 3
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "cfg_text, argv",
+    [
+        pytest.param(TABLE1_CFG, ["nash", "--brd", "--tol", "0"], id="tol-zero"),
+        pytest.param(TABLE1_CFG, ["nash", "--brd", "--tol", "nan"], id="tol-nan"),
+        pytest.param(TABLE1_CFG, ["nash", "--brd", "--max-iter", "0"], id="max-iter-zero"),
+        pytest.param(TABLE1_CFG, ["stackelberg", "--x-tol", "-1"], id="x-tol-negative"),
+        pytest.param(TABLE1_CFG, ["stackelberg", "--x-tol", "inf"], id="x-tol-inf"),
+        pytest.param(
+            TABLE2_CFG.replace("total_cycles = 100", "total_cycles = nan"),
+            ["simulate", "--seed", "1", "--out", "{out}"],
+            id="total-cycles-nan",
+        ),
+        pytest.param(
+            TABLE2_CFG.replace("update_period_cycles = 10", "update_period_cycles = 0.5"),
+            ["simulate", "--seed", "1", "--out", "{out}"],
+            id="update-period-fractional",
+        ),
+        pytest.param(
+            TABLE1_CFG + "xi_min = nan\n",
+            ["sweep", "--figure", "efficiency", "--log-range", "1e6", "1e8", "3"],
+            id="xi-min-nan",
+        ),
+        pytest.param(
+            TABLE1_CFG + "xi_max = inf\n",
+            ["sweep", "--figure", "efficiency", "--log-range", "1e6", "1e8", "3"],
+            id="xi-max-inf",
+        ),
+        pytest.param(TABLE1_CFG + "c_t = 2e6\n", ["nash"], id="duplicate-key"),
+    ],
+)
+def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(cfg_text)
+    out = tmp_path / "trace.csv"
+    argv = [arg.replace("{out}", str(out)) for arg in argv]
+    res = run_cli(argv[0], str(path), *argv[1:])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_import_loads_neither_scipy_nor_thread_pool():
+    code = (
+        "import sys, jamgame.cli; "
+        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

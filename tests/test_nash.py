@@ -152,6 +152,15 @@ def test_s_prime_bounds_definitions(table1):
     assert b.x_m < b.x_M
 
 
+def test_s_prime_bounds_and_certificate_when_x_hat_below_two_delta(costly_jammer):
+    p = costly_jammer
+    assert x_hat(p) < 2 * p.delta
+    b = s_prime_bounds(p)
+    assert b.y_M == best_response_jammer(p, 2 * p.delta)
+    t = brd(p, StrategyProfile(2 * p.delta, 0.0), with_certificate=True)
+    assert t.converged and t.certificate is not None
+
+
 def test_absorbed_into_s_prime_by_second_iteration(table1, rng):
     b = s_prime_bounds(table1)
     for _ in range(100):

@@ -155,3 +155,8 @@ def test_realized_utilities_definition(table2):
     assert tr.realized_utilities.u_j == pytest.approx(
         -tr.realized_capacity - table2.c_t * mean_energy, rel=1e-12
     )
+
+
+def test_drawn_start_when_x_hat_below_two_delta(costly_jammer):
+    tr = run_sim(SimConfig(params=costly_jammer, total_cycles=10, rng_seed=1))
+    assert len(tr.events) == 10 and len(tr.strategy_history) == 2
