@@ -51,12 +51,14 @@ from .model import (
 from .nash import (
     BrdTrace,
     ConvergenceCert,
+    EquilibriumColumns,
     EquilibriumResult,
     Regime,
     SPrimeBounds,
     brd,
     convergence_certificate,
     nash_closed_form,
+    nash_sweep,
     s_prime_bounds,
 )
 from .sim import (
@@ -72,10 +74,13 @@ from .sim import (
 from .stackelberg import (
     ImprovementReport,
     improvement_report,
+    improvement_sweep,
     leader_loss_bracket_width,
     leader_utility,
     stackelberg_approx,
+    stackelberg_approx_sweep,
     stackelberg_exact,
+    stackelberg_sweep,
 )
 
 __version__ = "0.1.0"

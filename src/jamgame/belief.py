@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
-from .stackelberg import leader_loss_bracket_width, stackelberg_exact
+from .stackelberg import leader_loss_bracket_width, stackelberg_exact, stackelberg_sweep
 
 __all__ = [
     "UniformPrior",
@@ -52,41 +54,56 @@ class UniformPrior:
         return 1.0 / (self.xi_max - self.xi_min)
 
 
+# High-precision leader strategy for an assumed weight: the default loss-bound
+# bracket tightened 1000x, so downstream identities that rely on chi(g) = 0
+# hold to ~1e-10 relative.
+_COMMITTED_TOL = 1e-3
+
+
 @lru_cache(maxsize=1024)
 def _committed_x(p_assumed: GameParams) -> float:
-    # High-precision leader strategy for the assumed weight: the default
-    # loss-bound bracket tightened 1000x, so downstream identities that rely
-    # on chi(g) = 0 hold to ~1e-10 relative.
-    return stackelberg_exact(p_assumed, x_tol=1e-3 * leader_loss_bracket_width(p_assumed)).profile.x
+    x_tol = _COMMITTED_TOL * leader_loss_bracket_width(p_assumed)
+    return stackelberg_exact(p_assumed, x_tol=x_tol).profile.x
 
 
-def g_of_xi(p: GameParams, xi: float) -> float:
+def g_of_xi(p: GameParams, xi):
     """Leader strategy if the jammer's weight were xi.
 
     The larger zero of chi evaluated with weight xi, or b_t(0) when xi is
-    large enough that jamming is inhibited there.  Decreasing in xi.
+    large enough that jamming is inhibited there.  Decreasing in xi.  An
+    array of xi is solved in one batched pass.
     """
-    if not (xi > 0 and math.isfinite(xi)):
-        raise DomainError(f"xi must be positive and finite, got {xi!r}")
-    return _committed_x(replace(p, c_t=xi))
+    if isinstance(xi, (float, int)):
+        if not (xi > 0 and math.isfinite(xi)):
+            raise DomainError(f"xi must be positive and finite, got {xi!r}")
+        return _committed_x(replace(p, c_t=xi))
+    if not np.all((xi > 0) & np.isfinite(xi)):
+        raise DomainError("xi must be positive and finite")
+    return stackelberg_sweep(p, xi, x_tol=_COMMITTED_TOL * leader_loss_bracket_width(p, c_t=xi))
 
 
-def realized_utility(p: GameParams, xi: float) -> float:
+def realized_utility(p: GameParams, xi, c_t=None):
     """Target utility when it plays g(xi) but the true weight is p.c_t.
 
     Overestimating the weight (xi > c_t) leaves the channel jammed:
     sqrt(c_t * p_j * log2(g/delta)), with the true c_t under the root and the
     assumed xi inside g.  Underestimating (xi <= c_t) overshoots the silence
-    bound but silences the jammer: plain capacity at y = 0.
+    bound but silences the jammer: plain capacity at y = 0.  ``c_t``, an
+    array of true weights, evaluates a whole column in place of p.c_t; xi
+    may then be an array that broadcasts against it.
     """
     g = g_of_xi(p, xi)
-    log2g = math.log2(g / p.delta)
-    if xi > p.c_t:
-        return math.sqrt(p.c_t * p.p_j * log2g)
-    return log2g / (p.t_aj + g / 2.0)
+    if c_t is None and isinstance(xi, (float, int)):  # math is ~3x faster on scalars
+        log2g = math.log2(g / p.delta)
+        if xi > p.c_t:
+            return math.sqrt(p.c_t * p.p_j * log2g)
+        return log2g / (p.t_aj + g / 2.0)
+    c_t = p.c_t if c_t is None else np.asarray(c_t, dtype=float)
+    log2g = np.log2(g / p.delta)
+    return np.where(xi > c_t, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
 
 
-def expected_utility_closed(p: GameParams, prior: UniformPrior, xi: float) -> float:
+def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
     """Closed form of the prior-expected utility on the prior support.
 
     p_j * (t_aj + g(xi)/2) / (xi_max - xi_min)
@@ -94,27 +111,28 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi: float) -> fl
 
     Implemented exactly as derived.  The test suite checks it against an
     independent quadrature of the realized utility; a disagreement is not
-    silently patched here.
+    silently patched here.  Accepts a scalar or an array of xi.
     """
-    if not (prior.xi_min <= xi <= prior.xi_max):
+    if not np.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
     g = g_of_xi(p, xi)
-    bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * math.sqrt(xi) * prior.xi_min**1.5
-    return p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket
+    bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * np.sqrt(xi) * prior.xi_min**1.5
+    out = p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def xi_opt(p: GameParams, prior: UniformPrior, grid_points: int = 241) -> float:
     """Assumed weight maximizing the expected utility over the prior support.
 
-    Coarse log-grid scan refined by golden-section search.  A boundary
-    maximizer is a legitimate outcome and is returned as such.
+    Coarse log-grid scan (one batched pass) refined by golden-section
+    search.  A boundary maximizer is a legitimate outcome and is returned as
+    such.
     """
     a, b = prior.xi_min, prior.xi_max
     ratio = (b / a) ** (1.0 / (grid_points - 1))
     grid = [a * ratio**k for k in range(grid_points)]
     grid[-1] = b
-    vals = [expected_utility_closed(p, prior, x) for x in grid]
-    k = max(range(grid_points), key=vals.__getitem__)
+    k = int(np.argmax(expected_utility_closed(p, prior, np.array(grid))))
 
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_points - 1)]
@@ -134,12 +152,19 @@ def xi_opt(p: GameParams, prior: UniformPrior, grid_points: int = 241) -> float:
     return 0.5 * (lo + hi)
 
 
-def efficiency(p: GameParams, xi: float) -> float:
-    """Realized utility under assumed weight xi relative to perfect knowledge."""
-    denom = realized_utility(p, p.c_t)
-    if denom <= 0.0:
-        raise DegenerateUtility(f"perfect-knowledge utility is non-positive ({denom:g})")
-    return realized_utility(p, xi) / denom
+def efficiency(p: GameParams, xi, c_t=None):
+    """Realized utility under assumed weight xi relative to perfect knowledge.
+
+    ``c_t``, an array of true weights, gives the whole column at once; xi
+    may then be an array that broadcasts against it, such as one row per
+    assumed weight.
+    """
+    denom = realized_utility(p, p.c_t if c_t is None else c_t, c_t)
+    if np.any(denom <= 0.0):
+        raise DegenerateUtility(
+            f"perfect-knowledge utility is non-positive ({np.min(denom):g})"
+        )
+    return realized_utility(p, xi, c_t) / denom
 
 
 def foc_residual(p: GameParams, prior: UniformPrior, xi: float) -> float:

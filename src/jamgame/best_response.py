@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
-from .model import GameParams
+from .model import GameParams, eta
 
 __all__ = [
     "Thresholds",
@@ -58,20 +58,21 @@ def psi(p: GameParams, y):
     return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL)
 
 
-def chi(p: GameParams, x):
+def chi(p: GameParams, x, c_t=None):
     """sqrt(ln(x/delta)/eta) - t_aj - x/2, the jammer's unclamped optimum.
 
     Defined for x >= delta (nonnegative log).  Where chi < 0 the jammer
-    prefers not to jam at all.
+    prefers not to jam at all.  ``c_t``, an array of weights, evaluates the
+    whole column at once in place of p.c_t.
     """
-    if isinstance(x, (float, int)):
+    if isinstance(x, (float, int)) and c_t is None:
         if x < p.delta:
             raise DomainError("chi requires x >= delta")
         return math.sqrt(math.log(x / p.delta) / p.eta) - p.t_aj - x / 2.0
     x = np.asarray(x, dtype=float)
     if np.any(x < p.delta):
         raise DomainError("chi requires x >= delta")
-    out = np.sqrt(np.log(x / p.delta) / p.eta) - p.t_aj - x / 2.0
+    out = np.sqrt(np.log(x / p.delta) / eta(p, c_t)) - p.t_aj - x / 2.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -87,26 +88,32 @@ def best_response_target(p: GameParams, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def best_response_jammer(p: GameParams, x):
-    """Utility-maximizing mean jam duration against silence bound x: max(chi, 0)."""
-    if isinstance(x, (float, int)):
+def best_response_jammer(p: GameParams, x, c_t=None):
+    """Utility-maximizing mean jam duration against silence bound x: max(chi, 0).
+
+    ``c_t`` as in ``chi``.
+    """
+    if isinstance(x, (float, int)) and c_t is None:
         if x < 2.0 * p.delta:
             raise DomainError("best_response_jammer requires x >= 2*delta")
         return max(chi(p, float(x)), 0.0)
     if np.any(np.asarray(x) < 2.0 * p.delta):
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    out = np.maximum(chi(p, x), 0.0)
+    out = np.maximum(chi(p, x, c_t), 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def x_hat(p: GameParams) -> float:
+def x_hat(p: GameParams, c_t=None):
     """Location of the maximum of chi: delta * e^(W(2/(eta*delta^2))/2).
 
     chi increases below this point and decreases above it, so any positive
-    region of chi is an interval straddling x_hat.
+    region of chi is an interval straddling x_hat.  ``c_t`` as in ``chi``.
     """
-    w = lambert_w(2.0 / (p.eta * p.delta**2), WBranch.PRINCIPAL)
-    return p.delta * math.exp(0.5 * w)
+    if c_t is None:
+        w = lambert_w(2.0 / (p.eta * p.delta**2), WBranch.PRINCIPAL)
+        return p.delta * math.exp(0.5 * w)
+    w = lambert_w(2.0 / (eta(p, c_t) * p.delta**2), WBranch.PRINCIPAL)
+    return p.delta * np.exp(0.5 * w)
 
 
 def thresholds(p: GameParams) -> Thresholds:

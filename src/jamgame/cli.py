@@ -15,23 +15,28 @@ round-trip precision (repr).  Exit codes: 0 ok, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import secrets
 import sys
-from dataclasses import replace
+
+import numpy as np
 
 from .belief import UniformPrior, efficiency, xi_opt
 from .best_response import best_response_jammer, best_response_target, thresholds
 from .config import dump_config, game_params_from_config, read_config
 from .errors import ConfigError, JamGameError
 from .model import GameParams, StrategyProfile, utilities_xy
-from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form
+from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form, nash_sweep
 from .sim import RNG_ALGORITHM, SimConfig, run_sim, updates_to_equilibrium
 from .stackelberg import (
     improvement_report,
+    improvement_sweep,
     leader_utility,
     stackelberg_approx,
+    stackelberg_approx_sweep,
     stackelberg_exact,
+    stackelberg_sweep,
 )
 
 __all__ = ["main", "FIGURE_COLUMNS"]
@@ -48,6 +53,11 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _fmt_column(col: np.ndarray):
+    """_fmt of every value of a float or bool column, lazily."""
+    return map(_fmt if col.dtype == bool else repr, col.tolist())
 
 
 def _csv(rows, header, out) -> None:
@@ -151,103 +161,90 @@ FIGURE_COLUMNS = {
     ],
 }
 
-_DEFAULT_SWEEP_PARAM = {"brX": "y", "brY": "x"}
+# The parameter each figure sweeps; every other figure sweeps c_t.
+_SWEEP_PARAM = {"brX": "y", "brY": "x"}
 
 
-def _sweep_row(figure: str, p: GameParams, value: float, extra: dict) -> tuple:
+def _sweep_columns(figure: str, p: GameParams, v: np.ndarray, cfg: dict) -> list:
+    """The figure's columns after the swept one, each computed in one pass."""
     if figure == "brX":
-        return (value, float(best_response_target(p, value)))
+        return [best_response_target(p, v)]
     if figure == "brY":
-        return (value, float(best_response_jammer(p, value)))
-
+        return [best_response_jammer(p, v)]
     if figure == "neX":
-        ne = nash_closed_form(p)
-        return (p.c_t, ne.profile.x)
+        return [nash_sweep(p, v).x]
     if figure == "neY":
-        ne = nash_closed_form(p)
-        return (p.c_t, ne.profile.y)
+        return [nash_sweep(p, v).y]
     if figure == "seX":
-        return (p.c_t, nash_closed_form(p).profile.x, stackelberg_exact(p).profile.x)
+        return [nash_sweep(p, v).x, stackelberg_sweep(p, v)]
     if figure == "seY":
-        return (p.c_t, nash_closed_form(p).profile.y, stackelberg_exact(p).profile.y)
+        # The follower never jams a committed leader: y_se is 0 by construction.
+        return [nash_sweep(p, v).y, np.zeros_like(v)]
     if figure == "payoffs":
-        rep = improvement_report(p)
-        return (p.c_t, rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved)
+        rep = improvement_sweep(p, v)
+        return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
     if figure == "approx":
-        se = stackelberg_exact(p)
-        ap = stackelberg_approx(p)
-        u_se = float(leader_utility(p, se.profile.x))
-        u_ap = float(leader_utility(p, ap.profile.x))
-        return (p.c_t, se.profile.x, ap.profile.x, u_se, u_ap, u_ap / u_se)
+        x_se = stackelberg_sweep(p, v)
+        x_ap = stackelberg_approx_sweep(p, v)
+        u_se = leader_utility(p, x_se, v)
+        u_ap = leader_utility(p, x_ap, v)
+        return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
     if figure == "efficiency":
-        prior: UniformPrior = extra["prior"]
-        opt = extra["xi_opt"]
+        prior = UniformPrior(
+            xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
+        )
+        opt = xi_opt(p, prior)
         xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
-        return (
-            p.c_t,
-            opt,
-            efficiency(p, opt),
-            efficiency(p, xi_mean),
-            efficiency(p, prior.xi_max),
-            efficiency(p, prior.xi_min),
-        )
-    if figure == "comparison":
-        rep = improvement_report(p)
-        x_naive = float(best_response_target(p, 0.0))
-        y_naive = float(best_response_jammer(p, x_naive))
-        # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
-        u_t_a, u_j_a = utilities_xy(p, x_naive, y_naive)
-        # Case B: jammer assumes a naive target; the target best-responds.
-        u_t_b, u_j_b = utilities_xy(p, float(best_response_target(p, y_naive)), y_naive)
-        return (
-            p.c_t, rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se,
-            float(u_t_a), float(u_j_a), float(u_t_b), float(u_j_b),
-        )
-    raise ConfigError(f"unknown figure id {figure!r}")
+        assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
+        return [np.full_like(v, opt), *efficiency(p, assumed, v)]
+    # comparison
+    rep = improvement_sweep(p, v)
+    x_naive = float(best_response_target(p, 0.0))
+    y_naive = best_response_jammer(p, x_naive, v)
+    # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
+    u_t_a, u_j_a = utilities_xy(p, x_naive, y_naive, v)
+    # Case B: jammer assumes a naive target; the target best-responds.
+    u_t_b, u_j_b = utilities_xy(p, best_response_target(p, y_naive), y_naive, v)
+    return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
 
 
 def _cmd_sweep(args) -> int:
-    cfg = read_config(args.config)
-    p0 = game_params_from_config(cfg)
     if args.figure not in FIGURE_COLUMNS:
         raise ConfigError(
             f"unknown figure id {args.figure!r}; choose from {sorted(FIGURE_COLUMNS)}"
         )
+    param = _SWEEP_PARAM.get(args.figure, "c_t")
+    if args.param not in (None, param):
+        raise ConfigError(f"figure {args.figure} sweeps {param}, not {args.param!r}")
     a, b, n = args.log_range
+    if not (0 < a < b and math.isfinite(b / a)):
+        raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
+    if not (math.isfinite(n) and n >= 2 and n == int(n)):
+        raise ConfigError(f"--log-range needs an integer N >= 2, got {n!r}")
     n = int(n)
-    if not (n >= 2 and 0 < a < b):
-        raise ConfigError("--log-range needs 0 < a < b and n >= 2")
-    param = args.param or _DEFAULT_SWEEP_PARAM.get(args.figure, "c_t")
+    cfg = read_config(args.config)
+    p0 = game_params_from_config(cfg)
 
     ratio = (b / a) ** (1.0 / (n - 1))
     values = [a * ratio**k for k in range(n)]
     values[-1] = b
-
-    extra: dict = {}
-    if args.figure == "efficiency":
-        prior = UniformPrior(
-            xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
-        )
-        extra = {"prior": prior, "xi_opt": xi_opt(p0, prior)}
-
-    def point(v: float) -> tuple:
-        if param in ("x", "y"):
-            return _sweep_row(args.figure, p0, v, extra)
-        if param != "c_t":
-            raise ConfigError(f"unsupported sweep parameter {param!r}")
-        return _sweep_row(args.figure, replace(p0, c_t=v), v, extra)
-
-    rows = [point(v) for v in values]
+    # Weights near the ends of the double range overflow or divide by zero on
+    # the way into W; the inf that results is refused there as a DomainError.
+    with np.errstate(over="ignore", divide="ignore"):
+        columns = _sweep_columns(args.figure, p0, np.array(values), cfg)
+    # Rows are formatted as they are written, so no copy of the table is held.
+    rows = zip(map(repr, values), *map(_fmt_column, columns))
+    lines = (",".join(row) + "\n" for row in itertools.chain([FIGURE_COLUMNS[args.figure]], rows))
 
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                _csv(rows, FIGURE_COLUMNS[args.figure], fh)
+                fh.writelines(lines)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        _csv(rows, FIGURE_COLUMNS[args.figure], sys.stdout)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

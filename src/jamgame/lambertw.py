@@ -3,7 +3,10 @@
 This is the only transcendental kernel the package needs, so it is
 self-contained: piecewise initial guesses (branch-point series, log
 asymptotics) refined by vectorized Halley iteration to machine precision.
-Scalars in, scalar out; numpy arrays in, arrays out.
+In the far tails (|ln|z|| above ~690), where exp(w) would overflow or lose
+bits to underflow, Newton iteration runs on the log form w + ln|w| = ln|z|
+instead (Veberic, arXiv:1209.0735).  Scalars in, scalar out; numpy arrays
+in, arrays out.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ BRANCH_POINT = -_INV_E
 # Below this value of e*z + 1 the Halley denominator degenerates; the
 # branch-point series alone is already far more accurate than required there.
 _SERIES_ONLY_Q = 1e-10
+
+# Beyond these arguments (principal z > 1e300, lower branch -1e-300 < z < 0)
+# the Halley step's exp(w) overflows or turns subnormal; iterate in log space.
+_LOG_SPACE_Z = 1e300
 
 
 class WBranch(Enum):
@@ -52,7 +59,7 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
 
     # e*z + 1 >= 0 characterizes the real domain; tolerate rounding in a
     # caller's own computation of -1/e.
-    q = np.e * arr + 1.0
+    q = np.e * np.minimum(arr, 1.0) + 1.0  # only matters near -1/e
     if np.any(q < -1e-12):
         raise DomainError("lambert_w argument below -1/e")
     q = np.clip(q, 0.0, None)
@@ -94,6 +101,17 @@ def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL):
     return float(out[0]) if scalar else out
 
 
+def _log_newton(w, lz):
+    """Newton on w + ln|w| = lz from the log-asymptotic start; either branch.
+
+    Works elementwise on floats or arrays; four steps reach the fixed point
+    from the asymptotic guess, whose error is below ln(lz)/lz.
+    """
+    for _ in range(4):
+        w = w - (w + np.log(np.abs(w)) - lz) / (1.0 + 1.0 / w)
+    return w
+
+
 def _halley_scalar(w: float, z: float) -> float:
     for _ in range(100):
         ew = math.exp(w)
@@ -123,6 +141,8 @@ def _lambert_w_scalar(z: float, branch: WBranch) -> float:
         else:
             lz = math.log(z)
             w = lz - math.log(lz)
+            if z > _LOG_SPACE_Z:
+                return float(_log_newton(w, lz))
     elif branch is WBranch.MINUS1:
         if z >= 0.0:
             raise DomainError("Minus1 branch requires -1/e <= z < 0")
@@ -132,6 +152,8 @@ def _lambert_w_scalar(z: float, branch: WBranch) -> float:
         else:
             lz = math.log(-z)
             w = lz - math.log(-lz)
+            if z > -1.0 / _LOG_SPACE_Z:
+                return float(_log_newton(w, lz))
     else:
         raise DomainError(f"unknown branch {branch!r}")
     if q <= _SERIES_ONLY_Q:
@@ -175,8 +197,9 @@ def _principal(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     lz = np.log(z[far])
     w[far] = lz - np.log(lz)
 
-    active = q > _SERIES_ONLY_Q
-    return _halley(w, z, active)
+    huge = z > _LOG_SPACE_Z
+    w[huge] = _log_newton(w[huge], np.log(z[huge]))
+    return _halley(w, z, (q > _SERIES_ONLY_Q) & ~huge)
 
 
 def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -188,5 +211,6 @@ def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     lz = np.log(-z[tail])
     w[tail] = lz - np.log(-lz)
 
-    active = q > _SERIES_ONLY_Q
-    return _halley(w, z, active)
+    tiny = z > -1.0 / _LOG_SPACE_Z
+    w[tiny] = _log_newton(w[tiny], np.log(-z[tiny]))
+    return _halley(w, z, (q > _SERIES_ONLY_Q) & ~tiny)

@@ -29,6 +29,7 @@ __all__ = [
     "utilities",
     "capacity_xy",
     "utilities_xy",
+    "eta",
 ]
 
 _LN2 = math.log(2.0)
@@ -94,6 +95,11 @@ class UtilityPair:
     u_j: float
 
 
+def eta(p: GameParams, c_t=None):
+    """p.eta, or the same product for an array of weights c_t in place of p.c_t."""
+    return p.eta if c_t is None else np.asarray(c_t, dtype=float) * p.p_j * _LN2
+
+
 def _check_strategy(p: GameParams, x, y) -> None:
     if np.any(np.asarray(x) < p.x_min):
         raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}")
@@ -123,15 +129,16 @@ def capacity(p: GameParams, s: StrategyProfile) -> float:
     return capacity_xy(p, s.x, s.y)
 
 
-def utilities_xy(p: GameParams, x, y):
+def utilities_xy(p: GameParams, x, y, c_t=None):
     """(u_t, u_j) at (x, y): capacity minus each side's energy cost.
 
     The jammer's cost charges the commanded mean y; realized-energy accounting
-    belongs to the simulator, not to the analytic game.
+    belongs to the simulator, not to the analytic game.  ``c_t``, an array of
+    jammer weights, prices a whole column at once in place of p.c_t.
     """
     c = capacity_xy(p, x, y)
     u_t = c - p.c_t_star * p.t_p * p.p_t
-    u_j = -c - p.c_t * np.asarray(y, dtype=float) * p.p_j
+    u_j = -c - (p.c_t if c_t is None else c_t) * np.asarray(y, dtype=float) * p.p_j
     if np.ndim(u_j) == 0:
         u_j = float(u_j)
     return u_t, u_j

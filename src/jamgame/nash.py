@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .best_response import (
     best_response_jammer,
     best_response_target,
@@ -26,16 +28,18 @@ from .best_response import (
 )
 from .errors import InvalidStrategy
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, StrategyProfile, UtilityPair, utilities
+from .model import GameParams, StrategyProfile, UtilityPair, eta, utilities, utilities_xy
 from .roots import bisect_bracket, grow_until_negative
 
 __all__ = [
     "Regime",
     "EquilibriumResult",
+    "EquilibriumColumns",
     "BrdTrace",
     "ConvergenceCert",
     "SPrimeBounds",
     "nash_closed_form",
+    "nash_sweep",
     "brd",
     "convergence_certificate",
     "s_prime_bounds",
@@ -89,6 +93,15 @@ class BrdTrace:
     certificate: Optional[ConvergenceCert] = None
 
 
+class EquilibriumColumns(NamedTuple):
+    """Equilibria over an array of jammer weights, one array per quantity."""
+
+    x: np.ndarray
+    y: np.ndarray
+    u_t: np.ndarray
+    u_j: np.ndarray
+
+
 class SPrimeBounds(NamedTuple):
     x_m: float
     x_M: float
@@ -119,6 +132,21 @@ def nash_closed_form(p: GameParams) -> EquilibriumResult:
         # to the border form rather than report an "interior" point at y <= 0.
     prof = StrategyProfile(x=float(best_response_target(p, 0.0)), y=0.0)
     return EquilibriumResult(prof, Regime.BORDER_NE, utilities(p, prof))
+
+
+def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
+    """nash_closed_form(replace(p, c_t=c)) for every weight c in the array c_t.
+
+    The same closed form and the same border fallback, elementwise.
+    """
+    c_t = np.asarray(c_t, dtype=float)
+    half = 0.5 * lambert_w(8.0 / (eta(p, c_t) * p.delta**2), WBranch.PRINCIPAL)
+    x_star = p.delta * np.exp(half)
+    y_star = 0.5 * p.delta * (half - 1.0) * np.exp(half) - p.t_aj
+    interior = (c_t < thresholds(p).c_t_tilde) & (y_star > 0.0)
+    x = np.where(interior, x_star, best_response_target(p, 0.0))
+    y = np.where(interior, y_star, 0.0)
+    return EquilibriumColumns(x, y, *utilities_xy(p, x, y, c_t))
 
 
 def _scaled_step(p: GameParams, a: StrategyProfile, b: StrategyProfile) -> float:

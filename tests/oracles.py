@@ -1,7 +1,8 @@
 """Independent oracles used to generate and verify expected values.
 
 Deliberately disjoint from the library's numerics: plain Newton iteration for
-the W function (the library uses Halley with series starts), Decimal
+the W function, in floats and, for the far tails, in Decimal (the library uses
+Halley with series starts, and log-space Newton in the tails), Decimal
 arithmetic for extended-precision capacity/chi evaluations, brute-force grid
 search for optimality claims, and adaptive quadrature (scipy) for the
 prior-expected utility whose closed form the library implements.
@@ -41,6 +42,28 @@ def newton_w_minus1(z: float) -> float:
     lz = math.log(-z)
     w0 = lz - math.log(-lz) if z > -0.3 else -1.2
     return newton_w(z, w0)
+
+
+def decimal_newton_w(z: float, branch_minus1: bool = False) -> float:
+    """Solve w*e^w = z by Newton iteration in 60-digit Decimal arithmetic.
+
+    Decimal exponents reach far past the double range, so e^w neither
+    overflows nor underflows for any double z: this covers the far tails
+    where float iteration breaks down.  Starts as the float oracles do.
+    """
+    if branch_minus1:
+        lz = math.log(-z)
+        w = Decimal(lz - math.log(-lz) if z > -0.3 else -1.2)
+    else:
+        w = Decimal(math.log(z) if z > math.e else (z if z > -0.3 else -0.9))
+    zd = Decimal(z)
+    for _ in range(200):
+        ew = w.exp()
+        step = (w * ew - zd) / (ew * (w + 1))
+        w -= step
+        if abs(step) <= Decimal("1e-40") * max(Decimal(1), abs(w)):
+            return float(w)
+    raise RuntimeError(f"Decimal Newton oracle failed to converge for z={z}")
 
 
 def central_diff(f, x: float, h: float) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jamgame import nash_closed_form, thresholds
+from jamgame.cli import FIGURE_COLUMNS
 from jamgame.config import dump_config, game_params_from_config, parse_config_text
 
 TABLE1_CFG = """\
@@ -156,12 +157,17 @@ def test_sweep_payoffs_dominance(cfg1):
 
 
 def test_sweep_thread_cap_preserves_output(cfg1):
-    a = run_cli("sweep", cfg1, "--figure", "seX", "--log-range", "1e5", "1e9", "8",
-                env={"JAMGAME_THREADS": "1"})
-    b = run_cli("sweep", cfg1, "--figure", "seX", "--log-range", "1e5", "1e9", "8",
-                env={"JAMGAME_THREADS": "4"})
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    # JAMGAME_THREADS (the removed sweep thread cap) is read by nothing: a value
+    # left in the environment must not change the columns or their order
+    plain = run_cli("sweep", cfg1, "--figure", "seX", "--log-range", "1e5", "1e9", "8")
+    assert plain.returncode == 0
+    header, rows = parse_csv(plain.stdout)
+    assert header == FIGURE_COLUMNS["seX"] and len(rows) == 8
+    for threads in ("1", "4"):
+        capped = run_cli("sweep", cfg1, "--figure", "seX", "--log-range", "1e5", "1e9", "8",
+                         env={"JAMGAME_THREADS": threads})
+        assert capped.returncode == 0
+        assert capped.stdout == plain.stdout
 
 
 def test_sweep_comparison_casework(cfg1):
@@ -285,6 +291,33 @@ def test_nash_brd_bad_start_leaves_no_partial_stdout(cfg1):
             id="xi-max-inf",
         ),
         pytest.param(TABLE1_CFG + "c_t = 2e6\n", ["nash"], id="duplicate-key"),
+        pytest.param(
+            TABLE1_CFG, ["sweep", "--figure", "neX", "--log-range", "1e5", "1e9", "2.5"], id="n-fractional"
+        ),
+        pytest.param(
+            TABLE1_CFG, ["sweep", "--figure", "neX", "--log-range", "1e5", "1e9", "nan"], id="n-nan"
+        ),
+        pytest.param(
+            TABLE1_CFG, ["sweep", "--figure", "neX", "--log-range", "1e5", "inf", "3"], id="b-inf"
+        ),
+        pytest.param(
+            TABLE1_CFG, ["sweep", "--figure", "neX", "--log-range", "nan", "1e9", "3"], id="a-nan"
+        ),
+        pytest.param(
+            TABLE1_CFG,
+            ["sweep", "--figure", "brY", "--log-range", "0.125", "2.247116418577895e+307", "3"],
+            id="span-overflows",
+        ),
+        pytest.param(
+            TABLE1_CFG,
+            ["sweep", "--figure", "brX", "--param", "c_t", "--log-range", "1e-6", "1e-3", "3"],
+            id="brX-param-c_t",
+        ),
+        pytest.param(
+            TABLE1_CFG,
+            ["sweep", "--figure", "neX", "--param", "x", "--log-range", "1e5", "1e9", "3"],
+            id="neX-param-x",
+        ),
     ],
 )
 def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):

@@ -1,6 +1,7 @@
 """Tests for the real-branch Lambert W kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamgame import BRANCH_POINT, DomainError, SingularError, WBranch, lambert_w, lambert_w_prime
-from oracles import central_diff, newton_w_minus1, newton_w_principal
+from oracles import central_diff, decimal_newton_w, newton_w_minus1, newton_w_principal
 
 # Frozen from the independent Newton oracle (tests/oracles.py), run to 1e-15.
 W_OF_1 = 0.5671432904097838
@@ -64,6 +65,36 @@ def test_identity_property_minus1(z):
     w = lambert_w(z, WBranch.MINUS1)
     assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z))
     assert w <= -1.0 + 1e-12
+
+
+@given(st.floats(min_value=-0.3, max_value=1.7976931348623157e308))
+@settings(max_examples=300, deadline=None)
+def test_whole_range_principal_against_decimal_newton(z):
+    """Accurate over the whole double range, including near-overflow and subnormal z."""
+    want = decimal_newton_w(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scalar, array = lambert_w(z), lambert_w(np.array([z]))[0]
+    for w in (scalar, array):
+        assert math.isclose(w, want, rel_tol=1e-14), (z, w, want)
+
+
+@given(st.floats(min_value=-0.3, max_value=-5e-324))
+@settings(max_examples=300, deadline=None)
+def test_whole_range_minus1_against_decimal_newton(z):
+    want = decimal_newton_w(z, branch_minus1=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scalar, array = lambert_w(z, WBranch.MINUS1), lambert_w(np.array([z]), WBranch.MINUS1)[0]
+    for w in (scalar, array):
+        assert math.isclose(w, want, rel_tol=1e-14), (z, w, want)
+
+
+def test_near_overflow_and_subnormal_points():
+    assert lambert_w(1e308) == pytest.approx(newton_w_principal(1e308), rel=1e-15)
+    assert lambert_w(-5e-324, WBranch.MINUS1) == pytest.approx(
+        decimal_newton_w(-5e-324, branch_minus1=True), rel=1e-15
+    )
 
 
 def test_monotonicity():

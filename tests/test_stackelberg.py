@@ -8,6 +8,7 @@ import pytest
 
 from jamgame import (
     ApproxUndefined,
+    BracketError,
     DomainError,
     GameParams,
     Regime,
@@ -24,6 +25,7 @@ from jamgame import (
     thresholds,
     x_hat,
 )
+from jamgame.roots import bisect_bracket, grow_until_negative
 
 
 def test_leader_utility_branches_agree_at_root(table1):
@@ -107,6 +109,22 @@ def test_bisection_loss_bound(table1):
         - float(leader_utility(p, reference.profile.x))
     )
     assert loss <= eps_star
+
+
+def test_array_bracketing_takes_each_scalar_path():
+    # A plain root, a root at lo, a root at hi, and per-element tolerances.
+    c = np.array([2.0, 9.0, 16.0, 5.0])
+    lo, hi = np.array([1.0, 3.0, 1.0, 1.0]), np.array([2.0, 5.0, 4.0, 3.0])
+    tol = np.array([1e-9, 1e-3, 1e-12, 0.0])
+    got_lo, got_hi = bisect_bracket(lambda x: x * x - c, lo, hi, tol)
+    for k in range(c.size):
+        want = bisect_bracket(lambda x: x * x - c[k], float(lo[k]), float(hi[k]), float(tol[k]))
+        assert (got_lo[k], got_hi[k]) == want
+    grown = grow_until_negative(lambda x: c - x, np.array([0.5, 1.0, 3.0, 0.1]))
+    for k in range(c.size):
+        assert grown[k] == grow_until_negative(lambda x: c[k] - x, [0.5, 1.0, 3.0, 0.1][k])
+    with pytest.raises(BracketError):
+        bisect_bracket(lambda x: x * x - c, lo + 10.0, hi + 10.0, tol)
 
 
 def test_approx_satisfies_reduced_equation(table1):
