@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     DegenerateUtility,
     DomainError,
-    EmptyWindow,
     InvalidParams,
     InvalidStrategy,
     JamGameError,
@@ -62,12 +61,9 @@ from .nash import (
     s_prime_bounds,
 )
 from .sim import (
-    CycleEvent,
-    EstimatorRole,
     SimConfig,
     SimTrace,
     StrategyUpdate,
-    estimate_opponent,
     run_sim,
     updates_to_equilibrium,
 )

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .best_response import best_response_target, chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
@@ -62,6 +63,9 @@ _COMMITTED_TOL = 1e-3
 
 @lru_cache(maxsize=1024)
 def _committed_x(p_assumed: GameParams) -> float:
+    x0 = best_response_target(p_assumed, 0.0)
+    if chi(p_assumed, x0) <= 0.0:  # inhibited: the loss-bound width is not needed
+        return x0
     x_tol = _COMMITTED_TOL * leader_loss_bracket_width(p_assumed)
     return stackelberg_exact(p_assumed, x_tol=x_tol).profile.x
 
@@ -79,7 +83,13 @@ def g_of_xi(p: GameParams, xi):
         return _committed_x(replace(p, c_t=xi))
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
-    return stackelberg_sweep(p, xi, x_tol=_COMMITTED_TOL * leader_loss_bracket_width(p, c_t=xi))
+    xi = np.asarray(xi, dtype=float)
+    # The loss-bound width only for weights jammed at b_t(0), as in
+    # stackelberg_sweep; the other weights' x_tol is never read.
+    jammed = chi(p, best_response_target(p, 0.0), xi) > 0.0
+    x_tol = np.ones_like(xi)
+    x_tol[jammed] = _COMMITTED_TOL * leader_loss_bracket_width(p, c_t=xi[jammed])
+    return stackelberg_sweep(p, xi, x_tol=x_tol)
 
 
 def realized_utility(p: GameParams, xi, c_t=None):

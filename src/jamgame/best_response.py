@@ -61,18 +61,27 @@ def psi(p: GameParams, y):
 def chi(p: GameParams, x, c_t=None):
     """sqrt(ln(x/delta)/eta) - t_aj - x/2, the jammer's unclamped optimum.
 
-    Defined for x >= delta (nonnegative log).  Where chi < 0 the jammer
+    Defined for x >= delta (nonnegative log; where x/delta overflows, the log
+    is taken as ln x - ln delta).  Where chi < 0 the jammer
     prefers not to jam at all.  ``c_t``, an array of weights, evaluates the
     whole column at once in place of p.c_t.
     """
     if isinstance(x, (float, int)) and c_t is None:
         if x < p.delta:
             raise DomainError("chi requires x >= delta")
-        return math.sqrt(math.log(x / p.delta) / p.eta) - p.t_aj - x / 2.0
+        r = x / p.delta
+        log_r = math.log(r) if r < math.inf else math.log(x) - math.log(p.delta)
+        return math.sqrt(log_r / p.eta) - p.t_aj - x / 2.0
     x = np.asarray(x, dtype=float)
     if np.any(x < p.delta):
         raise DomainError("chi requires x >= delta")
-    out = np.sqrt(np.log(x / p.delta) / eta(p, c_t)) - p.t_aj - x / 2.0
+    with np.errstate(over="ignore"):
+        r = x / p.delta
+    log_r = np.log(r)
+    over = np.isinf(r)  # x/delta overflows: take the difference of logs there
+    if over.any():
+        log_r = np.where(over, np.log(x) - math.log(p.delta), log_r)
+    out = np.sqrt(log_r / eta(p, c_t)) - p.t_aj - x / 2.0
     return float(out) if out.ndim == 0 else out
 
 

@@ -28,7 +28,8 @@ from .config import dump_config, game_params_from_config, read_config
 from .errors import ConfigError, JamGameError
 from .model import GameParams, StrategyProfile, utilities_xy
 from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form, nash_sweep
-from .sim import RNG_ALGORITHM, SimConfig, run_sim, updates_to_equilibrium
+from .sim import EVENT_COLUMNS, MAX_TOTAL_CYCLES, RNG_ALGORITHM, SimConfig
+from .sim import event_columns, run_sim, updates_to_equilibrium
 from .stackelberg import (
     improvement_report,
     improvement_sweep,
@@ -45,6 +46,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
+
+# A sweep holds its grid and columns whole: ~0.3-0.4 kB per point (peak RSS
+# of the efficiency and comparison figures), ~0.3-0.45 GB at this limit.
+MAX_SWEEP_POINTS = 10**6
+# simulate writes the event table this many rows at a time.
+_EVENT_CHUNK = 16384
 
 
 def _fmt(v) -> str:
@@ -78,10 +85,12 @@ def _finite(cfg: dict, key: str, default: float) -> float:
     return v
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
+def _count(cfg: dict, key: str, default: int, most: int | None = None) -> int:
     v = cfg.get(key, default)
     if not (math.isfinite(v) and v >= 1 and v == int(v)):
         raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
+    if most is not None and v > most:
+        raise ConfigError(f"{key} must be <= {most}, got {v!r}")
     return int(v)
 
 
@@ -219,8 +228,8 @@ def _cmd_sweep(args) -> int:
     a, b, n = args.log_range
     if not (0 < a < b and math.isfinite(b / a)):
         raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
-    if not (math.isfinite(n) and n >= 2 and n == int(n)):
-        raise ConfigError(f"--log-range needs an integer N >= 2, got {n!r}")
+    if not (math.isfinite(n) and 2 <= n <= MAX_SWEEP_POINTS and n == int(n)):
+        raise ConfigError(f"--log-range needs an integer 2 <= N <= {MAX_SWEEP_POINTS}, got {n!r}")
     n = int(n)
     cfg = read_config(args.config)
     p0 = game_params_from_config(cfg)
@@ -257,46 +266,35 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     sim_cfg = SimConfig(
         params=p,
-        total_cycles=_count(cfg, "total_cycles", 200),
+        total_cycles=_count(cfg, "total_cycles", 200, most=MAX_TOTAL_CYCLES),
         update_period_cycles=_count(cfg, "update_period_cycles", 10),
         rng_seed=seed,
     )
     trace = run_sim(sim_cfg)
 
-    lines = [
+    period, n = sim_cfg.update_period_cycles, sim_cfg.total_cycles
+    head = [
         "# jamgame simulation trace",
         f"# seed={seed}",
         f"# rng={RNG_ALGORITHM}",
-        f"# update_period_cycles={sim_cfg.update_period_cycles}",
-        f"# total_cycles={sim_cfg.total_cycles}",
+        f"# update_period_cycles={period}",
+        f"# total_cycles={n}",
         f"# params={dump_config(cfg).strip().replace(chr(10), '; ')}",
+        "update,cycle,x,y,x_est_by_jammer,y_est_by_target",
     ]
-    body = [
-        ",".join(["update", "cycle", "x", "y", "x_est_by_jammer", "y_est_by_target"])
-    ]
-    for h in trace.strategy_history:
-        cycle = h.update_index * sim_cfg.update_period_cycles
-        body.append(
-            ",".join(
-                _fmt(v)
-                for v in (h.update_index, cycle, h.x, h.y,
-                          h.x_estimated_by_jammer, h.y_estimated_by_target)
-            )
-        )
-    body.append("")
-    body.append(",".join(["cycle", "silence_s", "jam_s", "bits", "jam_energy_j"]))
-    for ev in trace.events:
-        body.append(
-            ",".join(
-                _fmt(v)
-                for v in (ev.index, ev.silence_drawn, ev.jam_drawn,
-                          ev.bits_conveyed, ev.jam_energy)
-            )
-        )
-    payload = "\n".join(lines + body) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(line + "\n" for line in head)
+            fh.writelines(
+                f"{h.update_index},{h.update_index * period},{h.x!r},{h.y!r},"
+                f"{h.x_estimated_by_jammer!r},{h.y_estimated_by_target!r}\n"
+                for h in trace.strategy_history
+            )
+            fh.write("\n" + ",".join(EVENT_COLUMNS) + "\n")
+            for start in range(0, n, _EVENT_CHUNK):
+                columns = event_columns(trace, start, min(start + _EVENT_CHUNK, n))
+                rows = zip(*(map(repr, col.tolist()) for col in columns))
+                fh.writelines(",".join(row) + "\n" for row in rows)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -36,9 +36,5 @@ class DegenerateUtility(JamGameError, ValueError):
     """An efficiency ratio was requested against a non-positive utility."""
 
 
-class EmptyWindow(JamGameError, ValueError):
-    """An estimator was asked to run on an empty observation window."""
-
-
 class ConfigError(JamGameError, ValueError):
     """A scenario configuration file is missing keys or unparseable."""

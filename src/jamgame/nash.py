@@ -53,6 +53,9 @@ _LN2 = math.log(2.0)
 # magnitude above delta, so one scaled tolerance is meaningful for both.
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
+# brd also stops on a step this many ulp of the larger iterate: past ~1000
+# delta, DEFAULT_TOL asks for a step below the iterates' float resolution.
+_ROUNDOFF_ULPS = 4
 
 
 class Regime(Enum):
@@ -163,9 +166,9 @@ def brd(
     """Simultaneous best-response dynamics from ``start``.
 
     Each iteration plays x_i = b_t(y_{i-1}) and y_i = b_j(x_{i-1}) at once.
-    Converged means the scaled sup-norm step dropped to ``tol`` within
-    ``max_iter`` iterations; non-convergence is reported in the trace, never
-    raised.
+    Converged means the scaled sup-norm step dropped to ``tol``, or to a few
+    ulp of the iterates (float round-off), within ``max_iter`` iterations;
+    non-convergence is reported in the trace, never raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -185,7 +188,8 @@ def brd(
         )
         iterates.append(nxt)
         used += 1
-        if _scaled_step(p, nxt, cur) <= tol:
+        roundoff = _ROUNDOFF_ULPS * math.ulp(max(nxt.x, nxt.y)) / p.delta
+        if _scaled_step(p, nxt, cur) <= max(tol, roundoff):
             converged = True
             break
         cur = nxt

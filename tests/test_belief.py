@@ -43,6 +43,14 @@ def test_g_inhibited_regime_is_unjammed_optimum(table1):
     assert g_of_xi(table1, xi) == best_response_target(table1, 0.0)
 
 
+def test_g_past_x_hat_below_two_delta(table1):
+    # x_hat < 2 delta from xi ~ 2.6e11 on, where the loss-bound width is undefined.
+    b_t0 = best_response_target(table1, 0.0)
+    assert g_of_xi(table1, 1e12) == b_t0
+    assert np.array_equal(g_of_xi(table1, np.array([1e12, 1e13])), [b_t0, b_t0])
+    assert g_of_xi(table1, np.array([1e6, 1e12]))[0] == g_of_xi(table1, 1e6)
+
+
 def test_g_zeroes_chi_under_the_assumed_weight(table1):
     for xi in [1e5, 1e7, 1e9]:
         g = g_of_xi(table1, xi)

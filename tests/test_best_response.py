@@ -156,6 +156,15 @@ def test_best_response_optimality_random_params(rng):
         assert utilities_xy(p, x, bj)[1] >= np.max(utilities_xy(p, x, ygrid)[1])
 
 
+def test_chi_where_x_over_delta_overflows(table1):
+    # x/delta overflows above ~1.8e302: ln x - ln delta keeps chi finite there.
+    for x in (1e303, 1.7e308):
+        want = math.sqrt((math.log(x) - math.log(table1.delta)) / table1.eta) - table1.t_aj - x / 2.0
+        assert chi(table1, x) == want
+        assert chi(table1, np.array([1e-3, x]))[1] == want
+        assert best_response_jammer(table1, x) == 0.0
+
+
 def test_chi_matches_decimal_oracle_random_points(rng):
     for _ in range(20):
         p = random_params(rng)

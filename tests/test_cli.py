@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -223,6 +224,27 @@ def test_simulate_reproducible_files(cfg2, tmp_path):
     assert int(rows[0][2]) <= 5
 
 
+def test_simulate_golden_digest(cfg2, tmp_path):
+    # Pins the draw order of RNG_ALGORITHM numpy-PCG64/columns-v2 and the file format.
+    out = tmp_path / "t.csv"
+    res = run_cli("simulate", cfg2, "--seed", "11", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f94f0089feaa3716375078d529caca64e8cc3fc04b190f18b813ed6ec85ebbcb"
+    )
+
+
+def test_simulate_event_chunks_join_seamlessly(cfg2, tmp_path, monkeypatch, capsys):
+    from jamgame import cli
+
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    assert cli.main(["simulate", cfg2, "--seed", "5", "--out", str(whole)]) == 0
+    monkeypatch.setattr(cli, "_EVENT_CHUNK", 7)
+    assert cli.main(["simulate", cfg2, "--seed", "5", "--out", str(chunked)]) == 0
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text().split("\n\n")[1].splitlines()) == 1 + 100
+
+
 def test_simulate_draws_and_records_seed(cfg2, tmp_path):
     out = str(tmp_path / "t.csv")
     res = run_cli("simulate", cfg2, "--out", out)
@@ -231,7 +253,7 @@ def test_simulate_draws_and_records_seed(cfg2, tmp_path):
     seed_lines = [ln for ln in text.splitlines() if ln.startswith("# seed=")]
     assert len(seed_lines) == 1
     int(seed_lines[0].split("=", 1)[1])  # parses as an integer
-    assert "# rng=numpy-PCG64" in text
+    assert "# rng=numpy-PCG64/columns-v2" in text
 
 
 def test_simulate_unwritable_exit_4(cfg2):
@@ -274,6 +296,11 @@ def test_nash_brd_bad_start_leaves_no_partial_stdout(cfg1):
             TABLE2_CFG.replace("total_cycles = 100", "total_cycles = nan"),
             ["simulate", "--seed", "1", "--out", "{out}"],
             id="total-cycles-nan",
+        ),
+        pytest.param(
+            TABLE2_CFG.replace("total_cycles = 100", "total_cycles = 10000001"),
+            ["simulate", "--seed", "1", "--out", "{out}"],
+            id="total-cycles-above-limit",
         ),
         pytest.param(
             TABLE2_CFG.replace("update_period_cycles = 10", "update_period_cycles = 0.5"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jamgame import (
+    GameParams,
     Regime,
     StrategyProfile,
     best_response_jammer,
@@ -123,6 +124,20 @@ def test_brd_table2_three_updates(table2, rng):
 def test_brd_nonconvergence_is_reported_not_raised(table1):
     t = brd(table1, StrategyProfile(1.0, 1.0), tol=1e-15, max_iter=2)
     assert not t.converged and t.iterations_used == 2
+
+
+def test_brd_stops_on_roundoff_step_far_from_delta():
+    # NE at y ~ 3760 delta: the default tol asks for a step below 2 ulp of y,
+    # and the dynamics settle into a two-cycle of exactly that size.
+    p = GameParams(
+        t_aj=7.125323126434531e-05, delta=7.861808031172878e-07, p_t=1.2131697223927964,
+        p_j=3.1330438349838863, t_p=3.707780922584244e-06, c_t=265103.4042779403,
+    )
+    t = brd(p, StrategyProfile(2 * p.delta, 0.0))
+    ne = nash_closed_form(p).profile
+    assert t.converged and t.iterations_used < 100
+    assert abs(t.iterates[-1].x - ne.x) <= 1e-12 * ne.x
+    assert abs(t.iterates[-1].y - ne.y) <= 1e-12 * ne.y
 
 
 def test_brd_attaches_certificate_on_request(table1):

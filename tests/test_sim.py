@@ -1,55 +1,85 @@
-"""Tests for the cycle-level simulator and its estimators."""
+"""Tests for the cycle-level simulator and its per-window estimates."""
 
 import math
 
+import numpy as np
 import pytest
 
 from jamgame import (
-    CycleEvent,
-    EmptyWindow,
-    EstimatorRole,
     InvalidParams,
     SimConfig,
     StrategyProfile,
+    best_response_jammer,
+    best_response_target,
     brd,
     capacity_xy,
-    estimate_opponent,
     run_sim,
     updates_to_equilibrium,
 )
+from jamgame.sim import event_columns
 
 
-def _event(i, silence=0.0, jam=0.0):
-    return CycleEvent(index=i, silence_drawn=silence, jam_drawn=jam, bits_conveyed=1.0, jam_energy=0.0)
+def _windows(column, period):
+    n = len(column) // period * period
+    return column[:n].reshape(-1, period)
 
 
-def test_estimator_mean_of_constants():
-    evs = [_event(i, jam=3.5e-4) for i in range(7)]
-    assert estimate_opponent(evs, EstimatorRole.TARGET_ESTIMATES_Y) == pytest.approx(3.5e-4, rel=1e-15)
+def test_estimator_window_mean_of_jam(table1):
+    cfg = SimConfig(params=table1, total_cycles=95, update_period_cycles=10, rng_seed=3, x0=3e-4, y0=1e-4)
+    tr = run_sim(cfg)
+    want = _windows(tr.jam, 10).mean(axis=1)
+    got = np.array([h.y_estimated_by_target for h in tr.strategy_history[1:]])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
-def test_estimator_bias_corrected_max():
-    evs = [_event(0, silence=0.2), _event(1, silence=0.8), _event(2, silence=0.5)]
-    assert estimate_opponent(evs, EstimatorRole.JAMMER_ESTIMATES_X) == pytest.approx(
-        (4.0 / 3.0) * 0.8, rel=1e-15
-    )
+def test_estimator_bias_corrected_max(table1):
+    cfg = SimConfig(params=table1, total_cycles=95, update_period_cycles=10, rng_seed=4, x0=3e-4, y0=1e-4)
+    tr = run_sim(cfg)
+    want = np.maximum(11 / 10 * _windows(tr.silence, 10).max(axis=1), 2.0 * table1.delta)
+    got = np.array([h.x_estimated_by_jammer for h in tr.strategy_history[1:]])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
-def test_estimator_empty_window():
-    with pytest.raises(EmptyWindow):
-        estimate_opponent([], EstimatorRole.TARGET_ESTIMATES_Y)
-
-
-def test_estimator_consistency_large_window(rng):
+def test_estimator_consistency_large_window(table1):
     x_true, y_true = 3e-4, 2e-4
-    evs = [
-        _event(i, silence=float(rng.uniform(0, x_true)), jam=float(rng.exponential(y_true)))
-        for i in range(10**4)
-    ]
-    y_est = estimate_opponent(evs, EstimatorRole.TARGET_ESTIMATES_Y)
-    x_est = estimate_opponent(evs, EstimatorRole.JAMMER_ESTIMATES_X)
-    assert abs(y_est - y_true) <= 0.02 * y_true
-    assert abs(x_est - x_true) <= 0.02 * x_true
+    cfg = SimConfig(
+        params=table1, total_cycles=10**4, update_period_cycles=10**4,
+        rng_seed=20240817, x0=x_true, y0=y_true,
+    )
+    first = run_sim(cfg).strategy_history[1]
+    assert abs(first.y_estimated_by_target - y_true) <= 0.02 * y_true
+    assert abs(first.x_estimated_by_jammer - x_true) <= 0.02 * x_true
+
+
+def _per_cycle_reference(cfg):
+    """The simulator as a plain per-cycle loop over the same draws (pinned start)."""
+    p, period = cfg.params, cfg.update_period_cycles
+    rng = np.random.default_rng(cfg.rng_seed)
+    e, u = rng.standard_exponential(cfg.total_cycles), rng.random(cfg.total_cycles)
+    x, y = cfg.x0, cfg.y0
+    history, jam, silence = [(x, y)], [], []
+    for k in range(cfg.total_cycles):
+        jam.append(float(e[k]) * y)
+        silence.append(float(u[k]) * x)
+        if (k + 1) % period == 0:
+            y_est = sum(jam[-period:]) / period
+            x_est = max((period + 1) / period * max(silence[-period:]), 2.0 * p.delta)
+            x, y = best_response_target(p, y_est), best_response_jammer(p, x_est)
+            history.append((x, y))
+    return history, jam, silence
+
+
+@pytest.mark.parametrize("cycles, period", [(200, 10), (95, 7), (12, 1)])
+def test_columns_match_per_cycle_reference(table1, cycles, period):
+    cfg = SimConfig(
+        params=table1, total_cycles=cycles, update_period_cycles=period, rng_seed=17, x0=3e-4, y0=1e-4
+    )
+    tr = run_sim(cfg)
+    history, jam, silence = _per_cycle_reference(cfg)
+    # The window mean is summed in another order, so values agree to rounding.
+    assert np.allclose([(h.x, h.y) for h in tr.strategy_history], history, rtol=1e-12, atol=0.0)
+    assert np.allclose(tr.jam, jam, rtol=1e-12, atol=0.0)
+    assert np.allclose(tr.silence, silence, rtol=1e-12, atol=0.0)
 
 
 def test_config_invariants(table2):
@@ -57,28 +87,33 @@ def test_config_invariants(table2):
         SimConfig(params=table2, total_cycles=5, update_period_cycles=10)
     with pytest.raises(InvalidParams):
         SimConfig(params=table2, total_cycles=10, update_period_cycles=0)
+    with pytest.raises(InvalidParams):
+        SimConfig(params=table2, total_cycles=10**7 + 1)
 
 
 def test_reproducibility_bit_identical(table2):
     cfg = SimConfig(params=table2, total_cycles=120, update_period_cycles=10, rng_seed=99)
-    assert run_sim(cfg) == run_sim(cfg)
+    a, b = run_sim(cfg), run_sim(cfg)
+    assert a.jam.tobytes() == b.jam.tobytes() and a.silence.tobytes() == b.silence.tobytes()
+    assert repr(a.strategy_history) == repr(b.strategy_history)  # nan != nan, so compare reprs
+    assert (a.realized_capacity, a.realized_utilities) == (b.realized_capacity, b.realized_utilities)
 
 
 def test_different_seeds_differ(table2):
     a = run_sim(SimConfig(params=table2, total_cycles=50, update_period_cycles=10, rng_seed=1))
     b = run_sim(SimConfig(params=table2, total_cycles=50, update_period_cycles=10, rng_seed=2))
-    assert a != b
+    assert not np.array_equal(a.silence, b.silence)
 
 
 def test_event_accounting(table2):
     cfg = SimConfig(params=table2, total_cycles=60, update_period_cycles=10, rng_seed=5)
     tr = run_sim(cfg)
-    assert len(tr.events) == 60
-    for ev in tr.events:
-        assert ev.jam_energy == ev.jam_drawn * table2.p_j
-        assert 0.0 <= ev.jam_drawn
-    total = sum(ev.jam_energy for ev in tr.events)
-    assert total == sum(ev.jam_drawn for ev in tr.events) * table2.p_j
+    cycle, silence, jam, _, energy = event_columns(tr, 0, 60)
+    assert len(tr.jam) == len(tr.silence) == 60
+    assert np.array_equal(cycle, np.arange(60))
+    assert np.array_equal(silence, tr.silence) and np.array_equal(jam, tr.jam)
+    assert np.array_equal(energy, jam * table2.p_j)
+    assert np.all(jam >= 0.0)
 
 
 def test_silences_within_current_bound(table2):
@@ -86,13 +121,16 @@ def test_silences_within_current_bound(table2):
         params=table2, total_cycles=40, update_period_cycles=10, rng_seed=8, x0=1e-4, y0=5e-5
     )
     tr = run_sim(cfg)
-    bound = {0: 1e-4}
-    for h in tr.strategy_history:
-        bound[h.update_index] = h.x
-    for ev in tr.events:
-        x_cur = bound[ev.index // cfg.update_period_cycles]
-        assert 0.0 <= ev.silence_drawn <= x_cur
-        assert ev.bits_conveyed == math.log2(x_cur / table2.delta)
+    assert tr.strategy_history[0].x == 1e-4
+    # Any chunking of the event table gives the same columns.
+    chunks = [event_columns(tr, a, b) for a, b in ((0, 7), (7, 10), (10, 33), (33, 40))]
+    cycle, silence, jam, bits, _ = (np.concatenate(c) for c in zip(*chunks))
+    for k in range(40):
+        h = tr.strategy_history[k // cfg.update_period_cycles]
+        assert cycle[k] == k
+        assert 0.0 <= silence[k] <= h.x
+        assert (jam[k] == 0.0) or h.y > 0.0
+        assert bits[k] == math.log2(h.x / table2.delta)
 
 
 def test_history_bookkeeping_single_period(table2):
@@ -148,7 +186,7 @@ def test_border_equilibrium_reached_quickly(table2):
 def test_realized_utilities_definition(table2):
     cfg = SimConfig(params=table2, total_cycles=50, update_period_cycles=10, rng_seed=13)
     tr = run_sim(cfg)
-    mean_energy = sum(ev.jam_energy for ev in tr.events) / len(tr.events)
+    mean_energy = event_columns(tr, 0, 50)[4].mean()
     assert tr.realized_utilities.u_t == pytest.approx(
         tr.realized_capacity - table2.c_t_star * table2.t_p * table2.p_t, rel=1e-12
     )
@@ -159,4 +197,4 @@ def test_realized_utilities_definition(table2):
 
 def test_drawn_start_when_x_hat_below_two_delta(costly_jammer):
     tr = run_sim(SimConfig(params=costly_jammer, total_cycles=10, rng_seed=1))
-    assert len(tr.events) == 10 and len(tr.strategy_history) == 2
+    assert len(tr.jam) == len(tr.silence) == 10 and len(tr.strategy_history) == 2

@@ -24,7 +24,7 @@ from jamgame import (
     utilities_xy,
     xi_opt,
 )
-from jamgame.cli import FIGURE_COLUMNS, main
+from jamgame.cli import FIGURE_COLUMNS, MAX_SWEEP_POINTS, main
 
 C_T_FIGURES = ["neX", "neY", "seX", "seY", "payoffs", "approx", "efficiency", "comparison"]
 
@@ -113,9 +113,9 @@ def test_undefined_approx_point_exits_3_without_rows(tmp_path, table1):
 
 
 def _small_count(text: str) -> bool:
-    """Keep fuzzed point counts small; a huge N is a memory test, not a parse test."""
+    """Keep in-range fuzzed point counts small: N up to the limit is a memory test, not a parse test."""
     try:
-        return not abs(float(text)) > 1000
+        return not 1000 < abs(float(text)) <= MAX_SWEEP_POINTS
     except ValueError:
         return True
 
@@ -134,6 +134,7 @@ _log_range = st.one_of(
         lambda t: (repr(t[0]), repr(t[1]), str(t[2]))
     ),
     st.tuples(_token, _token, _token.filter(_small_count)),
+    st.tuples(st.just("1e5"), st.just("1e9"), st.integers(MAX_SWEEP_POINTS + 1, 10**30).map(str)),
 )
 
 
@@ -168,3 +169,23 @@ def test_fuzzed_sweep_arguments_end_in_a_documented_exit(lab_config, figure, par
     else:
         assert math.isfinite(float(a)) and math.isfinite(float(b))
         assert float(n) == int(float(n)) and len(out.splitlines()) == 1 + int(float(n))
+        for line in out.splitlines()[1:]:
+            for value in line.split(","):
+                assert value in ("true", "false") or math.isfinite(float(value)), line
+
+
+def test_efficiency_sweep_past_x_hat_below_two_delta(tmp_path, table1):
+    # x_hat < 2 delta from c_t ~ 2.6e11 on: g is b_t(0) there, and no width is needed.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(table1))
+    code, out, err = run_sweep(["sweep", str(cfg), "--figure", "efficiency", "--log-range", "1e9", "1e12", "5"])
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 5
+
+
+def test_best_response_sweep_where_x_over_delta_overflows(tmp_path, table1):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(table1))
+    code, out, err = run_sweep(["sweep", str(cfg), "--figure", "brY", "--log-range", "1e300", "1.7e308", "3"])
+    assert code == 0, err
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0.0"] * 3
