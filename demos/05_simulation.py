@@ -28,11 +28,9 @@ trace = run_sim(cfg)
 ne = nash_closed_form(p)
 print(f"analytic equilibrium: {ne.regime.value} at x* = {ne.profile.x:.6e}, y* = {ne.profile.y:g}\n")
 print("update  x               y               x est. by jammer  y est. by target")
-for h in trace.strategy_history:
-    print(
-        f"  {h.update_index:>2}    {h.x:<14.6e}  {h.y:<14.6e}  "
-        f"{h.x_estimated_by_jammer:<16.6e}  {h.y_estimated_by_target:.6e}"
-    )
+columns = zip(trace.x, trace.y, trace.x_est_by_jammer, trace.y_est_by_target)
+for k, (x, y, x_est, y_est) in enumerate(columns):
+    print(f"  {k:>2}    {x:<14.6e}  {y:<14.6e}  {x_est:<16.6e}  {y_est:.6e}")
 print(f"\nreached the equilibrium at update {updates_to_equilibrium(trace, p)}")
 print(f"realized capacity over the run: {trace.realized_capacity:.0f} bit/s")
 print(f"realized utilities: u_t = {trace.realized_utilities.u_t:.0f}, "
@@ -42,8 +40,8 @@ print(f"realized utilities: u_t = {trace.realized_utilities.u_t:.0f}, "
 start = StrategyProfile(3e-4, 1e-4)
 cfg2 = SimConfig(params=p, total_cycles=50, update_period_cycles=10,
                  rng_seed=0, x0=start.x, y0=start.y)
-sim_path = run_sim(cfg2, perfect_observation=True).strategy_history
+sim_path = run_sim(cfg2, perfect_observation=True).x
 brd_path = brd(p, start, tol=1e-30, max_iter=5).iterates
 print("\nperfect-observation hook vs analytic dynamics (x values):")
-for h, s in zip(sim_path, brd_path):
-    print(f"  update {h.update_index}: simulated {h.x:.9e}   analytic {s.x:.9e}")
+for k, (x, s) in enumerate(zip(sim_path, brd_path)):
+    print(f"  update {k}: simulated {x:.9e}   analytic {s.x:.9e}")

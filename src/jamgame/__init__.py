@@ -63,7 +63,6 @@ from .nash import (
 from .sim import (
     SimConfig,
     SimTrace,
-    StrategyUpdate,
     run_sim,
     updates_to_equilibrium,
 )

@@ -15,7 +15,6 @@ round-trip precision (repr).  Exit codes: 0 ok, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import secrets
 import sys
@@ -28,8 +27,8 @@ from .config import dump_config, game_params_from_config, read_config
 from .errors import ConfigError, JamGameError
 from .model import GameParams, StrategyProfile, utilities_xy
 from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form, nash_sweep
-from .sim import EVENT_COLUMNS, MAX_TOTAL_CYCLES, RNG_ALGORITHM, SimConfig
-from .sim import event_columns, run_sim, updates_to_equilibrium
+from .sim import EVENT_COLUMNS, MAX_TOTAL_CYCLES, RNG_ALGORITHM, STRATEGY_COLUMNS, SimConfig
+from .sim import event_columns, run_sim, strategy_columns, updates_to_equilibrium
 from .stackelberg import (
     improvement_report,
     improvement_sweep,
@@ -50,27 +49,27 @@ EXIT_IO = 4
 # A sweep holds its grid and columns whole: ~0.3-0.4 kB per point (peak RSS
 # of the efficiency and comparison figures), ~0.3-0.45 GB at this limit.
 MAX_SWEEP_POINTS = 10**6
-# simulate writes the event table this many rows at a time.
+# simulate writes its tables this many rows at a time.
 _EVENT_CHUNK = 16384
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+# Value formatters by dtype kind (bool, str); numbers are written with repr.
+_FORMAT = {"b": lambda v: "true" if v else "false", "U": str}
 
 
-def _fmt_column(col: np.ndarray):
-    """_fmt of every value of a float or bool column, lazily."""
-    return map(_fmt if col.dtype == bool else repr, col.tolist())
-
-
-def _csv(rows, header, out) -> None:
+def _write_table(out, header, blocks) -> None:
+    """Write ``header`` and then the rows of each block of equal-length columns."""
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    for block in blocks:
+        columns = [np.asarray(col) for col in block]
+        rows = zip(*(map(_FORMAT.get(c.dtype.kind, repr), c.tolist()) for c in columns))
+        out.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _chunks(columns, trace, rows: int):
+    """``columns(trace, start, stop)`` for consecutive ``_EVENT_CHUNK``-row slices."""
+    for start in range(0, rows, _EVENT_CHUNK):
+        yield columns(trace, start, min(start + _EVENT_CHUNK, rows))
 
 
 def _check_positive_finite(name: str, v: float) -> None:
@@ -112,19 +111,14 @@ def _cmd_nash(args) -> int:
             y=args.start_y if args.start_y is not None else 0.0,
         )
         trace = brd(p, start, tol=args.tol, max_iter=args.max_iter)
-    _csv(
-        [(res.profile.x, res.profile.y, res.regime.value, res.utilities.u_t,
-          res.utilities.u_j, th.c_t_tilde, th.c_t_max)],
-        ["x_ne", "y_ne", "regime", "u_t", "u_j", "c_t_tilde", "c_t_max"],
-        sys.stdout,
-    )
+    row = (res.profile.x, res.profile.y, res.regime.value, res.utilities.u_t,
+           res.utilities.u_j, th.c_t_tilde, th.c_t_max)
+    header = ["x_ne", "y_ne", "regime", "u_t", "u_j", "c_t_tilde", "c_t_max"]
+    _write_table(sys.stdout, header, [[[v] for v in row]])
     if trace is not None:
         sys.stdout.write("\n")
-        _csv(
-            [(i, s.x, s.y) for i, s in enumerate(trace.iterates)],
-            ["iteration", "x", "y"],
-            sys.stdout,
-        )
+        xs, ys = [s.x for s in trace.iterates], [s.y for s in trace.iterates]
+        _write_table(sys.stdout, ["iteration", "x", "y"], [[range(len(xs)), xs, ys]])
     return EXIT_OK
 
 
@@ -147,7 +141,7 @@ def _cmd_stackelberg(args) -> int:
         )
         header.append("accuracy_ratio")
         row.append(ratio)
-    _csv([tuple(row)], header, sys.stdout)
+    _write_table(sys.stdout, header, [[[v] for v in row]])
     return EXIT_OK
 
 
@@ -235,25 +229,22 @@ def _cmd_sweep(args) -> int:
     p0 = game_params_from_config(cfg)
 
     ratio = (b / a) ** (1.0 / (n - 1))
-    values = [a * ratio**k for k in range(n)]
-    values[-1] = b
+    v = np.array([a * ratio**k for k in range(n - 1)] + [b])
     # Weights near the ends of the double range overflow or divide by zero on
     # the way into W; the inf that results is refused there as a DomainError.
     with np.errstate(over="ignore", divide="ignore"):
-        columns = _sweep_columns(args.figure, p0, np.array(values), cfg)
-    # Rows are formatted as they are written, so no copy of the table is held.
-    rows = zip(map(repr, values), *map(_fmt_column, columns))
-    lines = (",".join(row) + "\n" for row in itertools.chain([FIGURE_COLUMNS[args.figure]], rows))
+        columns = [v, *_sweep_columns(args.figure, p0, v, cfg)]
 
+    header = FIGURE_COLUMNS[args.figure]
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
+                _write_table(fh, header, [columns])
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.writelines(lines)
+        _write_table(sys.stdout, header, [columns])
     return EXIT_OK
 
 
@@ -261,6 +252,8 @@ def _cmd_sweep(args) -> int:
 # simulate
 
 def _cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = read_config(args.config)
     p = game_params_from_config(cfg)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
@@ -280,31 +273,19 @@ def _cmd_simulate(args) -> int:
         f"# update_period_cycles={period}",
         f"# total_cycles={n}",
         f"# params={dump_config(cfg).strip().replace(chr(10), '; ')}",
-        "update,cycle,x,y,x_est_by_jammer,y_est_by_target",
     ]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in head)
-            fh.writelines(
-                f"{h.update_index},{h.update_index * period},{h.x!r},{h.y!r},"
-                f"{h.x_estimated_by_jammer!r},{h.y_estimated_by_target!r}\n"
-                for h in trace.strategy_history
-            )
-            fh.write("\n" + ",".join(EVENT_COLUMNS) + "\n")
-            for start in range(0, n, _EVENT_CHUNK):
-                columns = event_columns(trace, start, min(start + _EVENT_CHUNK, n))
-                rows = zip(*(map(repr, col.tolist()) for col in columns))
-                fh.writelines(",".join(row) + "\n" for row in rows)
+            _write_table(fh, STRATEGY_COLUMNS, _chunks(strategy_columns, trace, len(trace.x)))
+            fh.write("\n")
+            _write_table(fh, EVENT_COLUMNS, _chunks(event_columns, trace, n))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    final = trace.strategy_history[-1]
-    _csv(
-        [(final.x, final.y, updates_to_equilibrium(trace, p))],
-        ["final_x", "final_y", "updates_to_ne"],
-        sys.stdout,
-    )
+    final = [trace.x[-1:], trace.y[-1:], [updates_to_equilibrium(trace, p)]]
+    _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])
     return EXIT_OK
 
 

@@ -9,6 +9,8 @@ by the mean of the jam durations, the jammer by the bias-corrected maximum
 simultaneously, mirroring the analytic best-response dynamics.
 
 The run is computed as columns; the only Python loop is one pass per window.
+The trace holds the strategy history as four float64 columns (row k is
+update k, row 0 the start) and the per-cycle jam and silence columns.
 All randomness comes from one numpy PCG64 generator seeded from the config,
 so a trace is bit-reproducible from (config, seed).  Draw order per run, as
 tagged by ``RNG_ALGORITHM``: the initial x then y (uniform) unless both are
@@ -32,9 +34,9 @@ from .nash import nash_closed_form, s_prime_bounds
 
 __all__ = [
     "SimConfig",
-    "StrategyUpdate",
     "SimTrace",
     "RNG_ALGORITHM",
+    "strategy_columns",
     "event_columns",
     "run_sim",
     "updates_to_equilibrium",
@@ -42,11 +44,13 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-PCG64/columns-v2"
 
-# Measured with tracemalloc, a run holds ~32 B per cycle (the two float64
-# columns and temporaries) and ~300 B per update window (its StrategyUpdate
-# and estimates): 1e7 cycles take ~0.6 GB at period 10, ~3.3 GB at period 1.
+# Measured with tracemalloc, a run peaks at ~16 B per cycle (the two float64
+# draw columns) plus ~100 B per update window (its four strategy columns and
+# the window lists) and keeps 16 B per cycle plus 32 B per update: 1e7 cycles
+# peak at ~0.3 GB at period 10 and ~1.1 GB at period 1.
 MAX_TOTAL_CYCLES = 10**7
 
+STRATEGY_COLUMNS = ("update", "cycle", "x", "y", "x_est_by_jammer", "y_est_by_target")
 EVENT_COLUMNS = ("cycle", "silence_s", "jam_s", "bits", "jam_energy_j")
 
 
@@ -67,33 +71,37 @@ class SimConfig:
             raise InvalidParams("total_cycles must be >= update_period_cycles")
         if self.total_cycles > MAX_TOTAL_CYCLES:
             raise InvalidParams(f"total_cycles must be <= {MAX_TOTAL_CYCLES}")
-
-
-@dataclass(frozen=True, slots=True)
-class StrategyUpdate:
-    update_index: int
-    x: float
-    y: float
-    x_estimated_by_jammer: float
-    y_estimated_by_target: float
+        if self.rng_seed < 0:
+            raise InvalidParams("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
-    """The strategy history and the per-cycle jam and silence durations."""
+    """The strategy history as columns and the per-cycle jam and silence durations.
 
+    Row k of ``x``, ``y``, ``x_est_by_jammer`` and ``y_est_by_target`` is update
+    k, in force from cycle k * update_period_cycles; row 0 is the start, with
+    NaN estimates.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    x_est_by_jammer: np.ndarray
+    y_est_by_target: np.ndarray
     jam: np.ndarray
     silence: np.ndarray
-    strategy_history: list[StrategyUpdate]
     realized_capacity: float
     realized_utilities: UtilityPair
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
-    config: Optional[SimConfig] = field(repr=False, default=None)
+    config: SimConfig = field(repr=False)
+
+
+def _bits(x: np.ndarray, delta: float):
+    # log2(x/delta), lazily; np.log2 differs from math.log2 in the last bit for some doubles.
+    return (math.log2(v / delta) for v in x.tolist())
 
 
 def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
-    """Run the simulation and return the strategy history and event columns.
+    """Run the simulation and return the strategy and event columns.
 
     ``perfect_observation`` is a testing hook that replaces the estimates by
     the opponent's true current strategy, making the strategy history follow
@@ -119,7 +127,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
     mean_e = jam[: windows * period].reshape(windows, period).mean(axis=1).tolist()
     max_u = silence[: windows * period].reshape(windows, period).max(axis=1).tolist()
 
-    history = [StrategyUpdate(0, x, y, math.nan, math.nan)]
+    xs, ys, x_ests, y_ests = np.full((4, windows + 1), math.nan)
+    xs[0], ys[0] = x, y
     for k in range(windows):
         if perfect_observation:
             x_est, y_est = x, y
@@ -128,14 +137,15 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
             # Estimates are clipped into the admissible strategy space.
             x_est = max((period + 1) / period * (x * max_u[k]), 2.0 * p.delta)
         x, y = float(best_response_target(p, y_est)), float(best_response_jammer(p, x_est))
-        history.append(StrategyUpdate(k + 1, x, y, x_est, y_est))
+        xs[k + 1], ys[k + 1], x_ests[k + 1], y_ests[k + 1] = x, y, x_est, y_est
+    # The window lists take ~64 B per window; free them before the scaling.
+    del mean_e, max_u
 
-    xs = [h.x for h in history]
-    jam *= np.repeat([h.y for h in history], period)[:n]
+    jam *= np.repeat(ys, period)[:n]
     silence *= np.repeat(xs, period)[:n]
 
     cycles_in_force = [period] * windows + [n - windows * period]
-    total_bits = math.fsum(c * math.log2(xk / p.delta) for c, xk in zip(cycles_in_force, xs))
+    total_bits = math.fsum(c * b for c, b in zip(cycles_in_force, _bits(xs, p.delta)))
     jam_total = float(jam.sum())
     realized_capacity = total_bits / (n * p.t_aj + jam_total + float(silence.sum()))
     realized = UtilityPair(
@@ -143,14 +153,23 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
         u_j=-realized_capacity - p.c_t * jam_total * p.p_j / n,
     )
     return SimTrace(
+        x=xs,
+        y=ys,
+        x_est_by_jammer=x_ests,
+        y_est_by_target=y_ests,
         jam=jam,
         silence=silence,
-        strategy_history=history,
         realized_capacity=realized_capacity,
         realized_utilities=realized,
-        seed=cfg.rng_seed,
         config=cfg,
     )
+
+
+def strategy_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The strategy table's columns (``STRATEGY_COLUMNS``) for updates [start, stop)."""
+    update = np.arange(start, stop)
+    history = (trace.x, trace.y, trace.x_est_by_jammer, trace.y_est_by_target)
+    return (update, update * trace.config.update_period_cycles, *(c[start:stop] for c in history))
 
 
 def event_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -162,8 +181,7 @@ def event_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, .
     cfg = trace.config
     p, period = cfg.params, cfg.update_period_cycles
     first = start // period
-    in_force = trace.strategy_history[first : (stop - 1) // period + 1]
-    bits = np.array([math.log2(h.x / p.delta) for h in in_force])
+    bits = np.fromiter(_bits(trace.x[first : (stop - 1) // period + 1], p.delta), float)
     cycle = np.arange(start, stop)
     jam = trace.jam[start:stop]
     return cycle, trace.silence[start:stop], jam, bits[cycle // period - first], jam * p.p_j
@@ -177,16 +195,9 @@ def updates_to_equilibrium(trace: SimTrace, p: GameParams, rel_tol: float = 1e-6
     every later update.  Returns -1 if that never happens.
     """
     ne = nash_closed_form(p).profile
-    y_scale = p.t_aj + ne.y
-
-    def at_ne(h: StrategyUpdate) -> bool:
-        return abs(h.x - ne.x) <= rel_tol * ne.x and abs(h.y - ne.y) <= rel_tol * y_scale
-
-    hit = -1
-    for h in trace.strategy_history:
-        if at_ne(h):
-            if hit < 0:
-                hit = h.update_index
-        else:
-            hit = -1
-    return hit
+    at_ne = (np.abs(trace.x - ne.x) <= rel_tol * ne.x) & (
+        np.abs(trace.y - ne.y) <= rel_tol * (p.t_aj + ne.y)
+    )
+    away = np.flatnonzero(~at_ne)
+    last_away = int(away[-1]) if away.size else -1
+    return -1 if last_away == len(at_ne) - 1 else last_away + 1

@@ -369,10 +369,10 @@ def test_c8_simulation():
         rng_seed=0, x0=start.x, y0=start.y,
     )
     tr = run_sim(cfg, perfect_observation=True)
-    ref = brd(TABLE1, start, tol=1e-30, max_iter=len(tr.strategy_history))
+    ref = brd(TABLE1, start, tol=1e-30, max_iter=len(tr.x))
     hook_ok = all(
-        abs(h.x - it.x) <= 1e-9 * it.x and abs(h.y - it.y) <= 1e-9 * max(it.y, TABLE1.delta)
-        for h, it in zip(tr.strategy_history, ref.iterates)
+        abs(x - it.x) <= 1e-9 * it.x and abs(y - it.y) <= 1e-9 * max(it.y, TABLE1.delta)
+        for x, y, it in zip(tr.x, tr.y, ref.iterates)
     )
     elapsed = time.perf_counter() - t0
     ok = success >= 95 and hook_ok and elapsed < 30.0

@@ -234,6 +234,18 @@ def test_simulate_golden_digest(cfg2, tmp_path):
     )
 
 
+def test_simulate_golden_digest_partial_window(tmp_path):
+    # Interior regime (non-zero jams) with a trailing 4-cycle partial window.
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(TABLE1_CFG + "total_cycles = 95\nupdate_period_cycles = 7\n")
+    out = tmp_path / "t.csv"
+    res = run_cli("simulate", str(cfg), "--seed", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4275b13b1a4bc4f894e19864b25701166f8945a5250f77032a6b1ec47bfa2cc0"
+    )
+
+
 def test_simulate_event_chunks_join_seamlessly(cfg2, tmp_path, monkeypatch, capsys):
     from jamgame import cli
 
@@ -302,6 +314,7 @@ def test_nash_brd_bad_start_leaves_no_partial_stdout(cfg1):
             ["simulate", "--seed", "1", "--out", "{out}"],
             id="total-cycles-above-limit",
         ),
+        pytest.param(TABLE2_CFG, ["simulate", "--seed", "-1", "--out", "{out}"], id="seed-negative"),
         pytest.param(
             TABLE2_CFG.replace("update_period_cycles = 10", "update_period_cycles = 0.5"),
             ["simulate", "--seed", "1", "--out", "{out}"],

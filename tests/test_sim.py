@@ -1,6 +1,7 @@
 """Tests for the cycle-level simulator and its per-window estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from jamgame import (
     InvalidParams,
     SimConfig,
+    SimTrace,
     StrategyProfile,
+    UtilityPair,
     best_response_jammer,
     best_response_target,
     brd,
     capacity_xy,
+    nash_closed_form,
     run_sim,
     updates_to_equilibrium,
 )
@@ -28,7 +32,7 @@ def test_estimator_window_mean_of_jam(table1):
     cfg = SimConfig(params=table1, total_cycles=95, update_period_cycles=10, rng_seed=3, x0=3e-4, y0=1e-4)
     tr = run_sim(cfg)
     want = _windows(tr.jam, 10).mean(axis=1)
-    got = np.array([h.y_estimated_by_target for h in tr.strategy_history[1:]])
+    got = tr.y_est_by_target[1:]
     assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
@@ -36,7 +40,7 @@ def test_estimator_bias_corrected_max(table1):
     cfg = SimConfig(params=table1, total_cycles=95, update_period_cycles=10, rng_seed=4, x0=3e-4, y0=1e-4)
     tr = run_sim(cfg)
     want = np.maximum(11 / 10 * _windows(tr.silence, 10).max(axis=1), 2.0 * table1.delta)
-    got = np.array([h.x_estimated_by_jammer for h in tr.strategy_history[1:]])
+    got = tr.x_est_by_jammer[1:]
     assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
@@ -46,9 +50,9 @@ def test_estimator_consistency_large_window(table1):
         params=table1, total_cycles=10**4, update_period_cycles=10**4,
         rng_seed=20240817, x0=x_true, y0=y_true,
     )
-    first = run_sim(cfg).strategy_history[1]
-    assert abs(first.y_estimated_by_target - y_true) <= 0.02 * y_true
-    assert abs(first.x_estimated_by_jammer - x_true) <= 0.02 * x_true
+    tr = run_sim(cfg)
+    assert abs(tr.y_est_by_target[1] - y_true) <= 0.02 * y_true
+    assert abs(tr.x_est_by_jammer[1] - x_true) <= 0.02 * x_true
 
 
 def _per_cycle_reference(cfg):
@@ -77,7 +81,7 @@ def test_columns_match_per_cycle_reference(table1, cycles, period):
     tr = run_sim(cfg)
     history, jam, silence = _per_cycle_reference(cfg)
     # The window mean is summed in another order, so values agree to rounding.
-    assert np.allclose([(h.x, h.y) for h in tr.strategy_history], history, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.column_stack([tr.x, tr.y]), history, rtol=1e-12, atol=0.0)
     assert np.allclose(tr.jam, jam, rtol=1e-12, atol=0.0)
     assert np.allclose(tr.silence, silence, rtol=1e-12, atol=0.0)
 
@@ -89,13 +93,16 @@ def test_config_invariants(table2):
         SimConfig(params=table2, total_cycles=10, update_period_cycles=0)
     with pytest.raises(InvalidParams):
         SimConfig(params=table2, total_cycles=10**7 + 1)
+    with pytest.raises(InvalidParams):
+        SimConfig(params=table2, total_cycles=10, rng_seed=-1)
 
 
 def test_reproducibility_bit_identical(table2):
     cfg = SimConfig(params=table2, total_cycles=120, update_period_cycles=10, rng_seed=99)
     a, b = run_sim(cfg), run_sim(cfg)
     assert a.jam.tobytes() == b.jam.tobytes() and a.silence.tobytes() == b.silence.tobytes()
-    assert repr(a.strategy_history) == repr(b.strategy_history)  # nan != nan, so compare reprs
+    for col in ("x", "y", "x_est_by_jammer", "y_est_by_target"):
+        assert getattr(a, col).tobytes() == getattr(b, col).tobytes()  # nan != nan, so compare bytes
     assert (a.realized_capacity, a.realized_utilities) == (b.realized_capacity, b.realized_utilities)
 
 
@@ -121,29 +128,30 @@ def test_silences_within_current_bound(table2):
         params=table2, total_cycles=40, update_period_cycles=10, rng_seed=8, x0=1e-4, y0=5e-5
     )
     tr = run_sim(cfg)
-    assert tr.strategy_history[0].x == 1e-4
+    assert tr.x[0] == 1e-4
     # Any chunking of the event table gives the same columns.
     chunks = [event_columns(tr, a, b) for a, b in ((0, 7), (7, 10), (10, 33), (33, 40))]
     cycle, silence, jam, bits, _ = (np.concatenate(c) for c in zip(*chunks))
     for k in range(40):
-        h = tr.strategy_history[k // cfg.update_period_cycles]
+        x, y = tr.x[k // cfg.update_period_cycles], tr.y[k // cfg.update_period_cycles]
         assert cycle[k] == k
-        assert 0.0 <= silence[k] <= h.x
-        assert (jam[k] == 0.0) or h.y > 0.0
-        assert bits[k] == math.log2(h.x / table2.delta)
+        assert 0.0 <= silence[k] <= x
+        assert (jam[k] == 0.0) or y > 0.0
+        assert bits[k] == math.log2(float(x) / table2.delta)
 
 
 def test_history_bookkeeping_single_period(table2):
     cfg = SimConfig(params=table2, total_cycles=30, update_period_cycles=30, rng_seed=0)
     tr = run_sim(cfg)
-    assert len(tr.strategy_history) == 2  # initial + one update
-    assert math.isnan(tr.strategy_history[0].x_estimated_by_jammer)
+    assert len(tr.x) == len(tr.y) == 2  # initial + one update
+    assert math.isnan(tr.x_est_by_jammer[0]) and math.isnan(tr.y_est_by_target[0])
 
 
 def test_history_length_formula(table2):
     cfg = SimConfig(params=table2, total_cycles=95, update_period_cycles=10, rng_seed=0)
     tr = run_sim(cfg)
-    assert len(tr.strategy_history) == 95 // 10 + 1
+    for col in (tr.x, tr.y, tr.x_est_by_jammer, tr.y_est_by_target):
+        assert len(col) == 95 // 10 + 1
 
 
 def test_realized_capacity_matches_analytic_when_static(table1):
@@ -166,10 +174,10 @@ def test_perfect_observation_tracks_brd(table1):
         rng_seed=42, x0=start.x, y0=start.y,
     )
     tr = run_sim(cfg, perfect_observation=True)
-    ref = brd(table1, start, tol=1e-30, max_iter=len(tr.strategy_history))
-    for h, it in zip(tr.strategy_history, ref.iterates):
-        assert abs(h.x - it.x) <= 1e-9 * it.x
-        assert abs(h.y - it.y) <= 1e-9 * max(it.y, table1.delta)
+    ref = brd(table1, start, tol=1e-30, max_iter=len(tr.x))
+    for x, y, it in zip(tr.x, tr.y, ref.iterates):
+        assert abs(x - it.x) <= 1e-9 * it.x
+        assert abs(y - it.y) <= 1e-9 * max(it.y, table1.delta)
 
 
 def test_border_equilibrium_reached_quickly(table2):
@@ -181,6 +189,49 @@ def test_border_equilibrium_reached_quickly(table2):
         if 0 <= k <= 5:
             reached += 1
     assert reached == 20
+
+
+def _trace_with_rows(p, rows):
+    """A trace whose row k is the NE of p ('N'), or off it in x ('x') or in y ('y')."""
+    ne = nash_closed_form(p).profile
+    x = np.array([1.1 * ne.x if r == "x" else ne.x for r in rows])
+    y = np.array([ne.y + 0.1 * (p.t_aj + ne.y) if r == "y" else ne.y for r in rows])
+    n = len(rows)
+    nan = np.full(n, math.nan)
+    return SimTrace(
+        x=x, y=y, x_est_by_jammer=nan, y_est_by_target=nan,
+        jam=np.zeros(n - 1), silence=np.zeros(n - 1),
+        realized_capacity=0.0, realized_utilities=UtilityPair(0.0, 0.0),
+        config=SimConfig(params=p, total_cycles=n - 1, update_period_cycles=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        pytest.param("NNNNN", 0, id="from-start"),
+        pytest.param("xyxyx", -1, id="never"),
+        pytest.param("NNxyNN", 4, id="re-entry"),
+        pytest.param("NNNNx", -1, id="away-in-last-row"),
+    ],
+)
+def test_updates_to_equilibrium_rows(table2, rows, want):
+    assert updates_to_equilibrium(_trace_with_rows(table2, rows), table2) == want
+
+
+def test_trace_holds_only_columns(table1):
+    # Six float64 columns take 48 B per cycle at period 1: 4 per update, 2 per cycle.
+    cfg = SimConfig(params=table1, total_cycles=20_000, update_period_cycles=1, rng_seed=1)
+    run_sim(cfg)  # first-call allocations are not the trace's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = run_sim(cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tr.x) == cfg.total_cycles + 1
+    assert held <= 64 * cfg.total_cycles
 
 
 def test_realized_utilities_definition(table2):
@@ -197,4 +248,4 @@ def test_realized_utilities_definition(table2):
 
 def test_drawn_start_when_x_hat_below_two_delta(costly_jammer):
     tr = run_sim(SimConfig(params=costly_jammer, total_cycles=10, rng_seed=1))
-    assert len(tr.jam) == len(tr.silence) == 10 and len(tr.strategy_history) == 2
+    assert len(tr.jam) == len(tr.silence) == 10 and len(tr.x) == len(tr.y) == 2
