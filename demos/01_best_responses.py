@@ -19,6 +19,7 @@ from jamgame import (
     thresholds,
     x_hat,
 )
+from jamgame import columns
 
 p = GameParams(t_aj=15e-6, delta=1e-6, p_t=2.0, p_j=2.0, t_p=50e-6, c_t=1e6)
 
@@ -43,5 +44,5 @@ print(f"  c_t_max   = {th.c_t_max:.4e}  (above this the jammer never jams at all
 ys = np.logspace(-6, -2, 5)
 print("\nCSV equivalent of `jamgame sweep CONFIG --figure brX --log-range 1e-6 1e-2 5`:")
 print("y,x_best")
-for y, x in zip(ys, best_response_target(p, ys)):
+for y, x in zip(ys, columns.best_response_target(p, ys)):
     print(f"{y!r},{x!r}")

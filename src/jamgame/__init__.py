@@ -8,74 +8,38 @@ solution under perfect and uncertain knowledge of the jammer's cost, and a
 cycle-level simulator cross-checked against the analytic equilibria.
 """
 
-from .belief import (
-    UniformPrior,
-    efficiency,
-    expected_utility_closed,
-    g_of_xi,
-    realized_utility,
-    xi_opt,
-)
-from .best_response import (
-    Thresholds,
-    best_response_jammer,
-    best_response_target,
-    chi,
-    psi,
-    thresholds,
-    x_hat,
-)
-from .errors import (
-    ApproxUndefined,
-    BracketError,
-    ConfigError,
-    DegenerateUtility,
-    DomainError,
-    InvalidParams,
-    InvalidStrategy,
-    JamGameError,
-    SingularError,
-)
-from .lambertw import BRANCH_POINT, WBranch, lambert_w, lambert_w_prime
-from .model import (
-    GameParams,
-    StrategyProfile,
-    UtilityPair,
-    capacity,
-    capacity_xy,
-    cycle_duration,
-    utilities,
-    utilities_xy,
-)
-from .nash import (
-    BrdTrace,
-    ConvergenceCert,
-    EquilibriumColumns,
-    EquilibriumResult,
-    Regime,
-    SPrimeBounds,
-    brd,
-    convergence_certificate,
-    nash_closed_form,
-    nash_sweep,
-    s_prime_bounds,
-)
-from .sim import (
-    SimConfig,
-    SimTrace,
-    run_sim,
-    updates_to_equilibrium,
-)
-from .stackelberg import (
-    ImprovementReport,
-    improvement_report,
-    improvement_sweep,
-    leader_loss_bracket_width,
-    leader_utility,
-    stackelberg_approx,
-    stackelberg_approx_sweep,
-    stackelberg_exact,
-    stackelberg_sweep,
-)
+import importlib
+
+# Each numpy-free module's __all__ is its public API, re-exported here whole.
+from . import best_response, errors, lambertw, model, nash, stackelberg
+from .best_response import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .lambertw import *  # noqa: F403
+from .model import *  # noqa: F403
+from .nash import *  # noqa: F403
+from .stackelberg import *  # noqa: F403
 
 __version__ = "0.1.0"
+
+# Names from the numpy-backed modules, which are imported on first access
+# (PEP 562): importing the package, and every query, leaves numpy unloaded.
+_LAZY = {
+    "belief": ("UniformPrior", "efficiency", "expected_utility_closed", "g_of_xi",
+               "realized_utility", "xi_opt"),
+    "columns": ("EquilibriumColumns", "improvement_sweep", "nash_sweep",
+                "stackelberg_approx_sweep", "stackelberg_sweep"),
+    "sim": ("SimConfig", "SimTrace", "run_sim", "updates_to_equilibrium"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [
+    *errors.__all__, *lambertw.__all__, *model.__all__, *best_response.__all__, *nash.__all__,
+    *stackelberg.__all__, *_MODULE_OF,
+]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

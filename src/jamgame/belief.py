@@ -19,11 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import columns
 from .best_response import best_response_target, chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
-from .stackelberg import leader_loss_bracket_width, stackelberg_exact, stackelberg_sweep
+from .stackelberg import leader_loss_bracket_width, stackelberg_exact
 
 __all__ = [
     "UniformPrior",
@@ -86,10 +87,10 @@ def g_of_xi(p: GameParams, xi):
     xi = np.asarray(xi, dtype=float)
     # The loss-bound width only for weights jammed at b_t(0), as in
     # stackelberg_sweep; the other weights' x_tol is never read.
-    jammed = chi(p, best_response_target(p, 0.0), xi) > 0.0
+    jammed = columns.chi(p, best_response_target(p, 0.0), xi) > 0.0
     x_tol = np.ones_like(xi)
-    x_tol[jammed] = _COMMITTED_TOL * leader_loss_bracket_width(p, c_t=xi[jammed])
-    return stackelberg_sweep(p, xi, x_tol=x_tol)
+    x_tol[jammed] = _COMMITTED_TOL * columns.leader_loss_bracket_width(p, xi[jammed])
+    return columns.stackelberg_sweep(p, xi, x_tol=x_tol)
 
 
 def realized_utility(p: GameParams, xi, c_t=None):

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, eta
+from .model import GameParams
 
 __all__ = [
     "Thresholds",
@@ -46,89 +44,57 @@ class Thresholds:
     c_t_tilde: float
 
 
-def psi(p: GameParams, y):
+def psi(p: GameParams, y: float) -> float:
     """Principal-branch W of 2*(t_aj + y) / (e * delta); positive for y >= 0."""
-    if isinstance(y, (float, int)):
-        if y < 0:
-            raise DomainError("psi requires y >= 0")
-        return lambert_w(2.0 * (p.t_aj + float(y)) / (math.e * p.delta), WBranch.PRINCIPAL)
-    if np.any(np.asarray(y) < 0):
+    if y < 0:
         raise DomainError("psi requires y >= 0")
-    y = np.asarray(y, dtype=float)
     return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL)
 
 
-def chi(p: GameParams, x, c_t=None):
+def chi(p: GameParams, x: float) -> float:
     """sqrt(ln(x/delta)/eta) - t_aj - x/2, the jammer's unclamped optimum.
 
     Defined for x >= delta (nonnegative log; where x/delta overflows, the log
     is taken as ln x - ln delta).  Where chi < 0 the jammer
-    prefers not to jam at all.  ``c_t``, an array of weights, evaluates the
-    whole column at once in place of p.c_t.
+    prefers not to jam at all.
     """
-    if isinstance(x, (float, int)) and c_t is None:
-        if x < p.delta:
-            raise DomainError("chi requires x >= delta")
-        r = x / p.delta
-        log_r = math.log(r) if r < math.inf else math.log(x) - math.log(p.delta)
-        return math.sqrt(log_r / p.eta) - p.t_aj - x / 2.0
-    x = np.asarray(x, dtype=float)
-    if np.any(x < p.delta):
+    if x < p.delta:
         raise DomainError("chi requires x >= delta")
-    with np.errstate(over="ignore"):
-        r = x / p.delta
-    log_r = np.log(r)
-    over = np.isinf(r)  # x/delta overflows: take the difference of logs there
-    if over.any():
-        log_r = np.where(over, np.log(x) - math.log(p.delta), log_r)
-    out = np.sqrt(log_r / eta(p, c_t)) - p.t_aj - x / 2.0
-    return float(out) if out.ndim == 0 else out
+    r = x / p.delta
+    log_r = math.log(r) if r < math.inf else math.log(x) - math.log(p.delta)
+    return math.sqrt(log_r / p.eta) - p.t_aj - x / 2.0
 
 
-def best_response_target(p: GameParams, y):
+def best_response_target(p: GameParams, y: float) -> float:
     """Capacity-maximizing silence bound against mean jam duration y.
 
     Equals delta * e^(psi(y)+1); strictly increasing in y and always > 2*delta
     for t_aj > 0.
     """
-    if isinstance(y, (float, int)):
-        return p.delta * math.exp(psi(p, y) + 1.0)
-    out = p.delta * np.exp(psi(p, y) + 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return p.delta * math.exp(psi(p, y) + 1.0)
 
 
-def best_response_jammer(p: GameParams, x, c_t=None):
-    """Utility-maximizing mean jam duration against silence bound x: max(chi, 0).
-
-    ``c_t`` as in ``chi``.
-    """
-    if isinstance(x, (float, int)) and c_t is None:
-        if x < 2.0 * p.delta:
-            raise DomainError("best_response_jammer requires x >= 2*delta")
-        return max(chi(p, float(x)), 0.0)
-    if np.any(np.asarray(x) < 2.0 * p.delta):
+def best_response_jammer(p: GameParams, x: float) -> float:
+    """Utility-maximizing mean jam duration against silence bound x: max(chi, 0)."""
+    if x < 2.0 * p.delta:
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    out = np.maximum(chi(p, x, c_t), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return max(chi(p, x), 0.0)
 
 
-def x_hat(p: GameParams, c_t=None):
+def x_hat(p: GameParams) -> float:
     """Location of the maximum of chi: delta * e^(W(2/(eta*delta^2))/2).
 
     chi increases below this point and decreases above it, so any positive
-    region of chi is an interval straddling x_hat.  ``c_t`` as in ``chi``.
+    region of chi is an interval straddling x_hat.
     """
-    if c_t is None:
-        w = lambert_w(2.0 / (p.eta * p.delta**2), WBranch.PRINCIPAL)
-        return p.delta * math.exp(0.5 * w)
-    w = lambert_w(2.0 / (eta(p, c_t) * p.delta**2), WBranch.PRINCIPAL)
-    return p.delta * np.exp(0.5 * w)
+    w = lambert_w(2.0 / (p.eta * p.delta**2), WBranch.PRINCIPAL)
+    return p.delta * math.exp(0.5 * w)
 
 
 def thresholds(p: GameParams) -> Thresholds:
     """Compute both critical weights for the current physical parameters."""
     c_t_max = 1.0 / (p.p_j * _LN2 * 2.0 * p.delta * (p.delta + p.t_aj))
-    omega = float(psi(p, 0.0))
+    omega = psi(p, 0.0)
     c_t_tilde = (
         4.0
         / (p.delta**2 * p.p_j * _LN2)

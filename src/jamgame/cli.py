@@ -16,28 +16,14 @@ from __future__ import annotations
 
 import argparse
 import math
-import secrets
 import sys
 
-import numpy as np
-
-from .belief import UniformPrior, efficiency, xi_opt
-from .best_response import best_response_jammer, best_response_target, thresholds
+from .best_response import best_response_target, thresholds
 from .config import dump_config, game_params_from_config, read_config
 from .errors import ConfigError, JamGameError
-from .model import GameParams, StrategyProfile, utilities_xy
-from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form, nash_sweep
-from .sim import EVENT_COLUMNS, MAX_TOTAL_CYCLES, RNG_ALGORITHM, STRATEGY_COLUMNS, SimConfig
-from .sim import event_columns, run_sim, strategy_columns, updates_to_equilibrium
-from .stackelberg import (
-    improvement_report,
-    improvement_sweep,
-    leader_utility,
-    stackelberg_approx,
-    stackelberg_approx_sweep,
-    stackelberg_exact,
-    stackelberg_sweep,
-)
+from .model import GameParams, StrategyProfile
+from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form
+from .stackelberg import improvement_report, leader_utility, stackelberg_approx, stackelberg_exact
 
 __all__ = ["main", "FIGURE_COLUMNS"]
 
@@ -53,16 +39,16 @@ MAX_SWEEP_POINTS = 10**6
 _EVENT_CHUNK = 16384
 
 
-# Value formatters by dtype kind (bool, str); numbers are written with repr.
-_FORMAT = {"b": lambda v: "true" if v else "false", "U": str}
+# Formatters by the Python type of a column's values; numbers are written with repr.
+_FORMAT = {bool: lambda v: "true" if v else "false", str: str}
 
 
 def _write_table(out, header, blocks) -> None:
-    """Write ``header`` and then the rows of each block of equal-length columns."""
+    """Write ``header`` and the rows of each block of equal-length lists, ranges or arrays."""
     out.write(",".join(header) + "\n")
     for block in blocks:
-        columns = [np.asarray(col) for col in block]
-        rows = zip(*(map(_FORMAT.get(c.dtype.kind, repr), c.tolist()) for c in columns))
+        columns = [col.tolist() if hasattr(col, "tolist") else list(col) for col in block]
+        rows = zip(*(map(_FORMAT.get(type(c[0]), repr), c) for c in columns))
         out.writelines(",".join(row) + "\n" for row in rows)
 
 
@@ -136,9 +122,7 @@ def _cmd_stackelberg(args) -> int:
     row = [se.profile.x, se.profile.y, rep.u_t_se, rep.u_t_ne, rep.improved]
     if args.approx:
         approx = stackelberg_approx(p)
-        ratio = float(leader_utility(p, approx.profile.x)) / float(
-            leader_utility(p, se.profile.x)
-        )
+        ratio = leader_utility(p, approx.profile.x) / leader_utility(p, se.profile.x)
         header.append("accuracy_ratio")
         row.append(ratio)
     _write_table(sys.stdout, header, [[[v] for v in row]])
@@ -168,47 +152,57 @@ FIGURE_COLUMNS = {
 _SWEEP_PARAM = {"brX": "y", "brY": "x"}
 
 
-def _sweep_columns(figure: str, p: GameParams, v: np.ndarray, cfg: dict) -> list:
-    """The figure's columns after the swept one, each computed in one pass."""
-    if figure == "brX":
-        return [best_response_target(p, v)]
-    if figure == "brY":
-        return [best_response_jammer(p, v)]
-    if figure == "neX":
-        return [nash_sweep(p, v).x]
-    if figure == "neY":
-        return [nash_sweep(p, v).y]
-    if figure == "seX":
-        return [nash_sweep(p, v).x, stackelberg_sweep(p, v)]
-    if figure == "seY":
-        # The follower never jams a committed leader: y_se is 0 by construction.
-        return [nash_sweep(p, v).y, np.zeros_like(v)]
-    if figure == "payoffs":
-        rep = improvement_sweep(p, v)
-        return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
-    if figure == "approx":
-        x_se = stackelberg_sweep(p, v)
-        x_ap = stackelberg_approx_sweep(p, v)
-        u_se = leader_utility(p, x_se, v)
-        u_ap = leader_utility(p, x_ap, v)
-        return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
-    if figure == "efficiency":
-        prior = UniformPrior(
-            xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
-        )
-        opt = xi_opt(p, prior)
-        xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
-        assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
-        return [np.full_like(v, opt), *efficiency(p, assumed, v)]
-    # comparison
-    rep = improvement_sweep(p, v)
-    x_naive = float(best_response_target(p, 0.0))
-    y_naive = best_response_jammer(p, x_naive, v)
-    # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
-    u_t_a, u_j_a = utilities_xy(p, x_naive, y_naive, v)
-    # Case B: jammer assumes a naive target; the target best-responds.
-    u_t_b, u_j_b = utilities_xy(p, best_response_target(p, y_naive), y_naive, v)
-    return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
+def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: dict) -> list:
+    """The figure's columns on the n-point log grid from a to b, each computed in one pass."""
+    import numpy as np
+
+    from . import columns as col
+    from .belief import UniformPrior, efficiency, xi_opt
+
+    ratio = (b / a) ** (1.0 / (n - 1))
+    v = np.array([a * ratio**k for k in range(n - 1)] + [b])
+    # Weights near the ends of the double range overflow or divide by zero on
+    # the way into W; the inf that results is refused there as a DomainError.
+    with np.errstate(over="ignore", divide="ignore"):
+        if figure == "brX":
+            return [v, col.best_response_target(p, v)]
+        if figure == "brY":
+            return [v, col.best_response_jammer(p, v, p.c_t)]
+        if figure == "neX":
+            return [v, col.nash_sweep(p, v).x]
+        if figure == "neY":
+            return [v, col.nash_sweep(p, v).y]
+        if figure == "seX":
+            return [v, col.nash_sweep(p, v).x, col.stackelberg_sweep(p, v)]
+        if figure == "seY":
+            # The follower never jams a committed leader: y_se is 0 by construction.
+            return [v, col.nash_sweep(p, v).y, np.zeros_like(v)]
+        if figure == "payoffs":
+            rep = col.improvement_sweep(p, v)
+            return [v, rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
+        if figure == "approx":
+            x_se = col.stackelberg_sweep(p, v)
+            x_ap = col.stackelberg_approx_sweep(p, v)
+            u_se = col.leader_utility(p, x_se, v)
+            u_ap = col.leader_utility(p, x_ap, v)
+            return [v, x_se, x_ap, u_se, u_ap, u_ap / u_se]
+        if figure == "efficiency":
+            prior = UniformPrior(
+                xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
+            )
+            opt = xi_opt(p, prior)
+            xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
+            assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
+            return [v, np.full_like(v, opt), *efficiency(p, assumed, v)]
+        # comparison
+        rep = col.improvement_sweep(p, v)
+        x_naive = best_response_target(p, 0.0)
+        y_naive = col.best_response_jammer(p, x_naive, v)
+        # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
+        u_t_a, u_j_a = col.utilities_xy(p, x_naive, y_naive, v)
+        # Case B: jammer assumes a naive target; the target best-responds.
+        u_t_b, u_j_b = col.utilities_xy(p, col.best_response_target(p, y_naive), y_naive, v)
+        return [v, rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
 
 
 def _cmd_sweep(args) -> int:
@@ -224,25 +218,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
     if not (math.isfinite(n) and 2 <= n <= MAX_SWEEP_POINTS and n == int(n)):
         raise ConfigError(f"--log-range needs an integer 2 <= N <= {MAX_SWEEP_POINTS}, got {n!r}")
-    n = int(n)
     cfg = read_config(args.config)
-    p0 = game_params_from_config(cfg)
-
-    ratio = (b / a) ** (1.0 / (n - 1))
-    v = np.array([a * ratio**k for k in range(n - 1)] + [b])
-    # Weights near the ends of the double range overflow or divide by zero on
-    # the way into W; the inf that results is refused there as a DomainError.
-    with np.errstate(over="ignore", divide="ignore"):
-        columns = [v, *_sweep_columns(args.figure, p0, v, cfg)]
+    columns = _sweep_columns(args.figure, game_params_from_config(cfg), a, b, int(n), cfg)
 
     header = FIGURE_COLUMNS[args.figure]
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _write_table(fh, header, [columns])
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_table(fh, header, [columns])
     else:
         _write_table(sys.stdout, header, [columns])
     return EXIT_OK
@@ -252,39 +234,38 @@ def _cmd_sweep(args) -> int:
 # simulate
 
 def _cmd_simulate(args) -> int:
+    import secrets
+    from . import sim
+
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = read_config(args.config)
     p = game_params_from_config(cfg)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    sim_cfg = SimConfig(
+    sim_cfg = sim.SimConfig(
         params=p,
-        total_cycles=_count(cfg, "total_cycles", 200, most=MAX_TOTAL_CYCLES),
+        total_cycles=_count(cfg, "total_cycles", 200, most=sim.MAX_TOTAL_CYCLES),
         update_period_cycles=_count(cfg, "update_period_cycles", 10),
         rng_seed=seed,
     )
-    trace = run_sim(sim_cfg)
+    trace = sim.run_sim(sim_cfg)
 
     period, n = sim_cfg.update_period_cycles, sim_cfg.total_cycles
     head = [
         "# jamgame simulation trace",
         f"# seed={seed}",
-        f"# rng={RNG_ALGORITHM}",
+        f"# rng={sim.RNG_ALGORITHM}",
         f"# update_period_cycles={period}",
         f"# total_cycles={n}",
         f"# params={dump_config(cfg).strip().replace(chr(10), '; ')}",
     ]
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in head)
-            _write_table(fh, STRATEGY_COLUMNS, _chunks(strategy_columns, trace, len(trace.x)))
-            fh.write("\n")
-            _write_table(fh, EVENT_COLUMNS, _chunks(event_columns, trace, n))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in head)
+        _write_table(fh, sim.STRATEGY_COLUMNS, _chunks(sim.strategy_columns, trace, len(trace.x)))
+        fh.write("\n")
+        _write_table(fh, sim.EVENT_COLUMNS, _chunks(sim.event_columns, trace, n))
 
-    final = [trace.x[-1:], trace.y[-1:], [updates_to_equilibrium(trace, p)]]
+    final = [trace.x[-1:], trace.y[-1:], [sim.updates_to_equilibrium(trace, p)]]
     _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])
     return EXIT_OK
 

@@ -1,5 +1,10 @@
 """Exception hierarchy shared by all jamgame modules."""
 
+__all__ = [
+    "JamGameError", "DomainError", "SingularError", "InvalidParams", "InvalidStrategy",
+    "BracketError", "ApproxUndefined", "DegenerateUtility", "ConfigError",
+]
+
 
 class JamGameError(Exception):
     """Base class for all errors raised by this package."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParams, InvalidStrategy
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "utilities",
     "capacity_xy",
     "utilities_xy",
-    "eta",
 ]
 
 _LN2 = math.log(2.0)
@@ -95,15 +92,10 @@ class UtilityPair:
     u_j: float
 
 
-def eta(p: GameParams, c_t=None):
-    """p.eta, or the same product for an array of weights c_t in place of p.c_t."""
-    return p.eta if c_t is None else np.asarray(c_t, dtype=float) * p.p_j * _LN2
-
-
-def _check_strategy(p: GameParams, x, y) -> None:
-    if np.any(np.asarray(x) < p.x_min):
+def _check_strategy(p: GameParams, x: float, y: float) -> None:
+    if x < p.x_min:
         raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}")
-    if np.any(np.asarray(y) < 0):
+    if y < 0:
         raise InvalidStrategy("y must be >= 0")
 
 
@@ -113,34 +105,25 @@ def cycle_duration(p: GameParams, s: StrategyProfile) -> float:
     return p.t_aj + s.y + s.x / 2.0
 
 
-def capacity_xy(p: GameParams, x, y):
-    """Timing-channel capacity log2(x/delta) / (t_aj + y + x/2) [bit/s].
-
-    Accepts scalars or numpy arrays for x and y.
-    """
+def capacity_xy(p: GameParams, x: float, y: float) -> float:
+    """Timing-channel capacity log2(x/delta) / (t_aj + y + x/2) [bit/s]."""
     _check_strategy(p, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = np.log2(x / p.delta) / (p.t_aj + y + x / 2.0)
-    return float(c) if c.ndim == 0 else c
+    return math.log2(x / p.delta) / (p.t_aj + y + x / 2.0)
 
 
 def capacity(p: GameParams, s: StrategyProfile) -> float:
     return capacity_xy(p, s.x, s.y)
 
 
-def utilities_xy(p: GameParams, x, y, c_t=None):
+def utilities_xy(p: GameParams, x: float, y: float) -> tuple[float, float]:
     """(u_t, u_j) at (x, y): capacity minus each side's energy cost.
 
     The jammer's cost charges the commanded mean y; realized-energy accounting
-    belongs to the simulator, not to the analytic game.  ``c_t``, an array of
-    jammer weights, prices a whole column at once in place of p.c_t.
+    belongs to the simulator, not to the analytic game.
     """
     c = capacity_xy(p, x, y)
     u_t = c - p.c_t_star * p.t_p * p.p_t
-    u_j = -c - (p.c_t if c_t is None else c_t) * np.asarray(y, dtype=float) * p.p_j
-    if np.ndim(u_j) == 0:
-        u_j = float(u_j)
+    u_j = -c - p.c_t * y * p.p_j
     return u_t, u_j
 
 

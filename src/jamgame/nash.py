@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .best_response import (
     best_response_jammer,
     best_response_target,
@@ -28,18 +26,16 @@ from .best_response import (
 )
 from .errors import InvalidStrategy
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, StrategyProfile, UtilityPair, eta, utilities, utilities_xy
+from .model import GameParams, StrategyProfile, UtilityPair, utilities
 from .roots import bisect_bracket, grow_until_negative
 
 __all__ = [
     "Regime",
     "EquilibriumResult",
-    "EquilibriumColumns",
     "BrdTrace",
     "ConvergenceCert",
     "SPrimeBounds",
     "nash_closed_form",
-    "nash_sweep",
     "brd",
     "convergence_certificate",
     "s_prime_bounds",
@@ -96,15 +92,6 @@ class BrdTrace:
     certificate: Optional[ConvergenceCert] = None
 
 
-class EquilibriumColumns(NamedTuple):
-    """Equilibria over an array of jammer weights, one array per quantity."""
-
-    x: np.ndarray
-    y: np.ndarray
-    u_t: np.ndarray
-    u_j: np.ndarray
-
-
 class SPrimeBounds(NamedTuple):
     x_m: float
     x_M: float
@@ -133,23 +120,8 @@ def nash_closed_form(p: GameParams) -> EquilibriumResult:
             return EquilibriumResult(prof, Regime.INTERIOR_NE, utilities(p, prof))
         # c_t numerically indistinguishable from the threshold: fall through
         # to the border form rather than report an "interior" point at y <= 0.
-    prof = StrategyProfile(x=float(best_response_target(p, 0.0)), y=0.0)
+    prof = StrategyProfile(x=best_response_target(p, 0.0), y=0.0)
     return EquilibriumResult(prof, Regime.BORDER_NE, utilities(p, prof))
-
-
-def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
-    """nash_closed_form(replace(p, c_t=c)) for every weight c in the array c_t.
-
-    The same closed form and the same border fallback, elementwise.
-    """
-    c_t = np.asarray(c_t, dtype=float)
-    half = 0.5 * lambert_w(8.0 / (eta(p, c_t) * p.delta**2), WBranch.PRINCIPAL)
-    x_star = p.delta * np.exp(half)
-    y_star = 0.5 * p.delta * (half - 1.0) * np.exp(half) - p.t_aj
-    interior = (c_t < thresholds(p).c_t_tilde) & (y_star > 0.0)
-    x = np.where(interior, x_star, best_response_target(p, 0.0))
-    y = np.where(interior, y_star, 0.0)
-    return EquilibriumColumns(x, y, *utilities_xy(p, x, y, c_t))
 
 
 def _scaled_step(p: GameParams, a: StrategyProfile, b: StrategyProfile) -> float:
@@ -170,7 +142,7 @@ def brd(
     ulp of the iterates (float round-off), within ``max_iter`` iterations;
     non-convergence is reported in the trace, never raised.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     if start.x < 2.0 * p.delta:
         raise InvalidStrategy("start.x must be >= 2*delta")
@@ -182,10 +154,7 @@ def brd(
     converged = False
     used = 0
     for _ in range(max_iter):
-        nxt = StrategyProfile(
-            x=float(best_response_target(p, cur.y)),
-            y=float(best_response_jammer(p, cur.x)),
-        )
+        nxt = StrategyProfile(x=best_response_target(p, cur.y), y=best_response_jammer(p, cur.x))
         iterates.append(nxt)
         used += 1
         roundoff = _ROUNDOFF_ULPS * math.ulp(max(nxt.x, nxt.y)) / p.delta
@@ -205,15 +174,15 @@ def s_prime_bounds(p: GameParams) -> SPrimeBounds:
     above it), and x_M = b_t(y_M) closes the box.  Any start lands inside
     within two iterations.
     """
-    x_m = float(best_response_target(p, 0.0))
-    y_M = float(best_response_jammer(p, max(x_hat(p), 2.0 * p.delta)))
-    x_M = float(best_response_target(p, y_M))
+    x_m = best_response_target(p, 0.0)
+    y_M = best_response_jammer(p, max(x_hat(p), 2.0 * p.delta))
+    x_M = best_response_target(p, y_M)
     return SPrimeBounds(x_m=x_m, x_M=x_M, y_M=y_M)
 
 
 def _bt_slope(p: GameParams, y: float) -> float:
     """|d b_t / d y| = 2 / (psi(y) + 1); decreasing in y."""
-    return 2.0 / (float(psi(p, y)) + 1.0)
+    return 2.0 / (psi(p, y) + 1.0)
 
 
 def _bj_slope(p: GameParams, x: float) -> float:
@@ -227,7 +196,7 @@ def _chi_positive_interval(p: GameParams):
     xh = x_hat(p)
     if chi(p, xh) <= 0.0:
         return None
-    f = lambda x: float(chi(p, x))
+    f = lambda x: chi(p, x)
     xtol = 1e-9 * xh
     lo1, hi1 = bisect_bracket(f, p.delta, xh, xtol)
     upper = grow_until_negative(f, xh)
@@ -248,7 +217,9 @@ def convergence_certificate(
     with d1 the first scaled step, clamped to at least 1 (the bound is only
     informative when epsilon < d1), and unavailable when jb_max >= 1.
     """
-    omega = float(psi(p, 0.0))
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be positive")
+    omega = psi(p, 0.0)
     rhs = 1.0 / (9.0 * p.delta**2 * _LN2 * p.p_j * (omega + 1.0) * math.exp(2.0 * (omega + 1.0)))
     condition = p.c_t > rhs
 
@@ -263,10 +234,7 @@ def convergence_certificate(
 
     predicted: Optional[int] = None
     if jb < 1.0:
-        first = StrategyProfile(
-            x=float(best_response_target(p, start.y)),
-            y=float(best_response_jammer(p, start.x)),
-        )
+        first = StrategyProfile(x=best_response_target(p, start.y), y=best_response_jammer(p, start.x))
         d1 = _scaled_step(p, first, start)
         if d1 <= epsilon or jb == 0.0:
             predicted = 1

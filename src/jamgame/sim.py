@@ -136,7 +136,7 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
             y_est = y * mean_e[k]
             # Estimates are clipped into the admissible strategy space.
             x_est = max((period + 1) / period * (x * max_u[k]), 2.0 * p.delta)
-        x, y = float(best_response_target(p, y_est)), float(best_response_jammer(p, x_est))
+        x, y = best_response_target(p, y_est), best_response_jammer(p, x_est)
         xs[k + 1], ys[k + 1], x_ests[k + 1], y_ests[k + 1] = x, y, x_est, y_est
     # The window lists take ~64 B per window; free them before the scaling.
     del mean_e, max_u

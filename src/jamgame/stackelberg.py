@@ -11,24 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .best_response import best_response_jammer, best_response_target, chi, x_hat
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, eta, utilities, utilities_xy
-from .nash import EquilibriumResult, Regime, nash_closed_form, nash_sweep
+from .model import GameParams, StrategyProfile, utilities, utilities_xy
+from .nash import EquilibriumResult, Regime, nash_closed_form
 from .roots import bisect_bracket, grow_until_negative
 
 __all__ = [
     "ImprovementReport",
     "leader_utility",
     "stackelberg_exact",
-    "stackelberg_sweep",
     "stackelberg_approx",
-    "stackelberg_approx_sweep",
     "improvement_report",
-    "improvement_sweep",
     "leader_loss_bracket_width",
 ]
 
@@ -37,7 +32,7 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ImprovementReport:
-    """Nash vs Stackelberg utilities; arrays when built by improvement_sweep."""
+    """Nash vs Stackelberg utilities; arrays when built by columns.improvement_sweep."""
 
     u_t_ne: float
     u_t_se: float
@@ -46,39 +41,36 @@ class ImprovementReport:
     improved: bool
 
 
-def leader_utility(p: GameParams, x, c_t=None):
+def leader_utility(p: GameParams, x: float) -> float:
     """Target utility when the jammer best-responds to x.
 
     Where chi(x) > 0 the jammer jams for chi(x) and the whole cycle collapses
     to sqrt(c_t * p_j * log2(x/delta)) minus the fixed transmit cost; where
     chi(x) <= 0 the channel is unjammed and this is plain capacity at y = 0.
-    The two branches agree at the zeros of chi.  Accepts scalars or arrays;
-    ``c_t``, an array of weights, evaluates a whole column in place of p.c_t.
+    The two branches agree at the zeros of chi.
     """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 2.0 * p.delta):
+    if x < 2.0 * p.delta:
         raise DomainError("leader_utility requires x >= 2*delta")
-    log2x = np.log2(xa / p.delta)
-    jammed = np.sqrt((p.c_t if c_t is None else c_t) * p.p_j * log2x)
-    free = log2x / (p.t_aj + xa / 2.0)
-    cost = p.c_t_star * p.t_p * p.p_t
-    out = np.where(np.asarray(chi(p, xa, c_t)) > 0.0, jammed, free) - cost
-    return float(out) if out.ndim == 0 else out
+    log2x = math.log2(x / p.delta)
+    if chi(p, x) > 0.0:
+        u = math.sqrt(p.c_t * p.p_j * log2x)
+    else:
+        u = log2x / (p.t_aj + x / 2.0)
+    return u - p.c_t_star * p.t_p * p.p_t
 
 
-def leader_loss_bracket_width(p: GameParams, leader_loss: float | None = None, c_t=None):
+def leader_loss_bracket_width(p: GameParams, leader_loss: float | None = None) -> float:
     """Bisection bracket width guaranteeing leader loss at most ``leader_loss``.
 
     The leader utility's slope on the jammed branch is bounded by
     u_max = sqrt(c_t * p_j) / (4 delta ln 2), so a bracket of width
     leader_loss / u_max costs at most leader_loss in utility.  The default
-    loss is 1e-6 of the utility scale at x_hat.  ``c_t`` as in leader_utility.
+    loss is 1e-6 of the utility scale at x_hat.
     """
     if leader_loss is None:
-        leader_loss = 1e-6 * np.abs(leader_utility(p, x_hat(p, c_t), c_t))
-    u_max = np.sqrt((p.c_t if c_t is None else c_t) * p.p_j) / (4.0 * p.delta * _LN2)
-    width = leader_loss / u_max
-    return float(width) if np.ndim(width) == 0 else width
+        leader_loss = 1e-6 * abs(leader_utility(p, x_hat(p)))
+    u_max = math.sqrt(p.c_t * p.p_j) / (4.0 * p.delta * _LN2)
+    return leader_loss / u_max
 
 
 def stackelberg_exact(p: GameParams, x_tol: float | None = None) -> EquilibriumResult:
@@ -91,51 +83,22 @@ def stackelberg_exact(p: GameParams, x_tol: float | None = None) -> EquilibriumR
     width from leader_loss_bracket_width); the bracket endpoint with the
     higher leader utility is returned.
     """
-    x0 = float(best_response_target(p, 0.0))
-    if float(chi(p, x0)) <= 0.0:
+    x0 = best_response_target(p, 0.0)
+    if chi(p, x0) <= 0.0:
         prof = StrategyProfile(x=x0, y=0.0)
         return EquilibriumResult(prof, Regime.STACKELBERG_EXACT, utilities(p, prof))
 
     if x_tol is None:
         x_tol = leader_loss_bracket_width(p)
-    if x_tol <= 0:
+    if not (x_tol > 0):
         raise ValueError("x_tol must be positive")
-    f = lambda x: float(chi(p, x))
+    f = lambda x: chi(p, x)
     xh = x_hat(p)
     upper = grow_until_negative(f, xh)
     lo, hi = bisect_bracket(f, xh, upper, x_tol)
-    x_se = lo if float(leader_utility(p, lo)) >= float(leader_utility(p, hi)) else hi
+    x_se = lo if leader_utility(p, lo) >= leader_utility(p, hi) else hi
     prof = StrategyProfile(x=x_se, y=0.0)
     return EquilibriumResult(prof, Regime.STACKELBERG_EXACT, utilities(p, prof))
-
-
-def stackelberg_sweep(p: GameParams, c_t, x_tol=None) -> np.ndarray:
-    """The leader's x of stackelberg_exact(replace(p, c_t=c)) for each weight c in c_t.
-
-    Every element takes the steps of its scalar solve: b_t(0) where jamming
-    is inhibited there, else the larger zero of chi grown from x_hat,
-    bisected to ``x_tol`` (an array like c_t; default: each weight's
-    loss-bound width), keeping the endpoint with the higher leader utility.
-    The jammer's component is 0 throughout.
-    """
-    c_t = np.asarray(c_t, dtype=float)
-    x0 = float(best_response_target(p, 0.0))
-    jammed = chi(p, x0, c_t) > 0.0
-    x_se = np.full(c_t.shape, x0)
-    c = c_t[jammed]
-    if c.size == 0:
-        return x_se
-    if x_tol is None:
-        tol = leader_loss_bracket_width(p, c_t=c)
-    else:
-        tol = np.broadcast_to(x_tol, c_t.shape)[jammed]
-    if np.any(tol <= 0):
-        raise ValueError("x_tol must be positive")
-    f = lambda x: chi(p, x, c)
-    xh = x_hat(p, c)
-    lo, hi = bisect_bracket(f, xh, grow_until_negative(f, xh), tol)
-    x_se[jammed] = np.where(leader_utility(p, lo, c) >= leader_utility(p, hi, c), lo, hi)
-    return x_se
 
 
 def stackelberg_approx(p: GameParams) -> EquilibriumResult:
@@ -157,21 +120,6 @@ def stackelberg_approx(p: GameParams) -> EquilibriumResult:
     return EquilibriumResult(prof, Regime.STACKELBERG_APPROX, utilities(p, prof))
 
 
-def stackelberg_approx_sweep(p: GameParams, c_t) -> np.ndarray:
-    """The x of stackelberg_approx(replace(p, c_t=c)) for each weight c in c_t.
-
-    Raises ApproxUndefined if the approximation is undefined for any of them.
-    """
-    c_t = np.asarray(c_t, dtype=float)
-    arg = -eta(p, c_t) * p.delta**2 / 2.0
-    if np.any(arg < BRANCH_POINT):
-        bad = float(c_t[np.argmax(arg < BRANCH_POINT)])
-        raise ApproxUndefined(
-            f"approximation needs eta*delta^2 <= 2/e, undefined from c_t = {bad:g}"
-        )
-    return p.delta * np.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
-
-
 def improvement_report(p: GameParams) -> ImprovementReport:
     """Compare both players' utilities at the Nash and Stackelberg outcomes.
 
@@ -180,27 +128,12 @@ def improvement_report(p: GameParams) -> ImprovementReport:
     """
     ne = nash_closed_form(p)
     se = stackelberg_exact(p)
-    y_follow = float(best_response_jammer(p, se.profile.x))
+    y_follow = best_response_jammer(p, se.profile.x)
     u_t_se, u_j_se = utilities_xy(p, se.profile.x, y_follow)
     return ImprovementReport(
         u_t_ne=ne.utilities.u_t,
-        u_t_se=float(u_t_se),
-        u_j_ne=ne.utilities.u_j,
-        u_j_se=float(u_j_se),
-        improved=float(u_t_se) > ne.utilities.u_t + 1e-12,
-    )
-
-
-def improvement_sweep(p: GameParams, c_t) -> ImprovementReport:
-    """improvement_report(replace(p, c_t=c)) for every weight c in c_t, as arrays."""
-    c_t = np.asarray(c_t, dtype=float)
-    ne = nash_sweep(p, c_t)
-    x_se = stackelberg_sweep(p, c_t)
-    u_t_se, u_j_se = utilities_xy(p, x_se, best_response_jammer(p, x_se, c_t), c_t)
-    return ImprovementReport(
-        u_t_ne=ne.u_t,
         u_t_se=u_t_se,
-        u_j_ne=ne.u_j,
+        u_j_ne=ne.utilities.u_j,
         u_j_se=u_j_se,
-        improved=u_t_se > ne.u_t + 1e-12,
+        improved=u_t_se > ne.utilities.u_t + 1e-12,
     )

@@ -372,11 +372,22 @@ def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):
     assert not out.exists()
 
 
-def test_cli_import_loads_neither_scipy_nor_thread_pool():
-    code = (
-        "import sys, jamgame.cli; "
-        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
-    )
+def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
+    # Importing the package or the CLI, and every query command, in a fresh
+    # interpreter: none of them loads numpy or the numpy-backed layers.
+    unloaded = ("scipy", "concurrent.futures", "numpy", "jamgame.columns", "jamgame.sim", "jamgame.belief")
+    inputs = [None, ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]]
+    for argv in inputs:
+        run = "0" if argv is None else f"jamgame.cli.main([{argv[0]!r}, {cfg1!r}, *{argv[1:]!r}])"
+        code = (
+            f"import sys, jamgame, jamgame.cli; status = {run}; "
+            f"print(status, [m for m in {unloaded!r} if m in sys.modules], file=sys.stderr)"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, (argv, res.stderr)
+        assert res.stderr.strip() == "0 []", (argv, res.stderr)
+    # Every public name resolves, the numpy-backed ones on first access.
+    code = "import jamgame; print([n for n in jamgame.__all__ if not hasattr(jamgame, n)])"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

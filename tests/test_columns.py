@@ -1,0 +1,124 @@
+"""Each scalar kernel and its array twin in ``columns`` agree elementwise.
+
+The two forms run the same formula; numpy's and libm's log, log2 and exp may
+differ in the last bit.  So each pair is compared in ulps of the scale of its
+computation: the sum of the magnitudes of the terms it adds, times a
+condition number where one is large.  That is 1/|1 + W| for W near the
+branch point, and the exponent where the result is exp of a W value (exp
+turns an ulp of its argument into |argument| ulps of its result).
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jamgame import (
+    WBranch,
+    best_response_jammer,
+    best_response_target,
+    capacity_xy,
+    chi,
+    columns,
+    lambert_w,
+    leader_loss_bracket_width,
+    leader_utility,
+    psi,
+    thresholds,
+    utilities_xy,
+    x_hat,
+)
+from conftest import random_params
+
+ULPS = 4
+N = 32
+
+
+def w_scale(w):
+    return np.abs(w) * np.maximum(1.0, 1.0 / np.abs(1.0 + w))
+
+
+def w_principal(p, c, x, y, rng):
+    z = np.concatenate([-math.exp(-1.0) + 10.0 ** rng.uniform(-12.0, 0.0, N // 2),
+                        10.0 ** rng.uniform(-300.0, 300.0, N // 2)])
+    w = columns.lambert_w(z)
+    return [lambert_w(v) for v in z.tolist()], w, w_scale(w)
+
+
+def w_minus1(p, c, x, y, rng):
+    z = -(10.0 ** rng.uniform(-300.0, math.log10(0.36), N))
+    w = columns.lambert_w(z, WBranch.MINUS1)
+    return [lambert_w(v, WBranch.MINUS1) for v in z.tolist()], w, w_scale(w)
+
+
+def psi_pair(p, c, x, y, rng):
+    a = columns.psi(p, y)
+    return [psi(p, v) for v in y.tolist()], a, a
+
+
+def chi_pair(p, c, x, y, rng):
+    a = columns.chi(p, x, c)
+    scalar = [chi(replace(p, c_t=ck), v) for ck, v in zip(c.tolist(), x.tolist())]
+    return scalar, a, np.abs(a) + 2.0 * (p.t_aj + x / 2.0)
+
+
+def b_t_pair(p, c, x, y, rng):
+    a = columns.best_response_target(p, y)
+    return [best_response_target(p, v) for v in y.tolist()], a, a * (columns.psi(p, y) + 1.0)
+
+
+def b_j_pair(p, c, x, y, rng):
+    a = columns.best_response_jammer(p, x, c)
+    scalar = [best_response_jammer(replace(p, c_t=ck), v) for ck, v in zip(c.tolist(), x.tolist())]
+    return scalar, a, np.abs(columns.chi(p, x, c)) + 2.0 * (p.t_aj + x / 2.0)
+
+
+def x_hat_pair(p, c, x, y, rng):
+    a = columns.x_hat(p, c)
+    return [x_hat(replace(p, c_t=ck)) for ck in c.tolist()], a, a * np.maximum(1.0, np.log(a / p.delta))
+
+
+def capacity_pair(p, c, x, y, rng):
+    a = columns.capacity_xy(p, x, y)
+    return [capacity_xy(p, u, v) for u, v in zip(x.tolist(), y.tolist())], a, a
+
+
+def utilities_pair(p, c, x, y, rng):
+    u_t, u_j = columns.utilities_xy(p, x, y, c)
+    scalar = [utilities_xy(replace(p, c_t=ck), u, v) for ck, u, v in zip(c.tolist(), x.tolist(), y.tolist())]
+    cap = columns.capacity_xy(p, x, y)
+    scale = np.concatenate([cap + p.c_t_star * p.t_p * p.p_t, cap + c * y * p.p_j])
+    return [u for u, _ in scalar] + [u for _, u in scalar], np.concatenate([u_t, u_j]), scale
+
+
+def leader_utility_pair(p, c, x, y, rng):
+    a = columns.leader_utility(p, x, c)
+    scalar = [leader_utility(replace(p, c_t=ck), v) for ck, v in zip(c.tolist(), x.tolist())]
+    return scalar, a, np.abs(a) + 2.0 * p.c_t_star * p.t_p * p.p_t
+
+
+def leader_loss_pair(p, c, x, y, rng):
+    a = columns.leader_loss_bracket_width(p, c)
+    return [leader_loss_bracket_width(replace(p, c_t=ck)) for ck in c.tolist()], a, a
+
+
+PAIRS = [w_principal, w_minus1, psi_pair, chi_pair, b_t_pair, b_j_pair, x_hat_pair,
+         capacity_pair, utilities_pair, leader_utility_pair, leader_loss_pair]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)
+@given(seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=60, deadline=None)
+def test_scalar_and_array_kernels_agree(pair, seed):
+    rng = np.random.default_rng(seed)
+    p = random_params(rng)
+    c = thresholds(p).c_t_tilde * 10.0 ** rng.uniform(-3.0, 1.2, N)  # random_params' weight range
+    x = 2.0 * p.delta * 10.0 ** rng.uniform(0.0, 3.7, N)
+    y = p.t_aj * rng.uniform(0.0, 50.0, N)
+    scalar, array, scale = pair(p, c, x, y, rng)
+    scalar = np.array(scalar)
+    bad = np.abs(scalar - array) > ULPS * np.spacing(np.abs(scale))
+    assert not bad.any(), (pair.__name__, scalar[bad], array[bad])

@@ -1,5 +1,6 @@
 """Tests for the closed-form equilibrium, BRD, and the contraction certificate."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,12 @@ def test_brd_nonconvergence_is_reported_not_raised(table1):
     assert not t.converged and t.iterations_used == 2
 
 
+def test_brd_refuses_nan_tol(table1):
+    # A NaN tolerance would never be met: all max_iter steps, then converged=False.
+    with pytest.raises(ValueError, match="tol must be positive"):
+        brd(table1, StrategyProfile(2 * table1.delta, 0.0), tol=math.nan)
+
+
 def test_brd_stops_on_roundoff_step_far_from_delta():
     # NE at y ~ 3760 delta: the default tol asks for a step below 2 ulp of y,
     # and the dynamics settle into a two-cycle of exactly that size.
@@ -226,6 +233,14 @@ def test_certificate_epsilon_larger_than_first_step(table1):
     cert = convergence_certificate(table1, epsilon=1e12, start=StrategyProfile(3e-5, 1e-5))
     if cert.predicted_max_iterations is not None:
         assert cert.predicted_max_iterations == 1
+
+
+@pytest.mark.parametrize("epsilon", [0.0, math.nan])
+def test_certificate_refuses_non_positive_epsilon(table2, epsilon):
+    start = StrategyProfile(3e-5, 1e-5)
+    assert convergence_certificate(table2, epsilon=1e-9, start=start).jb_max < 1.0  # contracting
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        convergence_certificate(table2, epsilon=epsilon, start=start)
 
 
 def test_interior_identity_at_equilibrium(table1):

@@ -16,12 +16,14 @@ from jamgame import (
     best_response_target,
     capacity_xy,
     chi,
+    columns,
     improvement_report,
     leader_loss_bracket_width,
     leader_utility,
     nash_closed_form,
     stackelberg_approx,
     stackelberg_exact,
+    stackelberg_sweep,
     thresholds,
     x_hat,
 )
@@ -47,11 +49,11 @@ def test_leader_utility_grid_matches_piecewise_arithmetic(table1):
     grid = np.logspace(np.log10(2 * table1.delta), -2, 2000)
     log2x = np.log(grid / table1.delta) / math.log(2.0)
     expected = np.where(
-        np.asarray(chi(table1, grid)) > 0,
+        np.asarray(columns.chi(table1, grid, table1.c_t)) > 0,
         np.sqrt(table1.c_t * table1.p_j * log2x),
         log2x / (table1.t_aj + grid / 2.0),
     )
-    assert np.allclose(leader_utility(table1, grid), expected, rtol=1e-12)
+    assert np.allclose(columns.leader_utility(table1, grid, table1.c_t), expected, rtol=1e-12)
 
 
 def test_leader_utility_domain(table1):
@@ -96,7 +98,7 @@ def test_global_optimality_on_grid(table1):
     se = stackelberg_exact(table1, x_tol=1e-16)
     u_star = float(leader_utility(table1, se.profile.x))
     grid = np.logspace(np.log10(2 * table1.delta), np.log10(10 * se.profile.x), 10**4)
-    assert np.max(leader_utility(table1, grid)) <= u_star * (1 + 1e-12)
+    assert np.max(columns.leader_utility(table1, grid, table1.c_t)) <= u_star * (1 + 1e-12)
 
 
 def test_bisection_loss_bound(table1):
@@ -116,15 +118,15 @@ def test_array_bracketing_takes_each_scalar_path():
     c = np.array([2.0, 9.0, 16.0, 5.0])
     lo, hi = np.array([1.0, 3.0, 1.0, 1.0]), np.array([2.0, 5.0, 4.0, 3.0])
     tol = np.array([1e-9, 1e-3, 1e-12, 0.0])
-    got_lo, got_hi = bisect_bracket(lambda x: x * x - c, lo, hi, tol)
+    got_lo, got_hi = columns.bisect_bracket(lambda x: x * x - c, lo, hi, tol)
     for k in range(c.size):
         want = bisect_bracket(lambda x: x * x - c[k], float(lo[k]), float(hi[k]), float(tol[k]))
         assert (got_lo[k], got_hi[k]) == want
-    grown = grow_until_negative(lambda x: c - x, np.array([0.5, 1.0, 3.0, 0.1]))
+    grown = columns.grow_until_negative(lambda x: c - x, np.array([0.5, 1.0, 3.0, 0.1]))
     for k in range(c.size):
         assert grown[k] == grow_until_negative(lambda x: c[k] - x, [0.5, 1.0, 3.0, 0.1][k])
     with pytest.raises(BracketError):
-        bisect_bracket(lambda x: x * x - c, lo + 10.0, hi + 10.0, tol)
+        columns.bisect_bracket(lambda x: x * x - c, lo + 10.0, hi + 10.0, tol)
 
 
 def test_approx_satisfies_reduced_equation(table1):
@@ -190,3 +192,11 @@ def test_coincides_with_border_nash_when_inhibited(table1):
 def test_x_tol_validation(table1):
     with pytest.raises(ValueError):
         stackelberg_exact(table1, x_tol=0.0)
+
+
+def test_nan_x_tol_is_refused(table1):
+    # A NaN width ends the bisection at once and returns the upper bracket end.
+    with pytest.raises(ValueError, match="x_tol must be positive"):
+        stackelberg_exact(table1, x_tol=math.nan)
+    with pytest.raises(ValueError, match="x_tol must be positive"):
+        stackelberg_sweep(table1, np.array([1e6, 1e7]), x_tol=math.nan)
