@@ -9,8 +9,6 @@ positive only on an interval around its peak x_hat.
 Run:  python demos/01_best_responses.py
 """
 
-import numpy as np
-
 from jamgame import (
     GameParams,
     best_response_jammer,
@@ -40,9 +38,9 @@ print(f"\ncost thresholds for this geometry:")
 print(f"  c_t_tilde = {th.c_t_tilde:.4e}  (border of active jamming at the Nash point)")
 print(f"  c_t_max   = {th.c_t_max:.4e}  (above this the jammer never jams at all)")
 
-# the same curves, as the sweep command would emit them
-ys = np.logspace(-6, -2, 5)
+# the same curve, as the sweep command would emit it
+ys = columns.log_grid(1e-6, 1e-2, 5)
 print("\nCSV equivalent of `jamgame sweep CONFIG --figure brX --log-range 1e-6 1e-2 5`:")
 print("y,x_best")
-for y, x in zip(ys, columns.best_response_target(p, ys)):
+for y, x in zip(ys.tolist(), columns.best_response_target(p, ys).tolist()):
     print(f"{y!r},{x!r}")

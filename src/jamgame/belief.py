@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,12 +36,17 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 241  # per xi_opt pass
 
 
 @dataclass(frozen=True)
 class UniformPrior:
-    """Uniform density for the jammer weight on [xi_min, xi_max]."""
+    """Uniform density for the jammer weight on [xi_min, xi_max].
+
+    The bounds must keep xi_max / xi_min and xi_max**2 finite: the log grid
+    of xi_opt divides them, and the closed form of the expected utility
+    squares xi_max.
+    """
 
     xi_min: float
     xi_max: float
@@ -50,6 +54,10 @@ class UniformPrior:
     def __post_init__(self):
         if not (0 < self.xi_min < self.xi_max):
             raise InvalidParams(f"need 0 < xi_min < xi_max, got ({self.xi_min!r}, {self.xi_max!r})")
+        if not (math.isfinite(self.xi_max / self.xi_min) and math.isfinite(self.xi_max * self.xi_max)):
+            raise InvalidParams(
+                f"xi_max / xi_min and xi_max**2 must be finite, got ({self.xi_min!r}, {self.xi_max!r})"
+            )
 
     @property
     def density(self) -> float:
@@ -62,15 +70,6 @@ class UniformPrior:
 _COMMITTED_TOL = 1e-3
 
 
-@lru_cache(maxsize=1024)
-def _committed_x(p_assumed: GameParams) -> float:
-    x0 = best_response_target(p_assumed, 0.0)
-    if chi(p_assumed, x0) <= 0.0:  # inhibited: the loss-bound width is not needed
-        return x0
-    x_tol = _COMMITTED_TOL * leader_loss_bracket_width(p_assumed)
-    return stackelberg_exact(p_assumed, x_tol=x_tol).profile.x
-
-
 def g_of_xi(p: GameParams, xi):
     """Leader strategy if the jammer's weight were xi.
 
@@ -81,7 +80,12 @@ def g_of_xi(p: GameParams, xi):
     if isinstance(xi, (float, int)):
         if not (xi > 0 and math.isfinite(xi)):
             raise DomainError(f"xi must be positive and finite, got {xi!r}")
-        return _committed_x(replace(p, c_t=xi))
+        p_xi = replace(p, c_t=xi)
+        x0 = best_response_target(p_xi, 0.0)
+        if chi(p_xi, x0) <= 0.0:  # inhibited: the loss-bound width is not needed
+            return x0
+        x_tol = _COMMITTED_TOL * leader_loss_bracket_width(p_xi)
+        return stackelberg_exact(p_xi, x_tol=x_tol).profile.x
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
     xi = np.asarray(xi, dtype=float)
@@ -132,35 +136,22 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def xi_opt(p: GameParams, prior: UniformPrior, grid_points: int = 241) -> float:
+def xi_opt(p: GameParams, prior: UniformPrior) -> float:
     """Assumed weight maximizing the expected utility over the prior support.
 
-    Coarse log-grid scan (one batched pass) refined by golden-section
-    search.  A boundary maximizer is a legitimate outcome and is returned as
-    such.
+    Each pass solves the expected utility on a 241-point log grid as one
+    array and keeps the bracket of the best point between its neighbours;
+    the first pass spans the support, and the loop ends once the bracket is
+    at most 1e-10 * xi_max wide.  Returns the best point of the last pass.
+    A boundary maximizer is a legitimate outcome and is returned as such.
     """
-    a, b = prior.xi_min, prior.xi_max
-    ratio = (b / a) ** (1.0 / (grid_points - 1))
-    grid = [a * ratio**k for k in range(grid_points)]
-    grid[-1] = b
-    k = int(np.argmax(expected_utility_closed(p, prior, np.array(grid))))
-
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
-    f = lambda x: expected_utility_closed(p, prior, x)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10 * b:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+    lo, hi = prior.xi_min, prior.xi_max
+    while True:
+        grid = columns.log_grid(lo, hi, _GRID_POINTS)
+        k = int(np.argmax(expected_utility_closed(p, prior, grid)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
+        if hi - lo <= 1e-10 * prior.xi_max:
+            return float(grid[k])
 
 
 def efficiency(p: GameParams, xi, c_t=None):

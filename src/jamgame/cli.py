@@ -159,8 +159,7 @@ def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: 
     from . import columns as col
     from .belief import UniformPrior, efficiency, xi_opt
 
-    ratio = (b / a) ** (1.0 / (n - 1))
-    v = np.array([a * ratio**k for k in range(n - 1)] + [b])
+    v = col.log_grid(a, b, n)
     # Weights near the ends of the double range overflow or divide by zero on
     # the way into W; the inf that results is refused there as a DomainError.
     with np.errstate(over="ignore", divide="ignore"):

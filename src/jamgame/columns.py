@@ -1,4 +1,4 @@
-"""Array forms of the kernels and the sweep solvers, in numpy.
+"""Array forms of the kernels, the sweep solvers and their log grid, in numpy.
 
 Each kernel is the elementwise twin of the scalar function of the same name
 in the pure-``math`` core, with ``c_t`` always explicit: one jammer weight
@@ -21,13 +21,19 @@ from .roots import _GROW_FACTOR, _GROW_STEPS
 from .stackelberg import ImprovementReport
 
 __all__ = [
-    "EquilibriumColumns", "eta", "lambert_w", "lambert_w_prime", "capacity_xy", "utilities_xy",
-    "psi", "chi", "best_response_target", "best_response_jammer", "x_hat", "bisect_bracket",
-    "grow_until_negative", "leader_utility", "leader_loss_bracket_width", "nash_sweep",
-    "stackelberg_sweep", "stackelberg_approx_sweep", "improvement_sweep",
+    "EquilibriumColumns", "log_grid", "eta", "lambert_w", "lambert_w_prime", "capacity_xy",
+    "utilities_xy", "psi", "chi", "best_response_target", "best_response_jammer", "x_hat",
+    "bisect_bracket", "grow_until_negative", "leader_utility", "leader_loss_bracket_width",
+    "nash_sweep", "stackelberg_sweep", "stackelberg_approx_sweep", "improvement_sweep",
 ]
 
 _LN2 = math.log(2.0)
+
+
+def log_grid(a: float, b: float, n: int) -> np.ndarray:
+    """n points from a to b with a constant ratio between neighbours; the last is b exactly."""
+    ratio = (b / a) ** (1.0 / (n - 1))
+    return np.array([a * ratio**k for k in range(n - 1)] + [b])
 
 
 def eta(p: GameParams, c_t):

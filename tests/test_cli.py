@@ -200,6 +200,17 @@ def test_sweep_efficiency_columns(cfg1):
             assert 0.0 < float(v) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("bound", ["xi_max = 1e300", "xi_min = 1e-300"])
+def test_sweep_efficiency_prior_out_of_range_exit_3(tmp_path, bound):
+    # xi_max**2 or xi_max / xi_min overflows: the prior is refused, not solved.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TABLE1_CFG + bound + "\n")
+    res = run_cli("sweep", str(path), "--figure", "efficiency", "--log-range", "1e6", "1e8", "3")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
+
+
 def test_sweep_bad_range_exit_2(cfg1):
     res = run_cli("sweep", cfg1, "--figure", "neX", "--log-range", "1e9", "1e5", "5")
     assert res.returncode == 2

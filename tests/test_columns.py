@@ -1,4 +1,4 @@
-"""Each scalar kernel and its array twin in ``columns`` agree elementwise.
+"""Each scalar kernel and its array twin agree elementwise.
 
 The two forms run the same formula; numpy's and libm's log, log2 and exp may
 differ in the last bit.  So each pair is compared in ulps of the scale of its
@@ -31,6 +31,7 @@ from jamgame import (
     utilities_xy,
     x_hat,
 )
+from jamgame.belief import g_of_xi
 from conftest import random_params
 
 ULPS = 4
@@ -105,8 +106,16 @@ def leader_loss_pair(p, c, x, y, rng):
     return [leader_loss_bracket_width(replace(p, c_t=ck)) for ck in c.tolist()], a, a
 
 
+def g_pair(p, c, x, y, rng):
+    # xi across 1e5-1e11 crosses c_t_max and the weight where x_hat < 2 delta.
+    # g is bisected from x_hat and its doublings, so it inherits x_hat's scale.
+    xi = 10.0 ** rng.uniform(5.0, 11.0, N)
+    a = g_of_xi(p, xi)
+    return [g_of_xi(p, v) for v in xi.tolist()], a, a * np.maximum(1.0, np.log(a / p.delta))
+
+
 PAIRS = [w_principal, w_minus1, psi_pair, chi_pair, b_t_pair, b_j_pair, x_hat_pair,
-         capacity_pair, utilities_pair, leader_utility_pair, leader_loss_pair]
+         capacity_pair, utilities_pair, leader_utility_pair, leader_loss_pair, g_pair]
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)
