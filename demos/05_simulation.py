@@ -31,7 +31,7 @@ print("update  x               y               x est. by jammer  y est. by targe
 columns = zip(trace.x, trace.y, trace.x_est_by_jammer, trace.y_est_by_target)
 for k, (x, y, x_est, y_est) in enumerate(columns):
     print(f"  {k:>2}    {x:<14.6e}  {y:<14.6e}  {x_est:<16.6e}  {y_est:.6e}")
-print(f"\nreached the equilibrium at update {updates_to_equilibrium(trace, p)}")
+print(f"\nreached the equilibrium at update {updates_to_equilibrium(trace)}")
 print(f"realized capacity over the run: {trace.realized_capacity:.0f} bit/s")
 print(f"realized utilities: u_t = {trace.realized_utilities.u_t:.0f}, "
       f"u_j = {trace.realized_utilities.u_j:.0f} bit/s")

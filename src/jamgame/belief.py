@@ -14,6 +14,7 @@ c_t_star term cancels from every comparison of interest).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +70,11 @@ class UniformPrior:
 # hold to ~1e-10 relative.
 _COMMITTED_TOL = 1e-3
 
+# A jammed weight's bracket starts at x_hat, which takes W of 2/(eta*delta^2);
+# at or below this eta*delta^2 that argument overflows, so the weight is refused.
+_MIN_ETA_DELTA2 = 2.0 / sys.float_info.max
+_TOO_SMALL = "xi = {!r} is too small: x_hat's W argument 2/(eta*delta^2) overflows"
+
 
 def g_of_xi(p: GameParams, xi):
     """Leader strategy if the jammer's weight were xi.
@@ -81,6 +87,8 @@ def g_of_xi(p: GameParams, xi):
         if not (xi > 0 and math.isfinite(xi)):
             raise DomainError(f"xi must be positive and finite, got {xi!r}")
         p_xi = replace(p, c_t=xi)
+        if not p_xi.eta * p.delta**2 > _MIN_ETA_DELTA2:
+            raise DomainError(_TOO_SMALL.format(xi))
         x0 = best_response_target(p_xi, 0.0)
         if chi(p_xi, x0) <= 0.0:  # inhibited: the loss-bound width is not needed
             return x0
@@ -89,6 +97,8 @@ def g_of_xi(p: GameParams, xi):
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
     xi = np.asarray(xi, dtype=float)
+    if np.any(columns.eta(p, xi) * p.delta**2 <= _MIN_ETA_DELTA2):
+        raise DomainError(_TOO_SMALL.format(float(xi.min())))
     # The loss-bound width only for weights jammed at b_t(0), as in
     # stackelberg_sweep; the other weights' x_tol is never read.
     jammed = columns.chi(p, best_response_target(p, 0.0), xi) > 0.0

@@ -264,7 +264,7 @@ def _cmd_simulate(args) -> int:
         fh.write("\n")
         _write_table(fh, sim.EVENT_COLUMNS, _chunks(sim.event_columns, trace, n))
 
-    final = [trace.x[-1:], trace.y[-1:], [sim.updates_to_equilibrium(trace, p)]]
+    final = [trace.x[-1:], trace.y[-1:], [sim.updates_to_equilibrium(trace)]]
     _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import best_response as br
 from .errors import ApproxUndefined, BracketError, DomainError, InvalidStrategy, SingularError
-from .lambertw import _LOG_SPACE_Z, _SERIES_ONLY_Q, BRANCH_POINT, WBranch
+from .lambertw import _SERIES_ONLY_Q, BRANCH_POINT, WBranch, _fritsch
 from .model import GameParams
 from .roots import _GROW_FACTOR, _GROW_STEPS
 from .stackelberg import ImprovementReport
@@ -42,7 +42,7 @@ def eta(p: GameParams, c_t):
 
 
 def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
-    """W of every element of z, in the shape of z; Halley runs on the unconverged ones."""
+    """W of every element of z, in the shape of z, by the scalar form's guesses and steps."""
     arr = np.asarray(z, dtype=float)
     shape = arr.shape
     arr = np.atleast_1d(arr).ravel()
@@ -64,6 +64,8 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
         w = _minus1(arr, q)
     else:
         raise DomainError(f"unknown branch {branch!r}")
+    step = (q > _SERIES_ONLY_Q) & (arr != 0.0)
+    w[step] = _fritsch(w[step], np.log(np.abs(arr[step])), np.log)
     return w.reshape(shape)
 
 
@@ -78,36 +80,11 @@ def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
     return w / (arr * (w + 1.0))
 
 
-def _log_newton(w: np.ndarray, lz: np.ndarray) -> np.ndarray:
-    # Newton on w + ln|w| = lz, as lambertw._log_newton.
-    for _ in range(4):
-        w = w - (w + np.log(np.abs(w)) - lz) / (1.0 + 1.0 / w)
-    return w
-
-
 def _branch_series(q: np.ndarray, sign: float) -> np.ndarray:
     # Expansion around the branch point in p = sqrt(2(e*z + 1));
     # sign=+1 gives the principal side, sign=-1 the lower side.
     p = sign * np.sqrt(2.0 * q)
     return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
-
-
-def _halley(w: np.ndarray, z: np.ndarray, active: np.ndarray) -> np.ndarray:
-    # Standard Halley refinement of w*e^w = z; ~3-5 sweeps suffice.
-    for _ in range(100):
-        if not np.any(active):
-            break
-        wa, za = w[active], z[active]
-        ew = np.exp(wa)
-        f = wa * ew - za
-        wp1 = wa + 1.0
-        dw = f / (ew * wp1 - (wa + 2.0) * f / (2.0 * wp1))
-        wa = wa - dw
-        w[active] = wa
-        still = np.abs(dw) > 1e-16 * (2.0 + np.abs(wa))
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-    return w
 
 
 def _principal(z: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -120,10 +97,7 @@ def _principal(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     far = z > np.e
     lz = np.log(z[far])
     w[far] = lz - np.log(lz)
-
-    huge = z > _LOG_SPACE_Z
-    w[huge] = _log_newton(w[huge], np.log(z[huge]))
-    return _halley(w, z, (q > _SERIES_ONLY_Q) & ~huge)
+    return w
 
 
 def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -134,10 +108,7 @@ def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     tail = ~near
     lz = np.log(-z[tail])
     w[tail] = lz - np.log(-lz)
-
-    tiny = z > -1.0 / _LOG_SPACE_Z
-    w[tiny] = _log_newton(w[tiny], np.log(-z[tiny]))
-    return _halley(w, z, (q > _SERIES_ONLY_Q) & ~tiny)
+    return w
 
 
 def _check_strategy(p: GameParams, x, y) -> None:
@@ -258,7 +229,7 @@ def leader_utility(p: GameParams, x, c_t) -> np.ndarray:
 
 
 def leader_loss_bracket_width(p: GameParams, c_t) -> np.ndarray:
-    """stackelberg.leader_loss_bracket_width at its default loss, for every weight."""
+    """stackelberg.leader_loss_bracket_width for every weight."""
     leader_loss = 1e-6 * np.abs(leader_utility(p, x_hat(p, c_t), c_t))
     u_max = np.sqrt(c_t * p.p_j) / (4.0 * p.delta * _LN2)
     return leader_loss / u_max

@@ -50,6 +50,8 @@ RNG_ALGORITHM = "numpy-PCG64/columns-v2"
 # peak at ~0.3 GB at period 10 and ~1.1 GB at period 1.
 MAX_TOTAL_CYCLES = 10**7
 
+_AT_NE_REL_TOL = 1e-6  # updates_to_equilibrium
+
 STRATEGY_COLUMNS = ("update", "cycle", "x", "y", "x_est_by_jammer", "y_est_by_target")
 EVENT_COLUMNS = ("cycle", "silence_s", "jam_s", "bits", "jam_energy_j")
 
@@ -187,16 +189,18 @@ def event_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, .
     return cycle, trace.silence[start:stop], jam, bits[cycle // period - first], jam * p.p_j
 
 
-def updates_to_equilibrium(trace: SimTrace, p: GameParams, rel_tol: float = 1e-6) -> int:
+def updates_to_equilibrium(trace: SimTrace) -> int:
     """First update index from which the strategy history sits at the NE.
 
-    The profile must be within rel_tol (relative on x, relative to the
-    t_aj + y* scale on y) of the closed-form equilibrium and stay there for
-    every later update.  Returns -1 if that never happens.
+    The profile must be within 1e-6 (relative on x, relative to the
+    t_aj + y* scale on y) of the closed-form equilibrium of the trace's own
+    parameters and stay there for every later update.  Returns -1 if that
+    never happens.
     """
+    p = trace.config.params
     ne = nash_closed_form(p).profile
-    at_ne = (np.abs(trace.x - ne.x) <= rel_tol * ne.x) & (
-        np.abs(trace.y - ne.y) <= rel_tol * (p.t_aj + ne.y)
+    at_ne = (np.abs(trace.x - ne.x) <= _AT_NE_REL_TOL * ne.x) & (
+        np.abs(trace.y - ne.y) <= _AT_NE_REL_TOL * (p.t_aj + ne.y)
     )
     away = np.flatnonzero(~at_ne)
     last_away = int(away[-1]) if away.size else -1

@@ -59,16 +59,15 @@ def leader_utility(p: GameParams, x: float) -> float:
     return u - p.c_t_star * p.t_p * p.p_t
 
 
-def leader_loss_bracket_width(p: GameParams, leader_loss: float | None = None) -> float:
-    """Bisection bracket width guaranteeing leader loss at most ``leader_loss``.
+def leader_loss_bracket_width(p: GameParams) -> float:
+    """Bisection bracket width costing the leader at most 1e-6 of |U_t(x_hat)|.
 
     The leader utility's slope on the jammed branch is bounded by
     u_max = sqrt(c_t * p_j) / (4 delta ln 2), so a bracket of width
-    leader_loss / u_max costs at most leader_loss in utility.  The default
-    loss is 1e-6 of the utility scale at x_hat.
+    leader_loss / u_max costs at most leader_loss in utility, with
+    leader_loss = 1e-6 of the utility scale at x_hat.
     """
-    if leader_loss is None:
-        leader_loss = 1e-6 * abs(leader_utility(p, x_hat(p)))
+    leader_loss = 1e-6 * abs(leader_utility(p, x_hat(p)))
     u_max = math.sqrt(p.c_t * p.p_j) / (4.0 * p.delta * _LN2)
     return leader_loss / u_max
 

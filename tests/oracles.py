@@ -2,7 +2,8 @@
 
 Deliberately disjoint from the library's numerics: plain Newton iteration for
 the W function, in floats and, for the far tails, in Decimal (the library uses
-Halley with series starts, and log-space Newton in the tails), Decimal
+a fixed three steps of Fritsch's iteration on ln|w| + w = ln|z| from series
+and log-asymptotic starts), Decimal
 arithmetic for extended-precision capacity/chi evaluations, brute-force grid
 search for optimality claims, and adaptive quadrature (scipy) for the
 prior-expected utility whose closed form the library implements.

@@ -358,7 +358,7 @@ def test_c8_simulation():
     success = 0
     for seed in range(100):
         cfg = SimConfig(params=TABLE2, total_cycles=100, update_period_cycles=10, rng_seed=seed)
-        k = updates_to_equilibrium(run_sim(cfg), TABLE2)
+        k = updates_to_equilibrium(run_sim(cfg))
         if 0 <= k <= 5:  # 3 updates plus 2-update estimation-noise allowance
             success += 1
 

@@ -200,15 +200,20 @@ def test_sweep_efficiency_columns(cfg1):
             assert 0.0 < float(v) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("bound", ["xi_max = 1e300", "xi_min = 1e-300"])
+@pytest.mark.parametrize(
+    "bound",
+    ["xi_max = 1e300", "xi_min = 1e-300", "xi_min = 1e-305\nxi_max = 1e-5", "xi_min = 1e-320\nxi_max = 2e-320"],
+)
 def test_sweep_efficiency_prior_out_of_range_exit_3(tmp_path, bound):
     # xi_max**2 or xi_max / xi_min overflows: the prior is refused, not solved.
+    # A weight so small that x_hat's W argument overflows is refused by name.
     path = tmp_path / "scenario.cfg"
     path.write_text(TABLE1_CFG + bound + "\n")
     res = run_cli("sweep", str(path), "--figure", "efficiency", "--log-range", "1e6", "1e8", "3")
     assert res.returncode == 3
     assert res.stdout == ""
     assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
+    assert "xi" in res.stderr
 
 
 def test_sweep_bad_range_exit_2(cfg1):
@@ -253,7 +258,7 @@ def test_simulate_golden_digest_partial_window(tmp_path):
     res = run_cli("simulate", str(cfg), "--seed", "3", "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4275b13b1a4bc4f894e19864b25701166f8945a5250f77032a6b1ec47bfa2cc0"
+        "4d18cfec4b6d023c1c6ce1b5b93ad666661d0aa8519fab33b1aeb9415885cbf2"
     )
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import BRANCH_POINT, DomainError, SingularError, WBranch, lambert_w, lambert_w_prime
@@ -68,6 +68,10 @@ def test_identity_property_minus1(z):
 
 
 @given(st.floats(min_value=-0.3, max_value=1.7976931348623157e308))
+@example(-0.2)
+@example(0.0)
+@example(math.e)
+@example(1e300)
 @settings(max_examples=300, deadline=None)
 def test_whole_range_principal_against_decimal_newton(z):
     """Accurate over the whole double range, including near-overflow and subnormal z."""
@@ -80,6 +84,9 @@ def test_whole_range_principal_against_decimal_newton(z):
 
 
 @given(st.floats(min_value=-0.3, max_value=-5e-324))
+@example(-0.25)
+@example(-1e-300)
+@example(-5e-324)
 @settings(max_examples=300, deadline=None)
 def test_whole_range_minus1_against_decimal_newton(z):
     want = decimal_newton_w(z, branch_minus1=True)

@@ -185,7 +185,7 @@ def test_border_equilibrium_reached_quickly(table2):
     for seed in range(20):
         cfg = SimConfig(params=table2, total_cycles=100, update_period_cycles=10, rng_seed=seed)
         tr = run_sim(cfg)
-        k = updates_to_equilibrium(tr, table2)
+        k = updates_to_equilibrium(tr)
         if 0 <= k <= 5:
             reached += 1
     assert reached == 20
@@ -216,7 +216,7 @@ def _trace_with_rows(p, rows):
     ],
 )
 def test_updates_to_equilibrium_rows(table2, rows, want):
-    assert updates_to_equilibrium(_trace_with_rows(table2, rows), table2) == want
+    assert updates_to_equilibrium(_trace_with_rows(table2, rows)) == want
 
 
 def test_trace_holds_only_columns(table1):
