@@ -2,7 +2,8 @@
 
 The target does not know the true weight c_t, only a prior for it.  It picks
 an assumed weight xi, commits to the corresponding Stackelberg strategy
-g(xi), and the true jammer best-responds.  This module evaluates the realized
+g(xi) (the x of stackelberg_exact at weight xi, or of stackelberg_sweep for
+an array of weights), and the true jammer best-responds.  This module evaluates the realized
 utility of that play, its expectation under a uniform prior (by the printed
 closed form), the expectation-maximizing assumed weight, and the resulting
 efficiency relative to perfect knowledge.
@@ -20,11 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import columns
-from .best_response import best_response_target, chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
-from .stackelberg import leader_loss_bracket_width, stackelberg_exact
+from .stackelberg import stackelberg_exact
 
 __all__ = [
     "UniformPrior",
@@ -65,13 +65,8 @@ class UniformPrior:
         return 1.0 / (self.xi_max - self.xi_min)
 
 
-# High-precision leader strategy for an assumed weight: the default loss-bound
-# bracket tightened 1000x, so downstream identities that rely on chi(g) = 0
-# hold to ~1e-10 relative.
-_COMMITTED_TOL = 1e-3
-
-# A jammed weight's bracket starts at x_hat, which takes W of 2/(eta*delta^2);
-# at or below this eta*delta^2 that argument overflows, so the weight is refused.
+# At or below this eta*delta^2 the game has no x_hat (its W argument
+# 2/(eta*delta^2) overflows) and no Nash point; g_of_xi refuses such weights.
 _MIN_ETA_DELTA2 = 2.0 / sys.float_info.max
 _TOO_SMALL = "xi = {!r} is too small: x_hat's W argument 2/(eta*delta^2) overflows"
 
@@ -79,9 +74,9 @@ _TOO_SMALL = "xi = {!r} is too small: x_hat's W argument 2/(eta*delta^2) overflo
 def g_of_xi(p: GameParams, xi):
     """Leader strategy if the jammer's weight were xi.
 
-    The larger zero of chi evaluated with weight xi, or b_t(0) when xi is
-    large enough that jamming is inhibited there.  Decreasing in xi.  An
-    array of xi is solved in one batched pass.
+    The leader's x of stackelberg_exact with weight xi: the larger zero of
+    chi, or b_t(0) when xi is large enough that jamming is inhibited there.
+    Decreasing in xi.  An array of xi is solved in one batched pass.
     """
     if isinstance(xi, (float, int)):
         if not (xi > 0 and math.isfinite(xi)):
@@ -89,22 +84,13 @@ def g_of_xi(p: GameParams, xi):
         p_xi = replace(p, c_t=xi)
         if not p_xi.eta * p.delta**2 > _MIN_ETA_DELTA2:
             raise DomainError(_TOO_SMALL.format(xi))
-        x0 = best_response_target(p_xi, 0.0)
-        if chi(p_xi, x0) <= 0.0:  # inhibited: the loss-bound width is not needed
-            return x0
-        x_tol = _COMMITTED_TOL * leader_loss_bracket_width(p_xi)
-        return stackelberg_exact(p_xi, x_tol=x_tol).profile.x
+        return stackelberg_exact(p_xi).profile.x
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
     xi = np.asarray(xi, dtype=float)
     if np.any(columns.eta(p, xi) * p.delta**2 <= _MIN_ETA_DELTA2):
         raise DomainError(_TOO_SMALL.format(float(xi.min())))
-    # The loss-bound width only for weights jammed at b_t(0), as in
-    # stackelberg_sweep; the other weights' x_tol is never read.
-    jammed = columns.chi(p, best_response_target(p, 0.0), xi) > 0.0
-    x_tol = np.ones_like(xi)
-    x_tol[jammed] = _COMMITTED_TOL * columns.leader_loss_bracket_width(p, xi[jammed])
-    return columns.stackelberg_sweep(p, xi, x_tol=x_tol)
+    return columns.stackelberg_sweep(p, xi)
 
 
 def realized_utility(p: GameParams, xi, c_t=None):

@@ -60,9 +60,13 @@ def chi(p: GameParams, x: float) -> float:
     """
     if x < p.delta:
         raise DomainError("chi requires x >= delta")
+    return math.sqrt(_log_ratio(p, x) / p.eta) - p.t_aj - x / 2.0
+
+
+def _log_ratio(p: GameParams, x: float) -> float:
+    """ln(x/delta), as ln x - ln delta where x/delta overflows."""
     r = x / p.delta
-    log_r = math.log(r) if r < math.inf else math.log(x) - math.log(p.delta)
-    return math.sqrt(log_r / p.eta) - p.t_aj - x / 2.0
+    return math.log(r) if r < math.inf else math.log(x) - math.log(p.delta)
 
 
 def best_response_target(p: GameParams, y: float) -> float:

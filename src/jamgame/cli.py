@@ -3,7 +3,7 @@
 Subcommands::
 
     jamgame nash CONFIG [--brd] [--tol T] [--max-iter N] [--start-x X --start-y Y]
-    jamgame stackelberg CONFIG [--approx] [--x-tol W]
+    jamgame stackelberg CONFIG [--approx]
     jamgame sweep CONFIG --figure ID [--param NAME] --log-range A B N [--out PATH]
     jamgame simulate CONFIG --out PATH [--seed K]
 
@@ -112,11 +112,9 @@ def _cmd_nash(args) -> int:
 # stackelberg
 
 def _cmd_stackelberg(args) -> int:
-    if args.x_tol is not None:
-        _check_positive_finite("--x-tol", args.x_tol)
     cfg = read_config(args.config)
     p = game_params_from_config(cfg)
-    se = stackelberg_exact(p, x_tol=args.x_tol)
+    se = stackelberg_exact(p)
     rep = improvement_report(p)
     header = ["x_se", "y_se", "u_t_se", "u_t_ne", "improved"]
     row = [se.profile.x, se.profile.y, rep.u_t_se, rep.u_t_ne, rep.improved]
@@ -271,8 +269,15 @@ def _cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors led by ``error: `` like every other failure."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="jamgame", description=__doc__)
+    ap = _Parser(prog="jamgame", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_nash = sub.add_parser("nash", help="closed-form Nash equilibrium (optionally BRD trace)")
@@ -287,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se = sub.add_parser("stackelberg", help="Stackelberg equilibrium of the committed game")
     p_se.add_argument("config")
     p_se.add_argument("--approx", action="store_true")
-    p_se.add_argument("--x-tol", type=float, default=None)
     p_se.set_defaults(fn=_cmd_stackelberg)
 
     p_sw = sub.add_parser("sweep", help="parameter sweep to CSV, one figure id per schema")

@@ -3,7 +3,8 @@
 Each kernel is the elementwise twin of the scalar function of the same name
 in the pure-``math`` core, with ``c_t`` always explicit: one jammer weight
 per element, or one that broadcasts.  A sweep solver gives the scalar
-solver's answer for every weight of a column in one pass.
+solver's answer for every weight of a column in one pass; the Stackelberg
+one takes the Newton steps of ``roots`` for all weights at once.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import best_response as br
-from .errors import ApproxUndefined, BracketError, DomainError, InvalidStrategy, SingularError
+from .errors import ApproxUndefined, DomainError, InvalidStrategy, SingularError
 from .lambertw import _SERIES_ONLY_Q, BRANCH_POINT, WBranch, _fritsch
 from .model import GameParams
-from .roots import _GROW_FACTOR, _GROW_STEPS
+from .roots import _DBL_MAX, _TOO_SMALL, larger_zero_step
 from .stackelberg import ImprovementReport
 
 __all__ = [
     "EquilibriumColumns", "log_grid", "eta", "lambert_w", "lambert_w_prime", "capacity_xy",
     "utilities_xy", "psi", "chi", "best_response_target", "best_response_jammer", "x_hat",
-    "bisect_bracket", "grow_until_negative", "leader_utility", "leader_loss_bracket_width",
-    "nash_sweep", "stackelberg_sweep", "stackelberg_approx_sweep", "improvement_sweep",
+    "larger_zero", "leader_utility", "nash_sweep", "stackelberg_sweep", "stackelberg_approx_sweep",
+    "improvement_sweep",
 ]
 
 _LN2 = math.log(2.0)
@@ -147,13 +148,18 @@ def chi(p: GameParams, x, c_t) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x < p.delta):
         raise DomainError("chi requires x >= delta")
+    return np.sqrt(_log_ratio(p, x) / eta(p, c_t)) - p.t_aj - x / 2.0
+
+
+def _log_ratio(p: GameParams, x: np.ndarray) -> np.ndarray:
+    """ln(x/delta), as ln x - ln delta where x/delta overflows."""
     with np.errstate(over="ignore"):
         r = x / p.delta
     log_r = np.log(r)
-    over = np.isinf(r)  # x/delta overflows: take the difference of logs there
+    over = np.isinf(r)
     if over.any():
         log_r = np.where(over, np.log(x) - math.log(p.delta), log_r)
-    return np.sqrt(log_r / eta(p, c_t)) - p.t_aj - x / 2.0
+    return log_r
 
 
 def best_response_target(p: GameParams, y) -> np.ndarray:
@@ -174,48 +180,6 @@ def x_hat(p: GameParams, c_t) -> np.ndarray:
     return p.delta * np.exp(0.5 * w)
 
 
-def bisect_bracket(f, lo, hi, xtol):
-    """Masked bisection: each element of the brackets stops by roots.bisect_bracket's rules."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
-    flo, fhi = f(lo), f(hi)
-    hi = np.where(flo == 0.0, lo, hi)
-    lo = np.where((fhi == 0.0) & (flo != 0.0), hi, lo)
-    open_ = (flo != 0.0) & (fhi != 0.0)
-    unbracketed = open_ & ((flo > 0) == (fhi > 0))
-    if np.any(unbracketed):
-        k = int(np.argmax(unbracketed))
-        raise BracketError(f"no sign change on [{lo[k]:g}, {hi[k]:g}]")
-    pos = flo > 0
-    active = open_ & (hi - lo > xtol)
-    while np.any(active):
-        mid = 0.5 * (lo + hi)
-        active &= (mid > lo) & (mid < hi)  # bracket hit float resolution
-        fm = f(mid)
-        root = active & (fm == 0.0)
-        lo = np.where(root, mid, lo)
-        hi = np.where(root, mid, hi)
-        active &= ~root
-        left = (fm > 0) == pos
-        lo = np.where(active & left, mid, lo)
-        hi = np.where(active & ~left, mid, hi)
-        active &= hi - lo > xtol
-    return lo, hi
-
-
-def grow_until_negative(f, start) -> np.ndarray:
-    """roots.grow_until_negative on every element of start."""
-    x = np.array(start, dtype=float)
-    growing = np.ones(x.shape, dtype=bool)
-    for _ in range(_GROW_STEPS):
-        x = np.where(growing, x * _GROW_FACTOR, x)
-        growing &= ~(f(x) < 0.0)
-        if not np.any(growing):
-            return x
-    raise BracketError(f"f stayed >= 0 out to {np.max(x):g}; parameters look corrupted")
-
-
 def leader_utility(p: GameParams, x, c_t) -> np.ndarray:
     """stackelberg.leader_utility for every x, with the weights c_t."""
     xa = np.asarray(x, dtype=float)
@@ -226,13 +190,6 @@ def leader_utility(p: GameParams, x, c_t) -> np.ndarray:
     free = log2x / (p.t_aj + xa / 2.0)
     cost = p.c_t_star * p.t_p * p.p_t
     return np.where(chi(p, xa, c_t) > 0.0, jammed, free) - cost
-
-
-def leader_loss_bracket_width(p: GameParams, c_t) -> np.ndarray:
-    """stackelberg.leader_loss_bracket_width for every weight."""
-    leader_loss = 1e-6 * np.abs(leader_utility(p, x_hat(p, c_t), c_t))
-    u_max = np.sqrt(c_t * p.p_j) / (4.0 * p.delta * _LN2)
-    return leader_loss / u_max
 
 
 class EquilibriumColumns(NamedTuple):
@@ -256,28 +213,37 @@ def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
     return EquilibriumColumns(x, y, *utilities_xy(p, x, y, c_t))
 
 
-def stackelberg_sweep(p: GameParams, c_t, x_tol=None) -> np.ndarray:
-    """The leader's x of stackelberg_exact(replace(p, c_t=c)) for each weight c in c_t.
+def larger_zero(p: GameParams, c_t, x_pos: float) -> np.ndarray:
+    """roots.larger_zero for every weight, with chi > 0 at x_pos for each.
 
-    ``x_tol`` is an array like c_t; by default each weight's loss-bound width.
+    A masked loop takes the scalar steps until each element takes its own last one.
     """
+    c_t = np.asarray(c_t, dtype=float)
+    e = eta(p, c_t)
+    with np.errstate(over="ignore"):  # an overflowing start is clamped, ln(x/delta)/eta refused
+        x = np.minimum(4.0 / (e * p.delta), _DBL_MAX)
+        log_r = _log_ratio(p, x)
+        too_small = ~np.isfinite(log_r / e)
+    if too_small.any():
+        raise DomainError(_TOO_SMALL.format(float(np.max(c_t[too_small]))))
+    moving = np.ones(x.shape, dtype=bool)
+    while moving.any():
+        xm = x[moving]
+        x_next = larger_zero_step(xm, log_r[moving], e[moving], p.t_aj, np.sqrt)
+        down = (x_pos < x_next) & (x_next < xm)
+        moving[moving] = down
+        x[moving] = x_next[down]
+        log_r[moving] = _log_ratio(p, x[moving])
+    return x
+
+
+def stackelberg_sweep(p: GameParams, c_t) -> np.ndarray:
+    """The leader's x of stackelberg_exact(replace(p, c_t=c)) for each weight c in c_t."""
     c_t = np.asarray(c_t, dtype=float)
     x0 = br.best_response_target(p, 0.0)
     jammed = chi(p, x0, c_t) > 0.0
     x_se = np.full(c_t.shape, x0)
-    c = c_t[jammed]
-    if c.size == 0:
-        return x_se
-    if x_tol is None:
-        tol = leader_loss_bracket_width(p, c)
-    else:
-        tol = np.broadcast_to(x_tol, c_t.shape)[jammed]
-    if not np.all(tol > 0):
-        raise ValueError("x_tol must be positive")
-    f = lambda x: chi(p, x, c)
-    xh = x_hat(p, c)
-    lo, hi = bisect_bracket(f, xh, grow_until_negative(f, xh), tol)
-    x_se[jammed] = np.where(leader_utility(p, lo, c) >= leader_utility(p, hi, c), lo, hi)
+    x_se[jammed] = larger_zero(p, c_t[jammed], x0)
     return x_se
 
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all jamgame modules."""
+"""Exception hierarchy shared by all jamgame modules.
+
+Every class derives from ValueError: each one refuses an input.
+"""
 
 __all__ = [
     "JamGameError", "DomainError", "SingularError", "InvalidParams", "InvalidStrategy",
-    "BracketError", "ApproxUndefined", "DegenerateUtility", "ConfigError",
+    "ApproxUndefined", "DegenerateUtility", "ConfigError",
 ]
 
 
@@ -24,13 +27,6 @@ class InvalidParams(JamGameError, ValueError):
 
 class InvalidStrategy(JamGameError, ValueError):
     """A strategy profile violates the strategy-space invariants."""
-
-
-class BracketError(JamGameError, RuntimeError):
-    """Root bracketing failed where a sign change was guaranteed.
-
-    Reaching this indicates corrupted parameters, not a numerical edge case.
-    """
 
 
 class ApproxUndefined(JamGameError, ValueError):

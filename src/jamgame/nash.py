@@ -27,7 +27,7 @@ from .best_response import (
 from .errors import InvalidStrategy
 from .lambertw import WBranch, lambert_w
 from .model import GameParams, StrategyProfile, UtilityPair, utilities
-from .roots import bisect_bracket, grow_until_negative
+from .roots import larger_zero, lower_zero
 
 __all__ = [
     "Regime",
@@ -196,12 +196,7 @@ def _chi_positive_interval(p: GameParams):
     xh = x_hat(p)
     if chi(p, xh) <= 0.0:
         return None
-    f = lambda x: chi(p, x)
-    xtol = 1e-9 * xh
-    lo1, hi1 = bisect_bracket(f, p.delta, xh, xtol)
-    upper = grow_until_negative(f, xh)
-    lo2, hi2 = bisect_bracket(f, xh, upper, 1e-9 * upper)
-    return 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
+    return lower_zero(p, xh), larger_zero(p, xh)
 
 
 def convergence_certificate(

@@ -1,52 +1,72 @@
-"""Minimal guarded root bracketing used by the equilibrium solvers.
+"""The two zeros of chi by one-sided Newton iteration, in pure ``math``.
 
-Both helpers take a function of a float; their array forms, which follow the
-same steps for every element of an array of brackets, are in ``columns``.
+chi(x) = sqrt(ln(x/delta)/eta) - t_aj - x/2 is strictly concave on x > delta.
+A Newton step on a concave function from a point where it is negative lands
+on the same side of the nearest zero, closer to it (Fourier's condition), so
+each loop below moves one way only and stops when a step no longer moves it.
+Floats cannot move one way forever, and a NaN step stops a loop too, so there
+is neither a tolerance nor an iteration cap.  The array form of the larger
+zero, in ``columns``, takes the same steps.
 """
 
 from __future__ import annotations
 
-from .errors import BracketError
+import math
+import sys
 
-__all__ = ["bisect_bracket", "grow_until_negative"]
+from .best_response import _log_ratio
+from .errors import DomainError
+from .model import GameParams
 
-# grow_until_negative multiplies x by this factor at most this many times.
-_GROW_FACTOR = 2.0
-_GROW_STEPS = 200
+__all__ = ["larger_zero", "lower_zero"]
+
+_DBL_MAX = sys.float_info.max
+_TOO_SMALL = "jammer weight {!r} is too small: ln(x/delta)/eta overflows at the Newton start"
 
 
-def bisect_bracket(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Shrink a sign-change bracket [lo, hi] of f until hi - lo <= xtol.
+def larger_zero_step(x, log_r, eta, t_aj, sqrt=math.sqrt):
+    """One Newton step on chi from x, given log_r = ln(x/delta).
 
-    Returns the final (lo, hi).  f(lo) and f(hi) must have opposite signs
-    (zero counts as either side).
+    Written without chi's x/2 terms, which cancel catastrophically far right
+    of the zero.  The array form passes np.sqrt.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, lo
-    if fhi == 0.0:
-        return hi, hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change on [{lo:g}, {hi:g}]")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket hit float resolution
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return lo, hi
+    s = sqrt(log_r / eta)
+    return (s - t_aj - 0.5 / (eta * s)) / (0.5 - 0.5 / (x * eta * s))
 
 
-def grow_until_negative(f, start: float) -> float:
-    """Geometrically grow x from start until f(x) < 0; returns that x."""
-    x = start
-    for _ in range(_GROW_STEPS):
-        x *= _GROW_FACTOR
-        if f(x) < 0.0:
+def larger_zero(p: GameParams, x_pos: float) -> float:
+    """The larger zero of chi, right of a point x_pos where chi > 0.
+
+    Newton from x = 4/(eta*delta), clamped to the largest double, where chi
+    is negative (ln r < r) and decreasing: the iterates fall monotonically
+    onto the zero.  A step that would not stay right of x_pos ends the loop
+    too; only float noise takes one, where chi is flat at a double zero.
+    Refuses a weight so small that ln(x/delta)/eta overflows at the start.
+    """
+    x = min(4.0 / (p.eta * p.delta), _DBL_MAX)
+    log_r = _log_ratio(p, x)
+    if not math.isfinite(log_r / p.eta):
+        raise DomainError(_TOO_SMALL.format(p.c_t))
+    while True:
+        x_next = larger_zero_step(x, log_r, p.eta, p.t_aj)
+        if not x_pos < x_next < x:
             return x
-    raise BracketError(f"f stayed >= 0 out to {x:g}; parameters look corrupted")
+        x, log_r = x_next, _log_ratio(p, x_next)
+
+
+def lower_zero(p: GameParams, x_pos: float) -> float:
+    """The smaller zero of chi, left of a point x_pos where chi > 0.
+
+    In s = sqrt(ln(x/delta)), chi is f(s) = s/sqrt(eta) - t_aj - delta*e^(s^2)/2:
+    concave, with f(0) < 0 and a finite slope 1/sqrt(eta) at s = 0, where x's
+    own slope is infinite.  Newton from s = 0 rises monotonically onto the
+    zero; as in larger_zero, a step that would not stay left of x_pos ends it.
+    """
+    k = 1.0 / math.sqrt(p.eta)
+    s, x = 0.0, p.delta
+    while True:
+        s_next = (p.t_aj + x * (0.5 - s * s)) / (k - s * x)
+        x_next = p.delta * math.exp(s_next * s_next)
+        if not (s_next > s and x_next < x_pos):
+            return x
+        s, x = s_next, x_next

@@ -4,6 +4,7 @@ Committing to a long-enough silence bound makes jamming uneconomical, so the
 follower's equilibrium response is always y = 0: the leader either sits at the
 unjammed capacity optimum b_t(0) (when that point is already jam-free) or
 walks out to the larger zero of chi, trading delay for jammer inhibition.
+That zero comes from the monotone Newton iteration of ``roots``.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .best_response import best_response_jammer, best_response_target, chi, x_hat
+from .best_response import best_response_jammer, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
 from .model import GameParams, StrategyProfile, utilities, utilities_xy
 from .nash import EquilibriumResult, Regime, nash_closed_form
-from .roots import bisect_bracket, grow_until_negative
+from .roots import larger_zero
 
 __all__ = [
     "ImprovementReport",
@@ -24,10 +25,7 @@ __all__ = [
     "stackelberg_exact",
     "stackelberg_approx",
     "improvement_report",
-    "leader_loss_bracket_width",
 ]
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -59,44 +57,18 @@ def leader_utility(p: GameParams, x: float) -> float:
     return u - p.c_t_star * p.t_p * p.p_t
 
 
-def leader_loss_bracket_width(p: GameParams) -> float:
-    """Bisection bracket width costing the leader at most 1e-6 of |U_t(x_hat)|.
-
-    The leader utility's slope on the jammed branch is bounded by
-    u_max = sqrt(c_t * p_j) / (4 delta ln 2), so a bracket of width
-    leader_loss / u_max costs at most leader_loss in utility, with
-    leader_loss = 1e-6 of the utility scale at x_hat.
-    """
-    leader_loss = 1e-6 * abs(leader_utility(p, x_hat(p)))
-    u_max = math.sqrt(p.c_t * p.p_j) / (4.0 * p.delta * _LN2)
-    return leader_loss / u_max
-
-
-def stackelberg_exact(p: GameParams, x_tol: float | None = None) -> EquilibriumResult:
+def stackelberg_exact(p: GameParams) -> EquilibriumResult:
     """Unique Stackelberg equilibrium; the jammer's component is exactly 0.
 
     If the unjammed optimum b_t(0) already satisfies chi <= 0 (jammer
     inhibited there, which includes every c_t >= c_t_max), the leader plays
-    b_t(0).  Otherwise the optimum is the larger zero of chi, bracketed on
-    [x_hat, upward] and bisected to width ``x_tol`` (default: the loss-bound
-    width from leader_loss_bracket_width); the bracket endpoint with the
-    higher leader utility is returned.
+    b_t(0).  Otherwise the optimum is the larger zero of chi, to float
+    resolution.
     """
-    x0 = best_response_target(p, 0.0)
-    if chi(p, x0) <= 0.0:
-        prof = StrategyProfile(x=x0, y=0.0)
-        return EquilibriumResult(prof, Regime.STACKELBERG_EXACT, utilities(p, prof))
-
-    if x_tol is None:
-        x_tol = leader_loss_bracket_width(p)
-    if not (x_tol > 0):
-        raise ValueError("x_tol must be positive")
-    f = lambda x: chi(p, x)
-    xh = x_hat(p)
-    upper = grow_until_negative(f, xh)
-    lo, hi = bisect_bracket(f, xh, upper, x_tol)
-    x_se = lo if leader_utility(p, lo) >= leader_utility(p, hi) else hi
-    prof = StrategyProfile(x=x_se, y=0.0)
+    x = best_response_target(p, 0.0)
+    if chi(p, x) > 0.0:
+        x = larger_zero(p, x)
+    prof = StrategyProfile(x=x, y=0.0)
     return EquilibriumResult(prof, Regime.STACKELBERG_EXACT, utilities(p, prof))
 
 

@@ -54,3 +54,21 @@ def random_params(rng: np.random.Generator, c_t_factor_range=(-3.0, 1.2)) -> Gam
     tilde = thresholds(base).c_t_tilde
     c_t = tilde * 10.0 ** rng.uniform(*c_t_factor_range)
     return GameParams(t_aj=t_aj, delta=delta, p_t=p_t, p_j=p_j, t_p=1e-5, c_t=c_t)
+
+
+def low_ratio_params(rng: np.random.Generator, c_t_factor_range=(-3.0, 0.0)) -> GameParams:
+    """Random parameters with t_aj/delta from 1e-6 to 1e2 and c_t up to c_t_max.
+
+    Outside the contraction regime that random_params keeps to: for t_aj/delta
+    below ~0.3 and weights just under c_t_max, x_hat can fall below 2*delta
+    while b_t(0) is still jammed.
+    """
+    from jamgame import thresholds
+
+    delta = 10.0 ** rng.uniform(-7.0, -5.5)
+    t_aj = delta * 10.0 ** rng.uniform(-6.0, 2.0)
+    p_j = 10.0 ** rng.uniform(-0.5, 1.0)
+    p_t = 10.0 ** rng.uniform(-0.5, 1.0)
+    base = GameParams(t_aj=t_aj, delta=delta, p_t=p_t, p_j=p_j, t_p=1e-5, c_t=1.0)
+    c_t = thresholds(base).c_t_max * 10.0 ** rng.uniform(*c_t_factor_range)
+    return GameParams(t_aj=t_aj, delta=delta, p_t=p_t, p_j=p_j, t_p=1e-5, c_t=c_t)

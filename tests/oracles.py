@@ -4,9 +4,11 @@ Deliberately disjoint from the library's numerics: plain Newton iteration for
 the W function, in floats and, for the far tails, in Decimal (the library uses
 a fixed three steps of Fritsch's iteration on ln|w| + w = ln|z| from series
 and log-asymptotic starts), Decimal
-arithmetic for extended-precision capacity/chi evaluations, brute-force grid
-search for optimality claims, and adaptive quadrature (scipy) for the
-prior-expected utility whose closed form the library implements.
+arithmetic for extended-precision capacity/chi evaluations, bisection in
+Decimal for the larger zero of chi (the library runs Newton in floats),
+brute-force grid search for optimality claims, and adaptive quadrature
+(scipy) for the prior-expected utility whose closed form the library
+implements.
 """
 
 from __future__ import annotations
@@ -82,6 +84,57 @@ def decimal_chi(x: str, t_aj: str, delta: str, c_t: str, p_j: str) -> float:
     xd = Decimal(x)
     eta = Decimal(c_t) * Decimal(p_j) * Decimal(2).ln()
     return float(((xd / Decimal(delta)).ln() / eta).sqrt() - Decimal(t_aj) - xd / 2)
+
+
+def _x_hat(p: GameParams) -> float:
+    """The maximum of chi, delta * e^(W(2/(eta*delta^2))/2), with the Newton W."""
+    eta = p.c_t * p.p_j * math.log(2.0)
+    return p.delta * math.exp(0.5 * newton_w_principal(2.0 / (eta * p.delta**2)))
+
+
+def larger_chi_zero(p: GameParams) -> float:
+    """The larger zero of chi, by bisection in 60-digit Decimal arithmetic.
+
+    The bracket starts at x_hat, where chi > 0 in a jammed game, and doubles
+    its upper end until chi < 0; 200 halvings leave it far below a double's
+    resolution.
+    """
+    def chi(x: Decimal) -> float:
+        return decimal_chi(str(x), repr(p.t_aj), repr(p.delta), repr(p.c_t), repr(p.p_j))
+
+    lo = Decimal(_x_hat(p))
+    if not chi(lo) > 0:
+        raise ValueError("chi has no positive value at x_hat: no larger zero to bracket")
+    hi = 2 * lo
+    while chi(hi) >= 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if chi(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(hi)
+
+
+def leader_loss_bracket_width(p: GameParams) -> float:
+    """A root width costing the leader at most 1e-6 of |U_t(x_hat)|.
+
+    The leader utility's slope on the jammed branch is bounded by
+    u_max = sqrt(c_t * p_j) / (4 delta ln 2), so a width of
+    1e-6 * |U_t(x_hat)| / u_max costs at most that much utility.  This was
+    the stop width of the library's former bisection; the residual checks
+    keep it as their bound.
+    """
+    xh = _x_hat(p)
+    log2x = math.log2(xh / p.delta)
+    if decimal_chi(repr(xh), repr(p.t_aj), repr(p.delta), repr(p.c_t), repr(p.p_j)) > 0.0:
+        u = math.sqrt(p.c_t * p.p_j * log2x)
+    else:
+        u = log2x / (p.t_aj + xh / 2.0)
+    leader_loss = 1e-6 * abs(u - p.c_t_star * p.t_p * p.p_t)
+    u_max = math.sqrt(p.c_t * p.p_j) / (4.0 * p.delta * math.log(2.0))
+    return leader_loss / u_max
 
 
 def grid_argmax(f, lo: float, hi: float, n: int) -> tuple[float, float]:

@@ -135,6 +135,33 @@ def test_chi_sign_structure_over_sweep(table1):
         assert chi(p, x2 * (1 - 1e-6)) > 0 > chi(p, x2 * (1 + 1e-6))
 
 
+def test_chi_zeros_at_the_tangent_weight(table1):
+    # The weight at which max chi = chi(x_hat) is the smallest positive value
+    # chi can show, found by bisecting c_t to float resolution: both zeros
+    # are double there, and the Newton loops converge only linearly.
+    from jamgame.nash import _chi_positive_interval
+
+    def peak(c):
+        p = replace(table1, c_t=c)
+        return chi(p, x_hat(p))
+
+    lo, hi = 1e9, 1e12
+    assert peak(lo) > 0.0 >= peak(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if peak(mid) > 0.0 else (lo, mid)
+    p = replace(table1, c_t=lo)
+    xh = x_hat(p)
+    assert 0.0 < chi(p, xh) <= 4.0 * math.ulp(p.t_aj + xh / 2.0)
+    x1, x2 = _chi_positive_interval(p)
+    assert p.delta < x1 < xh < x2
+    # The positive interval is ~1e-8 wide here, so the signs are taken at
+    # x_hat and just outside it rather than at x1 and x2 +- 1e-6.
+    assert chi(p, x1 * (1 - 1e-6)) < 0 < chi(p, xh)
+    assert chi(p, x2 * (1 + 1e-6)) < 0
+    assert (x2 - x1) / xh < 1e-6
+
+
 def test_bj_bounded_by_value_at_x_hat(table1):
     xh = x_hat(table1)
     cap = best_response_jammer(table1, xh)

@@ -140,6 +140,14 @@ def test_stackelberg_no_improvement_above_tilde(tmp_path):
     assert dict(zip(header, rows[0]))["improved"] == "false"
 
 
+def test_stackelberg_x_tol_is_retired(cfg1):
+    # x_se is the zero of chi to float resolution: no stop width is left to set.
+    res = run_cli("stackelberg", cfg1, "--x-tol", "1e-9")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "unrecognized arguments: --x-tol 1e-9" in res.stderr
+
+
 def test_sweep_row_count_and_determinism(cfg1):
     res = run_cli("sweep", cfg1, "--figure", "neX", "--log-range", "1e5", "1e9", "2")
     assert res.returncode == 0

@@ -24,9 +24,9 @@ from jamgame import (
     chi,
     columns,
     lambert_w,
-    leader_loss_bracket_width,
     leader_utility,
     psi,
+    stackelberg_exact,
     thresholds,
     utilities_xy,
     x_hat,
@@ -101,21 +101,24 @@ def leader_utility_pair(p, c, x, y, rng):
     return scalar, a, np.abs(a) + 2.0 * p.c_t_star * p.t_p * p.p_t
 
 
-def leader_loss_pair(p, c, x, y, rng):
-    a = columns.leader_loss_bracket_width(p, c)
-    return [leader_loss_bracket_width(replace(p, c_t=ck)) for ck in c.tolist()], a, a
+def stackelberg_x_pair(p, c, x, y, rng):
+    # Each x stops where a Newton step on chi no longer lowers it, so the
+    # last step's logs set its last bits, as they set x_hat's.
+    a = columns.stackelberg_sweep(p, c)
+    scalar = [stackelberg_exact(replace(p, c_t=ck)).profile.x for ck in c.tolist()]
+    return scalar, a, a * np.maximum(1.0, np.log(a / p.delta))
 
 
 def g_pair(p, c, x, y, rng):
     # xi across 1e5-1e11 crosses c_t_max and the weight where x_hat < 2 delta.
-    # g is bisected from x_hat and its doublings, so it inherits x_hat's scale.
+    # g is stackelberg_x_pair's x with the weight xi, so it has the same scale.
     xi = 10.0 ** rng.uniform(5.0, 11.0, N)
     a = g_of_xi(p, xi)
     return [g_of_xi(p, v) for v in xi.tolist()], a, a * np.maximum(1.0, np.log(a / p.delta))
 
 
 PAIRS = [w_principal, w_minus1, psi_pair, chi_pair, b_t_pair, b_j_pair, x_hat_pair,
-         capacity_pair, utilities_pair, leader_utility_pair, leader_loss_pair, g_pair]
+         capacity_pair, utilities_pair, leader_utility_pair, stackelberg_x_pair, g_pair]
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)

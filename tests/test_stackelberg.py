@@ -8,7 +8,6 @@ import pytest
 
 from jamgame import (
     ApproxUndefined,
-    BracketError,
     DomainError,
     GameParams,
     Regime,
@@ -18,7 +17,6 @@ from jamgame import (
     chi,
     columns,
     improvement_report,
-    leader_loss_bracket_width,
     leader_utility,
     nash_closed_form,
     stackelberg_approx,
@@ -27,11 +25,20 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from jamgame.roots import bisect_bracket, grow_until_negative
+from conftest import low_ratio_params
+from oracles import larger_chi_zero, leader_loss_bracket_width
+from test_columns import ULPS
+
+# The reproducer of a jammed game with x_hat < 2*delta: the solver used to
+# evaluate the leader utility at x_hat and refused it.
+X_HAT_BELOW_TWO_DELTA = GameParams(
+    t_aj=1.4809649168771154e-05, delta=10.127894486139459, p_t=245.8, p_j=1058199.88,
+    t_p=0.3, c_t=4.804555729874667e-09,
+)
 
 
 def test_leader_utility_branches_agree_at_root(table1):
-    x2 = stackelberg_exact(table1, x_tol=1e-18).profile.x
+    x2 = larger_chi_zero(table1)
     jammed = math.sqrt(table1.c_t * table1.p_j * math.log2(x2 / table1.delta))
     free = math.log2(x2 / table1.delta) / (table1.t_aj + x2 / 2.0)
     assert jammed == pytest.approx(free, rel=1e-6)
@@ -88,45 +95,55 @@ def test_follower_never_jams_at_equilibrium(table1):
 def test_root_ordering(table1):
     # chi changes sign across x1 < x_hat < x2
     xh = x_hat(table1)
-    x2 = stackelberg_exact(table1, x_tol=1e-15).profile.x
+    x2 = stackelberg_exact(table1).profile.x
+    assert x2 == pytest.approx(larger_chi_zero(table1), rel=1e-15)
     assert xh < x2
     assert chi(table1, xh) > 0 > chi(table1, 1.0001 * x2)
     assert chi(table1, 1.0001 * table1.delta) < 0
 
 
 def test_global_optimality_on_grid(table1):
-    se = stackelberg_exact(table1, x_tol=1e-16)
+    se = stackelberg_exact(table1)
     u_star = float(leader_utility(table1, se.profile.x))
     grid = np.logspace(np.log10(2 * table1.delta), np.log10(10 * se.profile.x), 10**4)
     assert np.max(columns.leader_utility(table1, grid, table1.c_t)) <= u_star * (1 + 1e-12)
 
 
 def test_bisection_loss_bound(table1):
+    # The leader loses at most the 1e-6 share the former bisection allowed.
     p = replace(table1, c_t=2e6)
     eps_star = 1e-6 * abs(float(leader_utility(p, x_hat(p))))
-    reference = stackelberg_exact(p, x_tol=1e-3 * leader_loss_bracket_width(p))
-    default = stackelberg_exact(p)
     loss = abs(
-        float(leader_utility(p, default.profile.x))
-        - float(leader_utility(p, reference.profile.x))
+        float(leader_utility(p, stackelberg_exact(p).profile.x))
+        - float(leader_utility(p, larger_chi_zero(p)))
     )
     assert loss <= eps_star
 
 
-def test_array_bracketing_takes_each_scalar_path():
-    # A plain root, a root at lo, a root at hi, and per-element tolerances.
-    c = np.array([2.0, 9.0, 16.0, 5.0])
-    lo, hi = np.array([1.0, 3.0, 1.0, 1.0]), np.array([2.0, 5.0, 4.0, 3.0])
-    tol = np.array([1e-9, 1e-3, 1e-12, 0.0])
-    got_lo, got_hi = columns.bisect_bracket(lambda x: x * x - c, lo, hi, tol)
-    for k in range(c.size):
-        want = bisect_bracket(lambda x: x * x - c[k], float(lo[k]), float(hi[k]), float(tol[k]))
-        assert (got_lo[k], got_hi[k]) == want
-    grown = columns.grow_until_negative(lambda x: c - x, np.array([0.5, 1.0, 3.0, 0.1]))
-    for k in range(c.size):
-        assert grown[k] == grow_until_negative(lambda x: c[k] - x, [0.5, 1.0, 3.0, 0.1][k])
-    with pytest.raises(BracketError):
-        columns.bisect_bracket(lambda x: x * x - c, lo + 10.0, hi + 10.0, tol)
+def test_jammed_game_with_x_hat_below_two_delta():
+    p = X_HAT_BELOW_TWO_DELTA
+    assert x_hat(p) < 2.0 * p.delta < best_response_target(p, 0.0)
+    assert chi(p, best_response_target(p, 0.0)) > 0.0
+    x = stackelberg_exact(p).profile.x
+    assert x > x_hat(p)
+    assert abs(chi(p, x)) <= 1e-15 * (p.t_aj + x / 2.0)
+    assert x == pytest.approx(larger_chi_zero(p), rel=1e-15)
+
+
+def test_array_newton_takes_each_scalar_path_down_to_tiny_t_aj_over_delta():
+    # t_aj/delta from 1e-6 up, with weights up to c_t_max: some games have
+    # x_hat < 2*delta, and the array loop stops each weight at its own step.
+    rng = np.random.default_rng(20240917)
+    jammed = []
+    for _ in range(2000):
+        p = low_ratio_params(rng)
+        x = stackelberg_exact(p).profile.x
+        assert abs(stackelberg_sweep(p, np.array([p.c_t]))[0] - x) <= ULPS * math.ulp(x)
+        if chi(p, best_response_target(p, 0.0)) > 0.0:
+            jammed.append(p)
+            assert abs(chi(p, x)) <= 1e-15 * (p.t_aj + x / 2.0)
+    assert len(jammed) > 1500
+    assert any(x_hat(p) < 2.0 * p.delta for p in jammed)
 
 
 def test_approx_satisfies_reduced_equation(table1):
@@ -187,16 +204,3 @@ def test_coincides_with_border_nash_when_inhibited(table1):
         se = stackelberg_exact(p)
         assert ne.regime is Regime.BORDER_NE
         assert se.profile == ne.profile
-
-
-def test_x_tol_validation(table1):
-    with pytest.raises(ValueError):
-        stackelberg_exact(table1, x_tol=0.0)
-
-
-def test_nan_x_tol_is_refused(table1):
-    # A NaN width ends the bisection at once and returns the upper bracket end.
-    with pytest.raises(ValueError, match="x_tol must be positive"):
-        stackelberg_exact(table1, x_tol=math.nan)
-    with pytest.raises(ValueError, match="x_tol must be positive"):
-        stackelberg_sweep(table1, np.array([1e6, 1e7]), x_tol=math.nan)

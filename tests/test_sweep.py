@@ -25,6 +25,7 @@ from jamgame import (
     xi_opt,
 )
 from jamgame.cli import FIGURE_COLUMNS, MAX_SWEEP_POINTS, main
+from test_stackelberg import X_HAT_BELOW_TWO_DELTA
 
 C_T_FIGURES = ["neX", "neY", "seX", "seY", "payoffs", "approx", "efficiency", "comparison"]
 
@@ -181,6 +182,23 @@ def test_efficiency_sweep_past_x_hat_below_two_delta(tmp_path, table1):
     code, out, err = run_sweep(["sweep", str(cfg), "--figure", "efficiency", "--log-range", "1e9", "1e12", "5"])
     assert code == 0, err
     assert len(out.splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("figure", ["seX", "payoffs", "approx"])
+def test_jammed_weight_with_x_hat_below_two_delta(tmp_path, figure):
+    # The last weight is the reproducer in test_stackelberg: b_t(0) jammed,
+    # x_hat < 2*delta.  Both commands used to exit 3 on it.
+    p = X_HAT_BELOW_TWO_DELTA
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(p))
+    code, out, err = run_sweep(["stackelberg", str(cfg), "--approx"])
+    assert code == 0, err
+    assert same(float(out.splitlines()[1].split(",")[0]), stackelberg_exact(p).profile.x)
+    code, out, err = run_sweep(["sweep", str(cfg), "--figure", figure, "--log-range", "1e-9", repr(p.c_t), "3"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert float(rows[-1][0]) == p.c_t
+    assert all(math.isfinite(float(v)) for row in rows for v in row if v not in ("true", "false"))
 
 
 def test_best_response_sweep_where_x_over_delta_overflows(tmp_path, table1):
