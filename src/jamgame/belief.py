@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import columns
+from .best_response import chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
@@ -96,22 +97,26 @@ def g_of_xi(p: GameParams, xi):
 def realized_utility(p: GameParams, xi, c_t=None):
     """Target utility when it plays g(xi) but the true weight is p.c_t.
 
-    Overestimating the weight (xi > c_t) leaves the channel jammed:
+    Overestimating the weight (xi > c_t) leaves the channel jammed wherever
+    the true jammer still jams at g (chi > 0 under c_t):
     sqrt(c_t * p_j * log2(g/delta)), with the true c_t under the root and the
-    assumed xi inside g.  Underestimating (xi <= c_t) overshoots the silence
-    bound but silences the jammer: plain capacity at y = 0.  ``c_t``, an
-    array of true weights, evaluates a whole column in place of p.c_t; xi
-    may then be an array that broadcasts against it.
+    assumed xi inside g.  It does not jam at g = b_t(0), the leader's x for
+    every xi >= c_t_tilde, once c_t >= c_t_tilde too.  Underestimating
+    (xi <= c_t) overshoots the silence bound but silences the jammer: plain
+    capacity at y = 0, as is every play the true jammer leaves unjammed.
+    ``c_t``, an array of true weights, evaluates a whole column in place of
+    p.c_t; xi may then be an array that broadcasts against it.
     """
     g = g_of_xi(p, xi)
     if c_t is None and isinstance(xi, (float, int)):  # math is ~3x faster on scalars
         log2g = math.log2(g / p.delta)
-        if xi > p.c_t:
+        if xi > p.c_t and chi(p, g) > 0.0:
             return math.sqrt(p.c_t * p.p_j * log2g)
         return log2g / (p.t_aj + g / 2.0)
     c_t = p.c_t if c_t is None else np.asarray(c_t, dtype=float)
     log2g = np.log2(g / p.delta)
-    return np.where(xi > c_t, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
+    jammed = (xi > c_t) & (columns.chi(p, g, c_t) > 0.0)
+    return np.where(jammed, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
 
 
 def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
@@ -122,7 +127,11 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
 
     Implemented exactly as derived.  The test suite checks it against an
     independent quadrature of the realized utility; a disagreement is not
-    silently patched here.  Accepts a scalar or an array of xi.
+    silently patched here.  The form is exact only for xi <= c_t_tilde.
+    Above that weight g(xi) = b_t(0), where a true jammer with c_t >=
+    c_t_tilde does not jam, yet the form still charges the jammed branch to
+    every c_t < xi; this is why xi_opt returns xi_max for a prior reaching
+    there.  Accepts a scalar or an array of xi.
     """
     if not np.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")

@@ -4,7 +4,7 @@ Subcommands::
 
     jamgame nash CONFIG [--brd] [--tol T] [--max-iter N] [--start-x X --start-y Y]
     jamgame stackelberg CONFIG [--approx]
-    jamgame sweep CONFIG --figure ID [--param NAME] --log-range A B N [--out PATH]
+    jamgame sweep CONFIG --figure ID --log-range A B N [--out PATH]
     jamgame simulate CONFIG --out PATH [--seed K]
 
 All output is CSV with a header row; floats are printed with shortest
@@ -146,10 +146,6 @@ FIGURE_COLUMNS = {
     ],
 }
 
-# The parameter each figure sweeps; every other figure sweeps c_t.
-_SWEEP_PARAM = {"brX": "y", "brY": "x"}
-
-
 def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: dict) -> list:
     """The figure's columns on the n-point log grid from a to b, each computed in one pass."""
     import numpy as np
@@ -207,9 +203,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(
             f"unknown figure id {args.figure!r}; choose from {sorted(FIGURE_COLUMNS)}"
         )
-    param = _SWEEP_PARAM.get(args.figure, "c_t")
-    if args.param not in (None, param):
-        raise ConfigError(f"figure {args.figure} sweeps {param}, not {args.param!r}")
     a, b, n = args.log_range
     if not (0 < a < b and math.isfinite(b / a)):
         raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
@@ -297,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="parameter sweep to CSV, one figure id per schema")
     p_sw.add_argument("config")
     p_sw.add_argument("--figure", required=True)
-    p_sw.add_argument("--param", default=None)
     p_sw.add_argument("--log-range", nargs=3, type=float, required=True, metavar=("A", "B", "N"))
     p_sw.add_argument("--out", default=None)
     p_sw.set_defaults(fn=_cmd_sweep)

@@ -23,8 +23,8 @@ from .stackelberg import ImprovementReport
 
 __all__ = [
     "EquilibriumColumns", "log_grid", "eta", "lambert_w", "lambert_w_prime", "capacity_xy",
-    "utilities_xy", "psi", "chi", "best_response_target", "best_response_jammer", "x_hat",
-    "larger_zero", "leader_utility", "nash_sweep", "stackelberg_sweep", "stackelberg_approx_sweep",
+    "utilities_xy", "psi", "chi", "best_response_target", "best_response_jammer", "larger_zero",
+    "leader_utility", "nash_sweep", "stackelberg_sweep", "stackelberg_approx_sweep",
     "improvement_sweep",
 ]
 
@@ -172,12 +172,6 @@ def best_response_jammer(p: GameParams, x, c_t) -> np.ndarray:
     if np.any(np.asarray(x) < 2.0 * p.delta):
         raise DomainError("best_response_jammer requires x >= 2*delta")
     return np.maximum(chi(p, x, c_t), 0.0)
-
-
-def x_hat(p: GameParams, c_t) -> np.ndarray:
-    """The maximum of chi, delta * e^(W(2/(eta*delta^2))/2), for every weight."""
-    w = lambert_w(2.0 / (eta(p, c_t) * p.delta**2), WBranch.PRINCIPAL)
-    return p.delta * np.exp(0.5 * w)
 
 
 def leader_utility(p: GameParams, x, c_t) -> np.ndarray:

@@ -27,7 +27,7 @@ from .best_response import (
 from .errors import InvalidStrategy
 from .lambertw import WBranch, lambert_w
 from .model import GameParams, StrategyProfile, UtilityPair, utilities
-from .roots import larger_zero, lower_zero
+from .roots import larger_zero
 
 __all__ = [
     "Regime",
@@ -180,23 +180,10 @@ def s_prime_bounds(p: GameParams) -> SPrimeBounds:
     return SPrimeBounds(x_m=x_m, x_M=x_M, y_M=y_M)
 
 
-def _bt_slope(p: GameParams, y: float) -> float:
-    """|d b_t / d y| = 2 / (psi(y) + 1); decreasing in y."""
-    return 2.0 / (psi(p, y) + 1.0)
-
-
 def _bj_slope(p: GameParams, x: float) -> float:
     """|d b_j / d x| = |(1/(x*sqrt(eta*ln(x/delta))) - 1)| / 2 on the active region."""
     h = 1.0 / (x * math.sqrt(p.eta * math.log(x / p.delta)))
     return 0.5 * abs(h - 1.0)
-
-
-def _chi_positive_interval(p: GameParams):
-    """The interval (x1, x2) where chi > 0, or None if chi never goes positive."""
-    xh = x_hat(p)
-    if chi(p, xh) <= 0.0:
-        return None
-    return lower_zero(p, xh), larger_zero(p, xh)
 
 
 def convergence_certificate(
@@ -206,11 +193,19 @@ def convergence_certificate(
 
     condition_ct_holds checks the sufficient condition on the weight,
         c_t > 1 / (9 delta^2 ln2 p_j (omega+1) e^(2(omega+1))),  omega = psi(0).
-    jb_max maximizes the closed-form best-response slopes over S'; the slope
-    of b_j is zero wherever the clamp is active.  The iteration count needed
-    to push the scaled step below epsilon is ceil(log(eps/d1)/log(jb_max))
-    with d1 the first scaled step, clamped to at least 1 (the bound is only
-    informative when epsilon < d1), and unavailable when jb_max >= 1.
+    jb_max maximizes the closed-form best-response slopes over S'.  The slope
+    of b_t peaks at y = 0, at 2/(omega+1).  b_j has slope zero wherever the
+    clamp is active, and S' reaches its active interval only if chi(x_m) > 0:
+    x_m = b_t(0) never lies left of chi's lower zero, because
+    t_aj + x_m/2 = (x_m/2) L with L = ln(x_m/delta) makes chi(x_m) >= (x_m/2) L
+    wherever x_m <= x_hat.  The slope of b_j is then largest at x_m or at
+    min(larger zero, x_M), the larger zero being the one stackelberg_exact
+    finds from the same x_m.
+
+    The iteration count needed to push the scaled step below epsilon is
+    ceil(log(eps/d1)/log(jb_max)) with d1 the first scaled step, clamped to
+    at least 1 (the bound is only informative when epsilon < d1), and
+    unavailable when jb_max >= 1.
     """
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
@@ -219,13 +214,10 @@ def convergence_certificate(
     condition = p.c_t > rhs
 
     bounds = s_prime_bounds(p)
-    jb = _bt_slope(p, 0.0)
-    active = _chi_positive_interval(p)
-    if active is not None:
-        a = max(active[0], bounds.x_m)
-        b = min(active[1], bounds.x_M)
-        if a < b:
-            jb = max(jb, _bj_slope(p, a), _bj_slope(p, b))
+    jb = 2.0 / (omega + 1.0)
+    if chi(p, bounds.x_m) > 0.0:
+        b = min(larger_zero(p, bounds.x_m), bounds.x_M)
+        jb = max(jb, _bj_slope(p, bounds.x_m), _bj_slope(p, b))
 
     predicted: Optional[int] = None
     if jb < 1.0:

@@ -1,12 +1,13 @@
-"""The two zeros of chi by one-sided Newton iteration, in pure ``math``.
+"""The larger zero of chi by one-sided Newton iteration, in pure ``math``.
 
 chi(x) = sqrt(ln(x/delta)/eta) - t_aj - x/2 is strictly concave on x > delta.
 A Newton step on a concave function from a point where it is negative lands
 on the same side of the nearest zero, closer to it (Fourier's condition), so
-each loop below moves one way only and stops when a step no longer moves it.
-Floats cannot move one way forever, and a NaN step stops a loop too, so there
-is neither a tolerance nor an iteration cap.  The array form of the larger
-zero, in ``columns``, takes the same steps.
+the loop below moves one way only and stops when a step no longer moves it.
+Floats cannot move one way forever, and a NaN step stops the loop too, so
+there is neither a tolerance nor an iteration cap.  The array form, in
+``columns``, takes the same steps.  This one zero serves the Stackelberg
+leader and the BRD certificate alike; neither needs the smaller one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .best_response import _log_ratio
 from .errors import DomainError
 from .model import GameParams
 
-__all__ = ["larger_zero", "lower_zero"]
+__all__ = ["larger_zero"]
 
 _DBL_MAX = sys.float_info.max
 _TOO_SMALL = "jammer weight {!r} is too small: ln(x/delta)/eta overflows at the Newton start"
@@ -52,21 +53,3 @@ def larger_zero(p: GameParams, x_pos: float) -> float:
         if not x_pos < x_next < x:
             return x
         x, log_r = x_next, _log_ratio(p, x_next)
-
-
-def lower_zero(p: GameParams, x_pos: float) -> float:
-    """The smaller zero of chi, left of a point x_pos where chi > 0.
-
-    In s = sqrt(ln(x/delta)), chi is f(s) = s/sqrt(eta) - t_aj - delta*e^(s^2)/2:
-    concave, with f(0) < 0 and a finite slope 1/sqrt(eta) at s = 0, where x's
-    own slope is infinite.  Newton from s = 0 rises monotonically onto the
-    zero; as in larger_zero, a step that would not stay left of x_pos ends it.
-    """
-    k = 1.0 / math.sqrt(p.eta)
-    s, x = 0.0, p.delta
-    while True:
-        s_next = (p.t_aj + x * (0.5 - s * s)) / (k - s * x)
-        x_next = p.delta * math.exp(s_next * s_next)
-        if not (s_next > s and x_next < x_pos):
-            return x
-        s, x = s_next, x_next

@@ -5,7 +5,8 @@ the W function, in floats and, for the far tails, in Decimal (the library uses
 a fixed three steps of Fritsch's iteration on ln|w| + w = ln|z| from series
 and log-asymptotic starts), Decimal
 arithmetic for extended-precision capacity/chi evaluations, bisection in
-Decimal for the larger zero of chi (the library runs Newton in floats),
+Decimal for both zeros of chi (the library runs Newton in floats, and only
+for the larger one),
 brute-force grid search for optimality claims, and adaptive quadrature
 (scipy) for the prior-expected utility whose closed form the library
 implements.
@@ -92,29 +93,58 @@ def _x_hat(p: GameParams) -> float:
     return p.delta * math.exp(0.5 * newton_w_principal(2.0 / (eta * p.delta**2)))
 
 
+def _decimal_chi_of(p: GameParams):
+    """decimal_chi of p as a function of a Decimal x, with its constants converted once."""
+    eta = Decimal(repr(p.c_t)) * Decimal(repr(p.p_j)) * Decimal(2).ln()
+    t_aj, delta = Decimal(repr(p.t_aj)), Decimal(repr(p.delta))
+
+    def chi(x: Decimal) -> Decimal:
+        return ((x / delta).ln() / eta).sqrt() - t_aj - x / 2
+
+    return chi
+
+
+def _bisect_zero(chi, neg: Decimal, pos: Decimal) -> float:
+    """A zero of chi between points where it is <= 0 and > 0, by 200 halvings.
+
+    200 halvings leave the bracket far below a double's resolution.
+    """
+    for _ in range(200):
+        mid = (neg + pos) / 2
+        if chi(mid) > 0:
+            pos = mid
+        else:
+            neg = mid
+    return float(neg)
+
+
 def larger_chi_zero(p: GameParams) -> float:
     """The larger zero of chi, by bisection in 60-digit Decimal arithmetic.
 
     The bracket starts at x_hat, where chi > 0 in a jammed game, and doubles
-    its upper end until chi < 0; 200 halvings leave it far below a double's
-    resolution.
+    its upper end until chi < 0.
     """
-    def chi(x: Decimal) -> float:
-        return decimal_chi(str(x), repr(p.t_aj), repr(p.delta), repr(p.c_t), repr(p.p_j))
-
+    chi = _decimal_chi_of(p)
     lo = Decimal(_x_hat(p))
     if not chi(lo) > 0:
         raise ValueError("chi has no positive value at x_hat: no larger zero to bracket")
     hi = 2 * lo
     while chi(hi) >= 0:
         lo, hi = hi, 2 * hi
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if chi(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return float(hi)
+    return _bisect_zero(chi, hi, lo)
+
+
+def lower_chi_zero(p: GameParams) -> float:
+    """The smaller zero of chi, by bisection in 60-digit Decimal arithmetic.
+
+    The bracket is [delta, x_hat]: chi(delta) = -t_aj - delta/2 < 0, and
+    chi(x_hat) > 0 in a jammed game.
+    """
+    chi = _decimal_chi_of(p)
+    hi = Decimal(_x_hat(p))
+    if not chi(hi) > 0:
+        raise ValueError("chi has no positive value at x_hat: no lower zero to bracket")
+    return _bisect_zero(chi, Decimal(p.delta), hi)
 
 
 def leader_loss_bracket_width(p: GameParams) -> float:

@@ -198,11 +198,19 @@ def test_efficiency_is_one_at_true_weight(table1):
 
 
 def test_efficiency_never_exceeds_one(table1, prior, rng):
-    xis = [float(x) for x in np.logspace(5, 9, 7)]
-    for c_t in np.logspace(5, 9, 12):
-        p = replace(table1, c_t=float(c_t))
+    # Weights past c_t_tilde (3.7e9 here) commit to b_t(0), where a true
+    # jammer past c_t_tilde does not jam either.
+    above = [5e9, 7467865282.0, 14935730564.0, 3e10]
+    xis = [float(x) for x in np.logspace(5, 9, 7)] + above
+    weights = [float(c) for c in np.logspace(5, 9, 12)] + above
+    assert min(above) > thresholds(table1).c_t_tilde
+    for c_t in weights:
+        p = replace(table1, c_t=c_t)
         for xi in xis:
             assert efficiency(p, xi) <= 1.0 + 1e-12
+    # The array form, one row per assumed weight.
+    column = efficiency(table1, np.array(xis)[:, None], np.array(weights))
+    assert np.all(column <= 1.0 + 1e-12)
 
 
 def test_xi_min_efficiency_collapses_at_high_weight(table1, prior):

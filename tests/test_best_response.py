@@ -18,8 +18,9 @@ from jamgame import (
     utilities_xy,
     x_hat,
 )
-from conftest import random_params
-from oracles import decimal_chi, newton_w_principal
+from jamgame.roots import larger_zero
+from conftest import low_ratio_params, random_params
+from oracles import decimal_chi, lower_chi_zero, newton_w_principal
 
 # Frozen oracle values, Table-1 physics (see tests/oracles.py):
 PSI_AT_0 = 1.808628537617992            # Newton oracle, W(30/e)
@@ -120,27 +121,40 @@ def test_chi_sign_structure_over_sweep(table1):
     # across the studied weight range the positive region of chi is an
     # interval straddling x_hat: negative hard against delta, positive at
     # the peak, negative again far out
-    from jamgame.nash import _chi_positive_interval
-
     for c_t in np.logspace(5, 9, 9):
         p = replace(table1, c_t=float(c_t))
         xh = x_hat(p)
         assert chi(p, xh) > 0
         assert chi(p, p.delta * (1 + 1e-9)) < 0
-        x1, x2 = _chi_positive_interval(p)
-        assert p.delta < x1 < xh < x2
+        x2 = larger_zero(p, xh)
+        assert xh < x2
         assert chi(p, 10 * x2) < 0
-        # sign changes across both roots
-        assert chi(p, x1 * (1 - 1e-6)) < 0 < chi(p, x1 * (1 + 1e-6))
+        # sign change across the larger root
         assert chi(p, x2 * (1 - 1e-6)) > 0 > chi(p, x2 * (1 + 1e-6))
+
+
+def test_b_t_zero_never_left_of_the_lower_zero(rng):
+    # x_m = b_t(0) satisfies t_aj + x_m/2 = (x_m/2) ln(x_m/delta), so
+    # chi(x_m) >= (x_m/2) ln(x_m/delta) > 0 wherever x_m <= x_hat: x_m never
+    # lies left of chi's lower zero, and the BRD certificate needs no lower
+    # zero.  Checked on chi in Decimal and on the zero by Decimal bisection.
+    below, jammed = 0, 0
+    for i in range(3000):
+        p = (random_params if i % 2 else low_ratio_params)(rng)
+        x_m, xh = best_response_target(p, 0.0), x_hat(p)
+        if x_m <= xh:
+            below += 1
+            assert decimal_chi(repr(x_m), repr(p.t_aj), repr(p.delta), repr(p.c_t), repr(p.p_j)) > 0
+        if jammed < 30 and chi(p, xh) > 0:
+            jammed += 1
+            assert lower_chi_zero(p) < x_m
+    assert below > 1000 and jammed == 30
 
 
 def test_chi_zeros_at_the_tangent_weight(table1):
     # The weight at which max chi = chi(x_hat) is the smallest positive value
     # chi can show, found by bisecting c_t to float resolution: both zeros
-    # are double there, and the Newton loops converge only linearly.
-    from jamgame.nash import _chi_positive_interval
-
+    # are double there, and the Newton loop converges only linearly.
     def peak(c):
         p = replace(table1, c_t=c)
         return chi(p, x_hat(p))
@@ -153,13 +167,13 @@ def test_chi_zeros_at_the_tangent_weight(table1):
     p = replace(table1, c_t=lo)
     xh = x_hat(p)
     assert 0.0 < chi(p, xh) <= 4.0 * math.ulp(p.t_aj + xh / 2.0)
-    x1, x2 = _chi_positive_interval(p)
-    assert p.delta < x1 < xh < x2
+    x2 = larger_zero(p, xh)
+    assert xh < x2
     # The positive interval is ~1e-8 wide here, so the signs are taken at
-    # x_hat and just outside it rather than at x1 and x2 +- 1e-6.
-    assert chi(p, x1 * (1 - 1e-6)) < 0 < chi(p, xh)
+    # x_hat and just outside it rather than at x2 +- 1e-6.
+    assert chi(p, xh * (1 - 1e-6)) < 0 < chi(p, xh)
     assert chi(p, x2 * (1 + 1e-6)) < 0
-    assert (x2 - x1) / xh < 1e-6
+    assert (x2 - xh) / xh < 1e-6
 
 
 def test_bj_bounded_by_value_at_x_hat(table1):

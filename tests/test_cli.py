@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import argparse
 import hashlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jamgame import nash_closed_form, thresholds
+from jamgame import cli, nash_closed_form, thresholds
 from jamgame.cli import FIGURE_COLUMNS
 from jamgame.config import dump_config, game_params_from_config, parse_config_text
 
@@ -203,6 +206,20 @@ def test_sweep_efficiency_columns(cfg1):
     res = run_cli("sweep", cfg1, "--figure", "efficiency", "--log-range", "1e6", "1e8", "4")
     header, rows = parse_csv(res.stdout)
     assert header[:2] == ["c_t", "xi_opt"]
+    for row in rows:
+        for v in row[2:]:
+            assert 0.0 < float(v) <= 1.0 + 1e-12
+
+
+def test_sweep_efficiency_prior_past_c_t_tilde(tmp_path):
+    # xi_max = 1e11 lies past c_t_tilde (3.7e9), where g(xi) = b_t(0): a true
+    # jammer past c_t_tilde does not jam there, so efficiency stays in (0, 1].
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TABLE1_CFG + "xi_max = 1e11\n")
+    res = run_cli("sweep", str(path), "--figure", "efficiency", "--log-range", "1e5", "1e12", "8")
+    assert res.returncode == 0
+    header, rows = parse_csv(res.stdout)
+    assert len(rows) == 8
     for row in rows:
         for v in row[2:]:
             assert 0.0 < float(v) <= 1.0 + 1e-12
@@ -415,3 +432,25 @@ def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def _synopsis_options(text):
+    """{subcommand: its --options} from the ``jamgame SUB CONFIG ...`` lines of a text."""
+    found = {}
+    for command, rest in re.findall(r"^\s*jamgame (\w+) CONFIG(.*)$", text, re.MULTILINE):
+        assert command not in found, f"two synopsis lines for {command}"
+        found[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    return found
+
+
+def test_usage_synopses_match_the_parser():
+    # The synopsis in the README and in the CLI docstring name exactly the
+    # options each subcommand's parser accepts.
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    want = {
+        name: {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, parser in sub.choices.items()
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _synopsis_options(cli.__doc__) == want
+    assert _synopsis_options(readme) == want

@@ -29,7 +29,6 @@ from jamgame import (
     stackelberg_exact,
     thresholds,
     utilities_xy,
-    x_hat,
 )
 from jamgame.belief import g_of_xi
 from conftest import random_params
@@ -77,11 +76,6 @@ def b_j_pair(p, c, x, y, rng):
     return scalar, a, np.abs(columns.chi(p, x, c)) + 2.0 * (p.t_aj + x / 2.0)
 
 
-def x_hat_pair(p, c, x, y, rng):
-    a = columns.x_hat(p, c)
-    return [x_hat(replace(p, c_t=ck)) for ck in c.tolist()], a, a * np.maximum(1.0, np.log(a / p.delta))
-
-
 def capacity_pair(p, c, x, y, rng):
     a = columns.capacity_xy(p, x, y)
     return [capacity_xy(p, u, v) for u, v in zip(x.tolist(), y.tolist())], a, a
@@ -103,7 +97,7 @@ def leader_utility_pair(p, c, x, y, rng):
 
 def stackelberg_x_pair(p, c, x, y, rng):
     # Each x stops where a Newton step on chi no longer lowers it, so the
-    # last step's logs set its last bits, as they set x_hat's.
+    # last step's logs set its last bits.
     a = columns.stackelberg_sweep(p, c)
     scalar = [stackelberg_exact(replace(p, c_t=ck)).profile.x for ck in c.tolist()]
     return scalar, a, a * np.maximum(1.0, np.log(a / p.delta))
@@ -117,8 +111,8 @@ def g_pair(p, c, x, y, rng):
     return [g_of_xi(p, v) for v in xi.tolist()], a, a * np.maximum(1.0, np.log(a / p.delta))
 
 
-PAIRS = [w_principal, w_minus1, psi_pair, chi_pair, b_t_pair, b_j_pair, x_hat_pair,
-         capacity_pair, utilities_pair, leader_utility_pair, stackelberg_x_pair, g_pair]
+PAIRS = [w_principal, w_minus1, psi_pair, chi_pair, b_t_pair, b_j_pair, capacity_pair,
+         utilities_pair, leader_utility_pair, stackelberg_x_pair, g_pair]
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)

@@ -13,6 +13,7 @@ from jamgame import (
     best_response_jammer,
     best_response_target,
     brd,
+    columns,
     convergence_certificate,
     nash_closed_form,
     psi,
@@ -20,7 +21,7 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from conftest import random_params
+from conftest import low_ratio_params, random_params
 
 # Frozen from the Newton-oracle evaluation of the closed forms (Table-1
 # physics, c_t = 1e6): see tests/oracles.py.
@@ -216,6 +217,27 @@ def test_certificate_target_slope_at_zero(table1):
     p = replace(table1, c_t=5e8)
     cert = convergence_certificate(p, epsilon=1e-9, start=StrategyProfile(3e-5, 1e-5))
     assert cert.jb_max == pytest.approx(2.0 / (psi(p, 0.0) + 1.0), rel=1e-12)
+
+
+def test_certificate_jb_max_matches_difference_slopes(rng):
+    # jb_max against slopes read off the best responses themselves: b_t's
+    # by a forward difference at y = 0, b_j's as the steepest secant on a
+    # 20 001-point log grid over [x_m, x_M].
+    jammer_dominated = 0
+    for i in range(200):
+        p = (random_params if i % 2 else low_ratio_params)(rng)
+        h = 1e-6 * p.t_aj
+        bt_slope = (best_response_target(p, h) - best_response_target(p, 0.0)) / h
+        b = s_prime_bounds(p)
+        bj_slope = 0.0
+        if b.x_M > b.x_m:
+            x = np.geomspace(b.x_m, b.x_M, 20001)
+            y = columns.best_response_jammer(p, x, p.c_t)
+            bj_slope = float(np.max(np.abs(np.diff(y) / np.diff(x))))
+        cert = convergence_certificate(p, epsilon=1e-9, start=StrategyProfile(b.x_m, 0.0))
+        assert cert.jb_max == pytest.approx(max(bt_slope, bj_slope), rel=1e-3)
+        jammer_dominated += bj_slope > bt_slope
+    assert 0 < jammer_dominated < 200
 
 
 def test_certificate_bound_holds_empirically(table1, rng):

@@ -150,15 +150,11 @@ def lab_config(tmp_path_factory):
 
 @given(
     figure=st.one_of(st.sampled_from(sorted(FIGURE_COLUMNS)), st.text(max_size=6)),
-    param=st.one_of(st.none(), st.just("c_t"), st.sampled_from(["x", "y", "xi"]), st.text(max_size=4)),
     log_range=_log_range,
 )
 @settings(max_examples=300, deadline=None)
-def test_fuzzed_sweep_arguments_end_in_a_documented_exit(lab_config, figure, param, log_range):
-    argv = ["sweep", lab_config, "--figure", figure]
-    if param is not None:
-        argv += ["--param", param]
-    argv += ["--log-range", *log_range]
+def test_fuzzed_sweep_arguments_end_in_a_documented_exit(lab_config, figure, log_range):
+    argv = ["sweep", lab_config, "--figure", figure, "--log-range", *log_range]
     a, b, n = log_range
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # a NaN or overflow warning fails
