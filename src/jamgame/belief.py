@@ -2,11 +2,13 @@
 
 The target does not know the true weight c_t, only a prior for it.  It picks
 an assumed weight xi, commits to the corresponding Stackelberg strategy
-g(xi) (the x of stackelberg_exact at weight xi, or of stackelberg_sweep for
-an array of weights), and the true jammer best-responds.  This module evaluates the realized
-utility of that play, its expectation under a uniform prior (by the printed
-closed form), the expectation-maximizing assumed weight, and the resulting
-efficiency relative to perfect knowledge.
+g(xi) (the x of stackelberg_exact at weight xi), and the true jammer
+best-responds.  This module evaluates the realized utility of that play, its
+expectation under a uniform prior (by the printed closed form), the
+expectation-maximizing assumed weight, and the resulting efficiency relative
+to perfect knowledge.  Each quantity has one numpy path: a float xi is a 0-d
+array, solved by columns.stackelberg_sweep like a whole column of weights,
+and comes back as a float.
 
 Everything here runs on the zero-transmit-cost convention (the constant
 c_t_star term cancels from every comparison of interest).
@@ -16,16 +18,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import columns
-from .best_response import chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
-from .stackelberg import stackelberg_exact
 
 __all__ = [
     "UniformPrior",
@@ -72,26 +72,25 @@ _MIN_ETA_DELTA2 = 2.0 / sys.float_info.max
 _TOO_SMALL = "xi = {!r} is too small: x_hat's W argument 2/(eta*delta^2) overflows"
 
 
+def _float_if_scalar(out):
+    """A 0-d result as a Python float; an array as it is."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def g_of_xi(p: GameParams, xi):
     """Leader strategy if the jammer's weight were xi.
 
     The leader's x of stackelberg_exact with weight xi: the larger zero of
     chi, or b_t(0) when xi is large enough that jamming is inhibited there.
-    Decreasing in xi.  An array of xi is solved in one batched pass.
+    Decreasing in xi.  Every xi, a float or an array, is solved by
+    columns.stackelberg_sweep in one batched pass; a float gives a float.
     """
-    if isinstance(xi, (float, int)):
-        if not (xi > 0 and math.isfinite(xi)):
-            raise DomainError(f"xi must be positive and finite, got {xi!r}")
-        p_xi = replace(p, c_t=xi)
-        if not p_xi.eta * p.delta**2 > _MIN_ETA_DELTA2:
-            raise DomainError(_TOO_SMALL.format(xi))
-        return stackelberg_exact(p_xi).profile.x
+    xi = np.asarray(xi, dtype=float)
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
-    xi = np.asarray(xi, dtype=float)
     if np.any(columns.eta(p, xi) * p.delta**2 <= _MIN_ETA_DELTA2):
         raise DomainError(_TOO_SMALL.format(float(xi.min())))
-    return columns.stackelberg_sweep(p, xi)
+    return _float_if_scalar(columns.stackelberg_sweep(p, xi))
 
 
 def realized_utility(p: GameParams, xi, c_t=None):
@@ -108,15 +107,11 @@ def realized_utility(p: GameParams, xi, c_t=None):
     p.c_t; xi may then be an array that broadcasts against it.
     """
     g = g_of_xi(p, xi)
-    if c_t is None and isinstance(xi, (float, int)):  # math is ~3x faster on scalars
-        log2g = math.log2(g / p.delta)
-        if xi > p.c_t and chi(p, g) > 0.0:
-            return math.sqrt(p.c_t * p.p_j * log2g)
-        return log2g / (p.t_aj + g / 2.0)
     c_t = p.c_t if c_t is None else np.asarray(c_t, dtype=float)
     log2g = np.log2(g / p.delta)
     jammed = (xi > c_t) & (columns.chi(p, g, c_t) > 0.0)
-    return np.where(jammed, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
+    u = np.where(jammed, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
+    return _float_if_scalar(u)
 
 
 def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
@@ -137,8 +132,7 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
     g = g_of_xi(p, xi)
     bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * np.sqrt(xi) * prior.xi_min**1.5
-    out = p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket
-    return float(out) if np.ndim(out) == 0 else out
+    return _float_if_scalar(p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket)
 
 
 def xi_opt(p: GameParams, prior: UniformPrior) -> float:

@@ -20,7 +20,7 @@ import sys
 
 from .best_response import best_response_target, thresholds
 from .config import dump_config, game_params_from_config, read_config
-from .errors import ConfigError, JamGameError
+from .errors import ConfigError, InvalidParams, JamGameError
 from .model import GameParams, StrategyProfile
 from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form
 from .stackelberg import improvement_report, leader_utility, stackelberg_approx, stackelberg_exact
@@ -70,12 +70,10 @@ def _finite(cfg: dict, key: str, default: float) -> float:
     return v
 
 
-def _count(cfg: dict, key: str, default: int, most: int | None = None) -> int:
+def _count(cfg: dict, key: str, default: int) -> int:
     v = cfg.get(key, default)
     if not (math.isfinite(v) and v >= 1 and v == int(v)):
         raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
-    if most is not None and v > most:
-        raise ConfigError(f"{key} must be <= {most}, got {v!r}")
     return int(v)
 
 
@@ -227,17 +225,18 @@ def _cmd_simulate(args) -> int:
     import secrets
     from . import sim
 
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = read_config(args.config)
     p = game_params_from_config(cfg)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    sim_cfg = sim.SimConfig(
-        params=p,
-        total_cycles=_count(cfg, "total_cycles", 200, most=sim.MAX_TOTAL_CYCLES),
-        update_period_cycles=_count(cfg, "update_period_cycles", 10),
-        rng_seed=seed,
-    )
+    try:  # SimConfig owns the sim-setting rules; breaking one is a config error
+        sim_cfg = sim.SimConfig(
+            params=p,
+            total_cycles=_count(cfg, "total_cycles", 200),
+            update_period_cycles=_count(cfg, "update_period_cycles", 10),
+            rng_seed=seed,
+        )
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
     trace = sim.run_sim(sim_cfg)
 
     period, n = sim_cfg.update_period_cycles, sim_cfg.total_cycles

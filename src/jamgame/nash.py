@@ -24,7 +24,7 @@ from .best_response import (
     thresholds,
     x_hat,
 )
-from .errors import InvalidStrategy
+from .errors import DomainError, InvalidStrategy
 from .lambertw import WBranch, lambert_w
 from .model import GameParams, StrategyProfile, UtilityPair, utilities
 from .roots import larger_zero
@@ -143,7 +143,7 @@ def brd(
     non-convergence is reported in the trace, never raised.
     """
     if not (tol > 0):
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     if start.x < 2.0 * p.delta:
         raise InvalidStrategy("start.x must be >= 2*delta")
 
@@ -208,7 +208,7 @@ def convergence_certificate(
     unavailable when jb_max >= 1.
     """
     if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+        raise DomainError("epsilon must be positive")
     omega = psi(p, 0.0)
     rhs = 1.0 / (9.0 * p.delta**2 * _LN2 * p.p_j * (omega + 1.0) * math.exp(2.0 * (omega + 1.0)))
     condition = p.c_t > rhs

@@ -43,7 +43,7 @@ from jamgame import (
     SimConfig,
     columns,
 )
-from oracles import expected_utility_numeric, leader_loss_bracket_width
+from .oracles import expected_utility_numeric, leader_loss_bracket_width
 
 TABLE1 = GameParams(t_aj=15e-6, delta=1e-6, p_t=2.0, p_j=2.0, t_p=50e-6, c_t=1e6, c_t_star=0.0)
 TABLE2 = GameParams(t_aj=15e-6, delta=1e-6, p_t=2.0, p_j=2.0, t_p=20e-6, c_t=8e9, c_t_star=1e6)

@@ -21,8 +21,8 @@ from jamgame import (
     xi_opt,
 )
 from jamgame.belief import foc_residual
-from conftest import random_params
-from oracles import expected_utility_numeric, larger_chi_zero
+from .conftest import random_params
+from .oracles import expected_utility_numeric, larger_chi_zero
 
 
 @pytest.fixture
@@ -72,6 +72,27 @@ def test_g_monotone_decreasing(table1):
 def test_g_rejects_bad_xi(table1):
     with pytest.raises(DomainError):
         g_of_xi(table1, -1.0)
+
+
+BELIEF_FUNCTIONS = {
+    "g_of_xi": g_of_xi,
+    "realized_utility": realized_utility,
+    "efficiency": efficiency,
+    "expected_utility_closed": lambda p, xi: expected_utility_closed(p, UniformPrior(1e5, 1e9), xi),
+}
+
+
+@pytest.mark.parametrize("name", BELIEF_FUNCTIONS)
+def test_one_path_scalar_gives_float_array_gives_its_shape(table1, name):
+    f = BELIEF_FUNCTIONS[name]
+    want = f(table1, 3e8)
+    for xi in (np.float64(3e8), np.int64(300_000_000), np.array(3e8)):
+        got = f(table1, xi)
+        assert type(got) is float and got == want, (type(xi), type(got))
+    xi = np.array([[1e6, 3e8, 1e9]] * 2)
+    got = f(table1, xi)
+    assert isinstance(got, np.ndarray) and got.shape == xi.shape
+    assert got[1, 1] == want
 
 
 def test_realized_utility_at_true_weight_is_perfect_knowledge(table1):

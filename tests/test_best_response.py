@@ -19,8 +19,8 @@ from jamgame import (
     x_hat,
 )
 from jamgame.roots import larger_zero
-from conftest import low_ratio_params, random_params
-from oracles import decimal_chi, lower_chi_zero, newton_w_principal
+from .conftest import low_ratio_params, random_params
+from .oracles import decimal_chi, lower_chi_zero, newton_w_principal
 
 # Frozen oracle values, Table-1 physics (see tests/oracles.py):
 PSI_AT_0 = 1.808628537617992            # Newton oracle, W(30/e)

@@ -355,6 +355,11 @@ def test_nash_brd_bad_start_leaves_no_partial_stdout(cfg1):
             ["simulate", "--seed", "1", "--out", "{out}"],
             id="total-cycles-above-limit",
         ),
+        pytest.param(
+            TABLE2_CFG.replace("total_cycles = 100", "total_cycles = 5"),
+            ["simulate", "--seed", "1", "--out", "{out}"],
+            id="total-cycles-below-update-period",
+        ),
         pytest.param(TABLE2_CFG, ["simulate", "--seed", "-1", "--out", "{out}"], id="seed-negative"),
         pytest.param(
             TABLE2_CFG.replace("update_period_cycles = 10", "update_period_cycles = 0.5"),

@@ -3,9 +3,11 @@
 The two forms run the same formula; numpy's and libm's log, log2 and exp may
 differ in the last bit.  So each pair is compared in ulps of the scale of its
 computation: the sum of the magnitudes of the terms it adds, times a
-condition number where one is large.  That is 1/|1 + W| for W near the
-branch point, and the exponent where the result is exp of a W value (exp
-turns an ulp of its argument into |argument| ulps of its result).
+condition number where one is large.  For W that sum is the one of Fritsch's
+residual ln|z| - ln|W| - W, whose rounding a step carries into W times
+|W|/|1 + W|.  Where the result is exp of a W value, the condition number is
+the exponent (exp turns an ulp of its argument into |argument| ulps of its
+result).
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
@@ -31,27 +33,29 @@ from jamgame import (
     utilities_xy,
 )
 from jamgame.belief import g_of_xi
-from conftest import random_params
+from .conftest import random_params
+from .oracles import decimal_newton_w
 
 ULPS = 4
 N = 32
 
 
-def w_scale(w):
-    return np.abs(w) * np.maximum(1.0, 1.0 / np.abs(1.0 + w))
+def w_scale(z, w):
+    terms = np.abs(np.log(np.abs(z))) + np.abs(np.log(np.abs(w))) + np.abs(w)
+    return terms * np.abs(w) / np.abs(1.0 + w)
 
 
 def w_principal(p, c, x, y, rng):
     z = np.concatenate([-math.exp(-1.0) + 10.0 ** rng.uniform(-12.0, 0.0, N // 2),
                         10.0 ** rng.uniform(-300.0, 300.0, N // 2)])
     w = columns.lambert_w(z)
-    return [lambert_w(v) for v in z.tolist()], w, w_scale(w)
+    return [lambert_w(v) for v in z.tolist()], w, w_scale(z, w)
 
 
 def w_minus1(p, c, x, y, rng):
     z = -(10.0 ** rng.uniform(-300.0, math.log10(0.36), N))
     w = columns.lambert_w(z, WBranch.MINUS1)
-    return [lambert_w(v, WBranch.MINUS1) for v in z.tolist()], w, w_scale(w)
+    return [lambert_w(v, WBranch.MINUS1) for v in z.tolist()], w, w_scale(z, w)
 
 
 def psi_pair(p, c, x, y, rng):
@@ -117,6 +121,8 @@ PAIRS = [w_principal, w_minus1, psi_pair, chi_pair, b_t_pair, b_j_pair, capacity
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)
 @given(seed=st.integers(0, 2**63 - 1))
+@example(seed=69)  # w_principal: 5 ulp of |W| apart at z = 0.0031455148755625633
+@example(seed=1287)  # w_principal: 6 ulp of |W| apart at z = -0.005967654590002258
 @settings(max_examples=60, deadline=None)
 def test_scalar_and_array_kernels_agree(pair, seed):
     rng = np.random.default_rng(seed)
@@ -128,3 +134,12 @@ def test_scalar_and_array_kernels_agree(pair, seed):
     scalar = np.array(scalar)
     bad = np.abs(scalar - array) > ULPS * np.spacing(np.abs(scale))
     assert not bad.any(), (pair.__name__, scalar[bad], array[bad])
+
+
+@pytest.mark.parametrize("z", [0.0031455148755625633, -0.005967654590002258])
+def test_w_forms_apart_more_than_ulps_both_meet_the_oracle(z):
+    # The two z where w_principal's forms differ by 5 and 6 ulp of |W|: each
+    # form is still within ULPS of the Decimal oracle there.
+    want = decimal_newton_w(z)
+    for got in (lambert_w(z), float(columns.lambert_w(np.array([z]))[0])):
+        assert abs(got - want) <= ULPS * math.ulp(want)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import BRANCH_POINT, DomainError, SingularError, WBranch, lambert_w, lambert_w_prime
-from oracles import central_diff, decimal_newton_w, newton_w_minus1, newton_w_principal
+from .oracles import central_diff, decimal_newton_w, newton_w_minus1, newton_w_principal
 
 # Frozen from the independent Newton oracle (tests/oracles.py), run to 1e-15.
 W_OF_1 = 0.5671432904097838

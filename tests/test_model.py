@@ -14,7 +14,7 @@ from jamgame import (
     cycle_duration,
     utilities,
 )
-from oracles import decimal_capacity
+from .oracles import decimal_capacity
 
 # Frozen from the 60-digit Decimal oracle in tests/oracles.py.
 CAPACITY_AT_166U = 173953.27624289968

@@ -8,6 +8,7 @@ import pytest
 
 from jamgame import (
     GameParams,
+    JamGameError,
     Regime,
     StrategyProfile,
     best_response_jammer,
@@ -21,7 +22,7 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from conftest import low_ratio_params, random_params
+from .conftest import low_ratio_params, random_params
 
 # Frozen from the Newton-oracle evaluation of the closed forms (Table-1
 # physics, c_t = 1e6): see tests/oracles.py.
@@ -130,8 +131,9 @@ def test_brd_nonconvergence_is_reported_not_raised(table1):
 
 def test_brd_refuses_nan_tol(table1):
     # A NaN tolerance would never be met: all max_iter steps, then converged=False.
-    with pytest.raises(ValueError, match="tol must be positive"):
+    with pytest.raises(ValueError, match="tol must be positive") as exc:
         brd(table1, StrategyProfile(2 * table1.delta, 0.0), tol=math.nan)
+    assert isinstance(exc.value, JamGameError)
 
 
 def test_brd_stops_on_roundoff_step_far_from_delta():
@@ -261,8 +263,9 @@ def test_certificate_epsilon_larger_than_first_step(table1):
 def test_certificate_refuses_non_positive_epsilon(table2, epsilon):
     start = StrategyProfile(3e-5, 1e-5)
     assert convergence_certificate(table2, epsilon=1e-9, start=start).jb_max < 1.0  # contracting
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError, match="epsilon must be positive") as exc:
         convergence_certificate(table2, epsilon=epsilon, start=start)
+    assert isinstance(exc.value, JamGameError)
 
 
 def test_interior_identity_at_equilibrium(table1):

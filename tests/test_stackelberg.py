@@ -25,9 +25,9 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from conftest import low_ratio_params
-from oracles import larger_chi_zero, leader_loss_bracket_width
-from test_columns import ULPS
+from .conftest import low_ratio_params
+from .oracles import larger_chi_zero, leader_loss_bracket_width
+from .test_columns import ULPS
 
 # The reproducer of a jammed game with x_hat < 2*delta: the solver used to
 # evaluate the leader utility at x_hat and refused it.

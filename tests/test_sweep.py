@@ -25,7 +25,7 @@ from jamgame import (
     xi_opt,
 )
 from jamgame.cli import FIGURE_COLUMNS, MAX_SWEEP_POINTS, main
-from test_stackelberg import X_HAT_BELOW_TWO_DELTA
+from .test_stackelberg import X_HAT_BELOW_TWO_DELTA
 
 C_T_FIGURES = ["neX", "neY", "seX", "seY", "payoffs", "approx", "efficiency", "comparison"]
 
