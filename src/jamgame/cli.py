@@ -118,7 +118,7 @@ def _cmd_stackelberg(args) -> int:
     row = [se.profile.x, se.profile.y, rep.u_t_se, rep.u_t_ne, rep.improved]
     if args.approx:
         approx = stackelberg_approx(p)
-        ratio = leader_utility(p, approx.profile.x) / leader_utility(p, se.profile.x)
+        ratio = leader_utility(p, approx.profile.x) / se.utilities.u_t
         header.append("accuracy_ratio")
         row.append(ratio)
     _write_table(sys.stdout, header, [[[v] for v in row]])
@@ -174,7 +174,7 @@ def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: 
         if figure == "approx":
             x_se = col.stackelberg_sweep(p, v)
             x_ap = col.stackelberg_approx_sweep(p, v)
-            u_se = col.leader_utility(p, x_se, v)
+            u_se = col.utilities_xy(p, x_se, 0.0, v)[0]
             u_ap = col.leader_utility(p, x_ap, v)
             return [v, x_se, x_ap, u_se, u_ap, u_ap / u_se]
         if figure == "efficiency":

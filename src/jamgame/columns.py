@@ -261,7 +261,7 @@ def improvement_sweep(p: GameParams, c_t) -> ImprovementReport:
     c_t = np.asarray(c_t, dtype=float)
     ne = nash_sweep(p, c_t)
     x_se = stackelberg_sweep(p, c_t)
-    u_t_se, u_j_se = utilities_xy(p, x_se, best_response_jammer(p, x_se, c_t), c_t)
+    u_t_se, u_j_se = utilities_xy(p, x_se, 0.0, c_t)
     return ImprovementReport(
         u_t_ne=ne.u_t,
         u_t_se=u_t_se,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParams, InvalidStrategy
 
@@ -22,9 +23,6 @@ __all__ = [
     "GameParams",
     "StrategyProfile",
     "UtilityPair",
-    "cycle_duration",
-    "capacity",
-    "utilities",
     "capacity_xy",
     "utilities_xy",
 ]
@@ -58,8 +56,9 @@ class GameParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise InvalidParams(f"{name} must be a positive finite number, got {v!r}")
-        if not (math.isfinite(self.c_t_star) and self.c_t_star >= 0):
-            raise InvalidParams(f"c_t_star must be >= 0, got {self.c_t_star!r}")
+        v = self.c_t_star
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            raise InvalidParams(f"c_t_star must be >= 0, got {v!r}")
 
     @property
     def eta(self) -> float:
@@ -86,8 +85,7 @@ class StrategyProfile:
             raise InvalidStrategy(f"y must be >= 0 and finite, got {self.y!r}")
 
 
-@dataclass(frozen=True)
-class UtilityPair:
+class UtilityPair(NamedTuple):
     u_t: float
     u_j: float
 
@@ -99,23 +97,16 @@ def _check_strategy(p: GameParams, x: float, y: float) -> None:
         raise InvalidStrategy("y must be >= 0")
 
 
-def cycle_duration(p: GameParams, s: StrategyProfile) -> float:
-    """Expected cycle length t_aj + y + x/2 (uniform silence has mean x/2)."""
-    _check_strategy(p, s.x, s.y)
-    return p.t_aj + s.y + s.x / 2.0
-
-
 def capacity_xy(p: GameParams, x: float, y: float) -> float:
-    """Timing-channel capacity log2(x/delta) / (t_aj + y + x/2) [bit/s]."""
+    """Timing-channel capacity log2(x/delta) / (t_aj + y + x/2) [bit/s].
+
+    The denominator is the expected cycle length: uniform silence has mean x/2.
+    """
     _check_strategy(p, x, y)
     return math.log2(x / p.delta) / (p.t_aj + y + x / 2.0)
 
 
-def capacity(p: GameParams, s: StrategyProfile) -> float:
-    return capacity_xy(p, s.x, s.y)
-
-
-def utilities_xy(p: GameParams, x: float, y: float) -> tuple[float, float]:
+def utilities_xy(p: GameParams, x: float, y: float) -> UtilityPair:
     """(u_t, u_j) at (x, y): capacity minus each side's energy cost.
 
     The jammer's cost charges the commanded mean y; realized-energy accounting
@@ -124,9 +115,4 @@ def utilities_xy(p: GameParams, x: float, y: float) -> tuple[float, float]:
     c = capacity_xy(p, x, y)
     u_t = c - p.c_t_star * p.t_p * p.p_t
     u_j = -c - p.c_t * y * p.p_j
-    return u_t, u_j
-
-
-def utilities(p: GameParams, s: StrategyProfile) -> UtilityPair:
-    u_t, u_j = utilities_xy(p, s.x, s.y)
-    return UtilityPair(u_t=u_t, u_j=u_j)
+    return UtilityPair(u_t, u_j)

@@ -26,7 +26,7 @@ from .best_response import (
 )
 from .errors import DomainError, InvalidStrategy
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, StrategyProfile, UtilityPair, utilities
+from .model import GameParams, StrategyProfile, UtilityPair, utilities_xy
 from .roots import larger_zero
 
 __all__ = [
@@ -117,11 +117,11 @@ def nash_closed_form(p: GameParams) -> EquilibriumResult:
         y_star = 0.5 * p.delta * (half - 1.0) * math.exp(half) - p.t_aj
         if y_star > 0.0:
             prof = StrategyProfile(x=x_star, y=y_star)
-            return EquilibriumResult(prof, Regime.INTERIOR_NE, utilities(p, prof))
+            return EquilibriumResult(prof, Regime.INTERIOR_NE, utilities_xy(p, x_star, y_star))
         # c_t numerically indistinguishable from the threshold: fall through
         # to the border form rather than report an "interior" point at y <= 0.
-    prof = StrategyProfile(x=best_response_target(p, 0.0), y=0.0)
-    return EquilibriumResult(prof, Regime.BORDER_NE, utilities(p, prof))
+    x = best_response_target(p, 0.0)
+    return EquilibriumResult(StrategyProfile(x=x, y=0.0), Regime.BORDER_NE, utilities_xy(p, x, 0.0))
 
 
 def _scaled_step(p: GameParams, a: StrategyProfile, b: StrategyProfile) -> float:

@@ -4,7 +4,9 @@ Committing to a long-enough silence bound makes jamming uneconomical, so the
 follower's equilibrium response is always y = 0: the leader either sits at the
 unjammed capacity optimum b_t(0) (when that point is already jam-free) or
 walks out to the larger zero of chi, trading delay for jammer inhibition.
-That zero comes from the monotone Newton iteration of ``roots``.
+That zero comes from the monotone Newton iteration of ``roots``.  The
+committed outcome is priced at (x, 0) everywhere: b_j there is 0 by
+construction, and re-solving it would price float noise.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .best_response import best_response_jammer, best_response_target, chi
+from .best_response import best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, utilities, utilities_xy
+from .model import GameParams, StrategyProfile, utilities_xy
 from .nash import EquilibriumResult, Regime, nash_closed_form
 from .roots import larger_zero
 
@@ -68,8 +70,9 @@ def stackelberg_exact(p: GameParams) -> EquilibriumResult:
     x = best_response_target(p, 0.0)
     if chi(p, x) > 0.0:
         x = larger_zero(p, x)
-    prof = StrategyProfile(x=x, y=0.0)
-    return EquilibriumResult(prof, Regime.STACKELBERG_EXACT, utilities(p, prof))
+    return EquilibriumResult(
+        StrategyProfile(x=x, y=0.0), Regime.STACKELBERG_EXACT, utilities_xy(p, x, 0.0)
+    )
 
 
 def stackelberg_approx(p: GameParams) -> EquilibriumResult:
@@ -87,8 +90,9 @@ def stackelberg_approx(p: GameParams) -> EquilibriumResult:
         )
     w = lambert_w(arg, WBranch.MINUS1)
     x_approx = p.delta * math.exp(-0.5 * w)
-    prof = StrategyProfile(x=x_approx, y=0.0)
-    return EquilibriumResult(prof, Regime.STACKELBERG_APPROX, utilities(p, prof))
+    return EquilibriumResult(
+        StrategyProfile(x=x_approx, y=0.0), Regime.STACKELBERG_APPROX, utilities_xy(p, x_approx, 0.0)
+    )
 
 
 def improvement_report(p: GameParams) -> ImprovementReport:
@@ -97,14 +101,8 @@ def improvement_report(p: GameParams) -> ImprovementReport:
     ``improved`` is a strict comparison with 1e-12 absolute slack, so exactly
     coincident equilibria (border regime) report False.
     """
-    ne = nash_closed_form(p)
-    se = stackelberg_exact(p)
-    y_follow = best_response_jammer(p, se.profile.x)
-    u_t_se, u_j_se = utilities_xy(p, se.profile.x, y_follow)
+    ne = nash_closed_form(p).utilities
+    se = stackelberg_exact(p).utilities
     return ImprovementReport(
-        u_t_ne=ne.utilities.u_t,
-        u_t_se=u_t_se,
-        u_j_ne=ne.utilities.u_j,
-        u_j_se=u_j_se,
-        improved=u_t_se > ne.utilities.u_t + 1e-12,
+        u_t_ne=ne.u_t, u_t_se=se.u_t, u_j_ne=ne.u_j, u_j_se=se.u_j, improved=se.u_t > ne.u_t + 1e-12
     )

@@ -1,5 +1,7 @@
 """Tests for the game's data model: cycle timing, capacity, utilities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from jamgame import (
     InvalidParams,
     InvalidStrategy,
     StrategyProfile,
+    UtilityPair,
     best_response_target,
-    capacity,
+    capacity_xy,
     columns,
-    cycle_duration,
-    utilities,
+    utilities_xy,
 )
 from .oracles import decimal_capacity
 
@@ -20,43 +22,53 @@ from .oracles import decimal_capacity
 CAPACITY_AT_166U = 173953.27624289968
 
 
+def cycle_length(p, x, y):
+    """The expected cycle length t_aj + y + x/2, read off capacity_xy's denominator."""
+    return math.log2(x / p.delta) / capacity_xy(p, x, y)
+
+
 def test_cycle_duration_values(table1):
-    assert cycle_duration(table1, StrategyProfile(2e-6, 0.0)) == pytest.approx(16e-6, rel=1e-15)
-    assert cycle_duration(table1, StrategyProfile(5e-4, 2.8e-4)) == pytest.approx(5.45e-4, rel=1e-15)
-    # symbolic: x = 2*delta, y = 0 -> t_aj + delta
-    s = StrategyProfile(2 * table1.delta, 0.0)
-    assert cycle_duration(table1, s) == table1.t_aj + table1.delta
+    assert cycle_length(table1, 2e-6, 0.0) == pytest.approx(16e-6, rel=1e-15)
+    assert cycle_length(table1, 5e-4, 2.8e-4) == pytest.approx(5.45e-4, rel=1e-15)
+    # symbolic: x = 2*delta, y = 0 -> one bit over t_aj + delta, exactly
+    assert capacity_xy(table1, 2 * table1.delta, 0.0) == 1.0 / (table1.t_aj + table1.delta)
 
 
 def test_capacity_values(table1):
-    assert capacity(table1, StrategyProfile(2e-6, 0.0)) == pytest.approx(62500.0, rel=1e-14)
-    assert capacity(table1, StrategyProfile(2e-6, 1.0)) < 1.0
+    assert capacity_xy(table1, 2e-6, 0.0) == pytest.approx(62500.0, rel=1e-14)
+    assert capacity_xy(table1, 2e-6, 1.0) < 1.0
     # frozen value re-derivable from the extended-precision oracle
     assert decimal_capacity("1.66e-5", "0", "15e-6", "1e-6") == pytest.approx(
         CAPACITY_AT_166U, rel=1e-15
     )
-    assert capacity(table1, StrategyProfile(1.66e-5, 0.0)) == pytest.approx(
+    assert capacity_xy(table1, 1.66e-5, 0.0) == pytest.approx(
         CAPACITY_AT_166U, rel=1e-12
     )
 
 
 def test_capacity_rejects_small_x(table1):
     with pytest.raises(InvalidStrategy):
-        capacity(table1, StrategyProfile(1.9e-6, 0.0))
+        capacity_xy(table1, 1.9e-6, 0.0)
     with pytest.raises(InvalidStrategy):
-        cycle_duration(table1, StrategyProfile(1e-6, 0.0))
+        capacity_xy(table1, 1e-6, 0.0)
 
 
 def test_utilities_zero_cost_reductions(table1):
-    s = StrategyProfile(3e-5, 2e-5)
-    u = utilities(table1, s)
-    assert u.u_t == capacity(table1, s)          # c_t_star = 0
-    u0 = utilities(table1, StrategyProfile(3e-5, 0.0))
-    assert u0.u_j == -capacity(table1, StrategyProfile(3e-5, 0.0))  # y = 0
+    u = utilities_xy(table1, 3e-5, 2e-5)
+    assert u.u_t == capacity_xy(table1, 3e-5, 2e-5)          # c_t_star = 0
+    u0 = utilities_xy(table1, 3e-5, 0.0)
+    assert u0.u_j == -capacity_xy(table1, 3e-5, 0.0)  # y = 0
+
+
+def test_utilities_xy_returns_a_pair_that_unpacks(table1):
+    u = utilities_xy(table1, 3e-5, 2e-5)
+    assert type(u) is UtilityPair
+    u_t, u_j = u
+    assert (u_t, u_j) == (u.u_t, u.u_j)
 
 
 def test_utilities_table2_point(table2):
-    u = utilities(table2, StrategyProfile(2e-6, 0.0))
+    u = utilities_xy(table2, 2e-6, 0.0)
     # capacity = 62500 exactly; costs by direct arithmetic
     assert u.u_t == pytest.approx(62500.0 - 1e6 * 20e-6 * 2.0, rel=1e-13)
     assert u.u_j == pytest.approx(-62500.0, rel=1e-13)
@@ -72,6 +84,7 @@ def test_eta_positive_and_value(table1):
     [
         ("t_aj", -1e-6), ("t_aj", 0.0), ("delta", 0.0), ("p_t", -2.0),
         ("p_j", 0.0), ("t_p", -1.0), ("c_t", 0.0), ("c_t_star", -1.0),
+        ("c_t_star", "1"), ("c_t_star", None), ("c_t_star", math.nan),
     ],
 )
 def test_invalid_params_name_the_field(table1, field, value):

@@ -25,7 +25,7 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from .conftest import low_ratio_params
+from .conftest import low_ratio_params, random_params
 from .oracles import larger_chi_zero, leader_loss_bracket_width
 from .test_columns import ULPS
 
@@ -188,6 +188,16 @@ def test_improvement_iff_below_tilde(table1):
         rep = improvement_report(replace(table1, c_t=float(c_t)))
         assert not rep.improved
         assert rep.u_t_se == pytest.approx(rep.u_t_ne, rel=1e-9)
+
+
+def test_improvement_report_prices_the_committed_outcome():
+    # The follower's response at x_se is 0 by construction; re-solving b_j
+    # there gave a positive float-noise y in ~29 % of these games.
+    rng = np.random.default_rng(1)
+    games = [random_params(rng) for _ in range(1000)] + [low_ratio_params(rng) for _ in range(1000)]
+    for p in games:
+        rep = improvement_report(p)
+        assert (rep.u_t_se, rep.u_j_se) == stackelberg_exact(p).utilities, p
 
 
 def test_jammer_also_gains_at_stackelberg(table1):

@@ -40,10 +40,10 @@ def scalar_row(figure, p, prior):
         rep = improvement_report(p)
         return (rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved)
     if figure == "approx":
-        x_se = stackelberg_exact(p).profile.x
+        se = stackelberg_exact(p)
         x_ap = stackelberg_approx(p).profile.x
-        u_se, u_ap = leader_utility(p, x_se), leader_utility(p, x_ap)
-        return (x_se, x_ap, u_se, u_ap, u_ap / u_se)
+        u_se, u_ap = se.utilities.u_t, leader_utility(p, x_ap)
+        return (se.profile.x, x_ap, u_se, u_ap, u_ap / u_se)
     if figure == "efficiency":
         opt = xi_opt(p, prior)
         assumed = (opt, 0.5 * (prior.xi_min + prior.xi_max), prior.xi_max, prior.xi_min)
@@ -101,6 +101,21 @@ def test_columns_match_scalar_calls(request, tmp_path, scenario, figure):
                 assert text == repr(w) == "0.0"
             else:
                 assert same(float(text), w), (name, row[0], text, w)
+
+
+@pytest.mark.parametrize("scenario", ["table1", "table2"])
+def test_u_t_se_is_one_column_in_every_figure(request, tmp_path, scenario):
+    # Each figure prices the committed outcome at (x_se, 0), so the three agree bit for bit.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(request.getfixturevalue(scenario)))
+    u_t_se = []
+    for figure in ("payoffs", "approx", "comparison"):
+        code, out, err = run_sweep(["sweep", str(cfg), "--figure", figure, "--log-range", "1e5", "1e11", "200"])
+        assert code == 0, err
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        k = header.index("u_t_se")
+        u_t_se.append([row[k] for row in rows])
+    assert u_t_se[0] == u_t_se[1] == u_t_se[2]
 
 
 def test_undefined_approx_point_exits_3_without_rows(tmp_path, table1):
