@@ -9,7 +9,7 @@ energy spent jamming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
@@ -28,8 +28,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Two critical values of the jammer's weight c_t.
 
     c_t_max   -- above this the jammer never jams: chi < 0 for every x, so

@@ -32,11 +32,13 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
 
-# A sweep holds its grid and columns whole: ~0.3-0.4 kB per point (peak RSS
-# of the efficiency and comparison figures), ~0.3-0.45 GB at this limit.
+# A sweep holds its grid and one result column per figure column whole, 8 B a
+# point each (1 B for ``improved``), plus one slice of work: 16-72 B a point,
+# and ~45 MB peak RSS for neX at this limit.
 MAX_SWEEP_POINTS = 10**6
-# simulate writes its tables this many rows at a time.
-_EVENT_CHUNK = 16384
+# sweep solves and writes, and simulate writes, this many rows at a time, so
+# only one slice at a time exists as Python floats and strings.
+_CHUNK_ROWS = 4096
 
 
 # Formatters by the Python type of a column's values; numbers are written with repr.
@@ -52,10 +54,10 @@ def _write_table(out, header, blocks) -> None:
         out.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _chunks(columns, trace, rows: int):
-    """``columns(trace, start, stop)`` for consecutive ``_EVENT_CHUNK``-row slices."""
-    for start in range(0, rows, _EVENT_CHUNK):
-        yield columns(trace, start, min(start + _EVENT_CHUNK, rows))
+def _slices(rows: int):
+    """``(start, stop)`` of consecutive slices of at most ``_CHUNK_ROWS`` rows."""
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield start, min(start + _CHUNK_ROWS, rows)
 
 
 def _check_positive_finite(name: str, v: float) -> None:
@@ -144,56 +146,89 @@ FIGURE_COLUMNS = {
     ],
 }
 
-def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: dict) -> list:
-    """The figure's columns on the n-point log grid from a to b, each computed in one pass."""
+
+def _figure_solver(figure: str, p: GameParams, cfg: dict):
+    """``solve(v)``: the figure's columns after the first on a slice v of the grid.
+
+    Every column is elementwise in v; what does not depend on v (the
+    efficiency figure's xi_opt) is solved here, once.
+    """
     import numpy as np
 
     from . import columns as col
-    from .belief import UniformPrior, efficiency, xi_opt
 
-    v = col.log_grid(a, b, n)
-    # Weights near the ends of the double range overflow or divide by zero on
-    # the way into W; the inf that results is refused there as a DomainError.
-    with np.errstate(over="ignore", divide="ignore"):
-        if figure == "brX":
-            return [v, col.best_response_target(p, v)]
-        if figure == "brY":
-            return [v, col.best_response_jammer(p, v, p.c_t)]
-        if figure == "neX":
-            return [v, col.nash_sweep(p, v).x]
-        if figure == "neY":
-            return [v, col.nash_sweep(p, v).y]
-        if figure == "seX":
-            return [v, col.nash_sweep(p, v).x, col.stackelberg_sweep(p, v)]
-        if figure == "seY":
-            # The follower never jams a committed leader: y_se is 0 by construction.
-            return [v, col.nash_sweep(p, v).y, np.zeros_like(v)]
-        if figure == "payoffs":
+    if figure == "brX":
+        return lambda v: [col.best_response_target(p, v)]
+    if figure == "brY":
+        return lambda v: [col.best_response_jammer(p, v, p.c_t)]
+    if figure == "neX":
+        return lambda v: [col.nash_sweep(p, v).x]
+    if figure == "neY":
+        return lambda v: [col.nash_sweep(p, v).y]
+    if figure == "seX":
+        return lambda v: [col.nash_sweep(p, v).x, col.stackelberg_sweep(p, v)]
+    if figure == "seY":
+        # The follower never jams a committed leader: y_se is 0 by construction.
+        return lambda v: [col.nash_sweep(p, v).y, np.zeros_like(v)]
+    if figure == "payoffs":
+        def payoffs(v):
             rep = col.improvement_sweep(p, v)
-            return [v, rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
-        if figure == "approx":
+            return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
+        return payoffs
+    if figure == "approx":
+        def approx(v):
             x_se = col.stackelberg_sweep(p, v)
             x_ap = col.stackelberg_approx_sweep(p, v)
             u_se = col.utilities_xy(p, x_se, 0.0, v)[0]
             u_ap = col.leader_utility(p, x_ap, v)
-            return [v, x_se, x_ap, u_se, u_ap, u_ap / u_se]
-        if figure == "efficiency":
-            prior = UniformPrior(
-                xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
-            )
-            opt = xi_opt(p, prior)
-            xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
-            assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
-            return [v, np.full_like(v, opt), *efficiency(p, assumed, v)]
-        # comparison
+            return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
+        return approx
+    if figure == "efficiency":
+        from .belief import UniformPrior, efficiency, xi_opt
+
+        prior = UniformPrior(
+            xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
+        )
+        opt = xi_opt(p, prior)
+        xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
+        assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
+        return lambda v: [np.full_like(v, opt), *efficiency(p, assumed, v)]
+    x_naive = best_response_target(p, 0.0)
+
+    def comparison(v):
         rep = col.improvement_sweep(p, v)
-        x_naive = best_response_target(p, 0.0)
         y_naive = col.best_response_jammer(p, x_naive, v)
         # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
         u_t_a, u_j_a = col.utilities_xy(p, x_naive, y_naive, v)
         # Case B: jammer assumes a naive target; the target best-responds.
         u_t_b, u_j_b = col.utilities_xy(p, col.best_response_target(p, y_naive), y_naive, v)
-        return [v, rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
+        return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
+    return comparison
+
+
+def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: dict) -> list:
+    """The figure's columns on the n-point log grid from a to b, solved slice by slice.
+
+    Each slice's results fill full-length columns of the first slice's dtypes,
+    so only one slice's temporaries exist at a time.
+    """
+    import numpy as np
+
+    from . import columns as col
+
+    v = col.log_grid(a, b, n)
+    table = None
+    # Weights near the ends of the double range overflow or divide by zero on
+    # the way into W; the inf that results is refused there as a DomainError.
+    with np.errstate(over="ignore", divide="ignore"):
+        solve = _figure_solver(figure, p, cfg)
+        for start, stop in _slices(n):
+            part = solve(v[start:stop])
+            if table is None:
+                table = [np.empty(n, column.dtype) for column in part]
+            for column, values in zip(table, part):
+                column[start:stop] = values
+    return [v, *table]
 
 
 def _cmd_sweep(args) -> int:
@@ -207,14 +242,17 @@ def _cmd_sweep(args) -> int:
     if not (math.isfinite(n) and 2 <= n <= MAX_SWEEP_POINTS and n == int(n)):
         raise ConfigError(f"--log-range needs an integer 2 <= N <= {MAX_SWEEP_POINTS}, got {n!r}")
     cfg = read_config(args.config)
-    columns = _sweep_columns(args.figure, game_params_from_config(cfg), a, b, int(n), cfg)
+    n = int(n)
+    # Every slice is solved before anything is written: a refused weight leaves no rows.
+    columns = _sweep_columns(args.figure, game_params_from_config(cfg), a, b, n, cfg)
 
     header = FIGURE_COLUMNS[args.figure]
+    blocks = ([column[start:stop] for column in columns] for start, stop in _slices(n))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_table(fh, header, [columns])
+            _write_table(fh, header, blocks)
     else:
-        _write_table(sys.stdout, header, [columns])
+        _write_table(sys.stdout, header, blocks)
     return EXIT_OK
 
 
@@ -250,9 +288,11 @@ def _cmd_simulate(args) -> int:
     ]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in head)
-        _write_table(fh, sim.STRATEGY_COLUMNS, _chunks(sim.strategy_columns, trace, len(trace.x)))
+        strategy = (sim.strategy_columns(trace, *bounds) for bounds in _slices(len(trace.x)))
+        events = (sim.event_columns(trace, *bounds) for bounds in _slices(n))
+        _write_table(fh, sim.STRATEGY_COLUMNS, strategy)
         fh.write("\n")
-        _write_table(fh, sim.EVENT_COLUMNS, _chunks(sim.event_columns, trace, n))
+        _write_table(fh, sim.EVENT_COLUMNS, events)
 
     final = [trace.x[-1:], trace.y[-1:], [sim.updates_to_equilibrium(trace)]]
     _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])

@@ -32,9 +32,13 @@ _LN2 = math.log(2.0)
 
 
 def log_grid(a: float, b: float, n: int) -> np.ndarray:
-    """n points from a to b with a constant ratio between neighbours; the last is b exactly."""
+    """n points from a to b with a constant ratio between neighbours; the last is b exactly.
+
+    Each point is the Python float ``a * ratio**k``: numpy's vectorised power
+    differs from it in the last bit at some k.
+    """
     ratio = (b / a) ** (1.0 / (n - 1))
-    return np.array([a * ratio**k for k in range(n - 1)] + [b])
+    return np.fromiter((a * ratio**k if k < n - 1 else b for k in range(n)), float, n)
 
 
 def eta(p: GameParams, c_t):

@@ -12,7 +12,6 @@ into the compact box S' below is only valid for the simultaneous scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -61,15 +60,13 @@ class Regime(Enum):
     STACKELBERG_APPROX = "stackelberg_approx"
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     profile: StrategyProfile
     regime: Regime
     utilities: UtilityPair
 
 
-@dataclass(frozen=True)
-class ConvergenceCert:
+class ConvergenceCert(NamedTuple):
     """Contraction certificate for the best-response map over S'.
 
     jb_max is the maximum over S' of the two closed-form best-response
@@ -84,8 +81,7 @@ class ConvergenceCert:
     predicted_max_iterations: Optional[int]
 
 
-@dataclass(frozen=True)
-class BrdTrace:
+class BrdTrace(NamedTuple):
     iterates: list[StrategyProfile]
     converged: bool
     iterations_used: int

@@ -12,7 +12,7 @@ construction, and re-solving it would price float noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .best_response import best_response_target, chi
 from .errors import ApproxUndefined, DomainError
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ImprovementReport:
+class ImprovementReport(NamedTuple):
     """Nash vs Stackelberg utilities; arrays when built by columns.improvement_sweep."""
 
     u_t_ne: float

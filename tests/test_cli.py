@@ -292,7 +292,7 @@ def test_simulate_event_chunks_join_seamlessly(cfg2, tmp_path, monkeypatch, caps
 
     whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
     assert cli.main(["simulate", cfg2, "--seed", "5", "--out", str(whole)]) == 0
-    monkeypatch.setattr(cli, "_EVENT_CHUNK", 7)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
     assert cli.main(["simulate", cfg2, "--seed", "5", "--out", str(chunked)]) == 0
     assert chunked.read_bytes() == whole.read_bytes()
     assert len(whole.read_text().split("\n\n")[1].splitlines()) == 1 + 100

@@ -1,8 +1,9 @@
-"""The `sweep` command: whole-column results against the scalar library, and fuzzed input."""
+"""The `sweep` command: whole-column results against the scalar library, its slices, and fuzzed input."""
 
 import contextlib
 import io
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -24,7 +25,10 @@ from jamgame import (
     utilities_xy,
     xi_opt,
 )
+from jamgame import cli
 from jamgame.cli import FIGURE_COLUMNS, MAX_SWEEP_POINTS, main
+from jamgame.columns import log_grid, stackelberg_approx_sweep
+from jamgame.errors import ApproxUndefined
 from .test_stackelberg import X_HAT_BELOW_TWO_DELTA
 
 C_T_FIGURES = ["neX", "neY", "seX", "seY", "payoffs", "approx", "efficiency", "comparison"]
@@ -126,6 +130,76 @@ def test_undefined_approx_point_exits_3_without_rows(tmp_path, table1):
     assert code == 3
     assert out == ""
     assert err.startswith("error: approximation")
+
+
+# The swept range of each figure: y for brX, x for brY (from 2 delta), c_t across both thresholds.
+_RANGE = {"brX": ("1e-7", "1e-3"), "brY": ("2e-6", "1e-2")}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_COLUMNS))
+def test_slices_join_seamlessly(tmp_path, monkeypatch, table1, figure):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(table1))
+    argv = ["sweep", str(cfg), "--figure", figure, "--log-range", *_RANGE.get(figure, ("1e5", "1e11")), "40"]
+    code, whole, err = run_sweep(argv)
+    assert code == 0, err
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    assert run_sweep(argv) == (0, whole, "")
+    assert len(whole.splitlines()) == 1 + 40
+
+
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 8195])
+def test_slice_seams_at_the_real_slice_size(tmp_path, monkeypatch, table1, n):
+    # payoffs holds the one-byte improved column next to the float ones.
+    assert cli._CHUNK_ROWS == 4096
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(table1))
+    argv = ["sweep", str(cfg), "--figure", "payoffs", "--log-range", "1e5", "1e11", str(n)]
+    code, sliced, err = run_sweep(argv)
+    assert code == 0, err
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", MAX_SWEEP_POINTS)
+    assert run_sweep(argv) == (0, sliced, "")
+    lines = sliced.splitlines()
+    assert len(lines) == 1 + n and lines[-1].split(",")[0] == "100000000000.0"
+
+
+def test_refusal_in_the_last_slice_leaves_no_rows_and_no_file(tmp_path, monkeypatch, table1):
+    # Of 9 weights from 1e9 to 1e12 only the last lies past the W_-1 domain
+    # (c_t above ~5.3e11), and with 4-row slices only the third slice holds it.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(table1))
+    grid = log_grid(1e9, 1e12, 9)
+    stackelberg_approx_sweep(table1, grid[:-1])
+    with pytest.raises(ApproxUndefined):
+        stackelberg_approx_sweep(table1, grid[-1:])
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    out = tmp_path / "approx.csv"
+    for extra in ([], ["--out", str(out)]):
+        code, stdout, err = run_sweep(["sweep", str(cfg), "--figure", "approx", "--log-range", "1e9", "1e12", "9", *extra])
+        assert code == 3
+        assert stdout == ""
+        assert err == "error: approximation needs eta*delta^2 <= 2/e, undefined from c_t = 1e+12\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("figure", ["neX", "brY", "comparison"])
+def test_sweep_memory_is_one_column_per_figure_column(tmp_path, table1, figure):
+    # Whole-length float64 columns (the grid among them) and one slice of
+    # temporaries and text: whole-grid columns of Python floats would need
+    # ~80-360 B per point.
+    n = 200_000
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config_text(table1))
+    argv = ["sweep", str(cfg), "--figure", figure, "--log-range", *_RANGE.get(figure, ("1e5", "1e9")), str(n),
+            "--out", str(tmp_path / "out.csv")]
+    tracemalloc.start()
+    try:
+        code, _, err = run_sweep(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak <= 8 * len(FIGURE_COLUMNS[figure]) * n + 4_000_000, peak / n
 
 
 def _small_count(text: str) -> bool:
