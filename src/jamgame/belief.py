@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import columns
+from .best_response import thresholds
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
@@ -120,16 +121,15 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
     p_j * (t_aj + g(xi)/2) / (xi_max - xi_min)
         * [xi*xi_max - xi^2/3 - (2/3)*sqrt(xi)*xi_min^(3/2)]
 
-    Implemented exactly as derived.  The test suite checks it against an
-    independent quadrature of the realized utility; a disagreement is not
-    silently patched here.  The form is exact only for xi <= c_t_tilde.
-    Above that weight g(xi) = b_t(0), where a true jammer with c_t >=
-    c_t_tilde does not jam, yet the form still charges the jammed branch to
-    every c_t < xi; this is why xi_opt returns xi_max for a prior reaching
-    there.  Accepts a scalar or an array of xi.
+    evaluated at min(xi, c_t_tilde).  The printed form is exact for xi <=
+    c_t_tilde.  Every larger xi commits to g(xi) = b_t(0), where exactly the
+    true jammers with c_t < c_t_tilde jam, so the expectation is the one at
+    c_t_tilde.  The test suite checks it against an independent quadrature
+    of the realized utility.  Accepts a scalar or an array of xi.
     """
     if not np.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
+    xi = np.minimum(xi, thresholds(p).c_t_tilde)
     g = g_of_xi(p, xi)
     bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * np.sqrt(xi) * prior.xi_min**1.5
     return _float_if_scalar(p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket)

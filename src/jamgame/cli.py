@@ -9,7 +9,8 @@ Subcommands::
 
 All output is CSV with a header row; floats are printed with shortest
 round-trip precision (repr).  Exit codes: 0 ok, 2 config/usage error,
-3 game-invariant violation, 4 I/O error.
+3 game-invariant violation, 4 I/O error.  ``sweep`` takes each figure's
+header and solver from ``jamgame.figures``, which no other command loads.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import argparse
 import math
 import sys
 
-from .best_response import best_response_target, thresholds
+from .best_response import thresholds
 from .config import dump_config, game_params_from_config, read_config
 from .errors import ConfigError, InvalidParams, JamGameError
-from .model import GameParams, StrategyProfile
+from .model import StrategyProfile
 from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form
 from .stackelberg import improvement_report, leader_utility, stackelberg_approx, stackelberg_exact
 
-__all__ = ["main", "FIGURE_COLUMNS"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,13 +64,6 @@ def _slices(rows: int):
 def _check_positive_finite(name: str, v: float) -> None:
     if not (math.isfinite(v) and v > 0):
         raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
-
-
-def _finite(cfg: dict, key: str, default: float) -> float:
-    v = cfg.get(key, default)
-    if not math.isfinite(v):
-        raise ConfigError(f"{key} must be finite, got {v!r}")
-    return v
 
 
 def _count(cfg: dict, key: str, default: int) -> int:
@@ -130,112 +124,11 @@ def _cmd_stackelberg(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-FIGURE_COLUMNS = {
-    "brX": ["y", "x_best"],
-    "brY": ["x", "y_best"],
-    "neX": ["c_t", "x_ne"],
-    "neY": ["c_t", "y_ne"],
-    "seX": ["c_t", "x_ne", "x_se"],
-    "seY": ["c_t", "y_ne", "y_se"],
-    "payoffs": ["c_t", "u_t_ne", "u_j_ne", "u_t_se", "u_j_se", "improved"],
-    "approx": ["c_t", "x_se", "x_se_approx", "u_t_se", "u_t_se_approx", "accuracy_ratio"],
-    "efficiency": ["c_t", "xi_opt", "e_xi_opt", "e_xi_mean", "e_xi_max", "e_xi_min"],
-    "comparison": [
-        "c_t", "u_t_ne", "u_j_ne", "u_t_se", "u_j_se",
-        "u_t_case_a", "u_j_case_a", "u_t_case_b", "u_j_case_b",
-    ],
-}
-
-
-def _figure_solver(figure: str, p: GameParams, cfg: dict):
-    """``solve(v)``: the figure's columns after the first on a slice v of the grid.
-
-    Every column is elementwise in v; what does not depend on v (the
-    efficiency figure's xi_opt) is solved here, once.
-    """
-    import numpy as np
-
-    from . import columns as col
-
-    if figure == "brX":
-        return lambda v: [col.best_response_target(p, v)]
-    if figure == "brY":
-        return lambda v: [col.best_response_jammer(p, v, p.c_t)]
-    if figure == "neX":
-        return lambda v: [col.nash_sweep(p, v).x]
-    if figure == "neY":
-        return lambda v: [col.nash_sweep(p, v).y]
-    if figure == "seX":
-        return lambda v: [col.nash_sweep(p, v).x, col.stackelberg_sweep(p, v)]
-    if figure == "seY":
-        # The follower never jams a committed leader: y_se is 0 by construction.
-        return lambda v: [col.nash_sweep(p, v).y, np.zeros_like(v)]
-    if figure == "payoffs":
-        def payoffs(v):
-            rep = col.improvement_sweep(p, v)
-            return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
-        return payoffs
-    if figure == "approx":
-        def approx(v):
-            x_se = col.stackelberg_sweep(p, v)
-            x_ap = col.stackelberg_approx_sweep(p, v)
-            u_se = col.utilities_xy(p, x_se, 0.0, v)[0]
-            u_ap = col.leader_utility(p, x_ap, v)
-            return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
-        return approx
-    if figure == "efficiency":
-        from .belief import UniformPrior, efficiency, xi_opt
-
-        prior = UniformPrior(
-            xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9)
-        )
-        opt = xi_opt(p, prior)
-        xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
-        assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
-        return lambda v: [np.full_like(v, opt), *efficiency(p, assumed, v)]
-    x_naive = best_response_target(p, 0.0)
-
-    def comparison(v):
-        rep = col.improvement_sweep(p, v)
-        y_naive = col.best_response_jammer(p, x_naive, v)
-        # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
-        u_t_a, u_j_a = col.utilities_xy(p, x_naive, y_naive, v)
-        # Case B: jammer assumes a naive target; the target best-responds.
-        u_t_b, u_j_b = col.utilities_xy(p, col.best_response_target(p, y_naive), y_naive, v)
-        return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
-    return comparison
-
-
-def _sweep_columns(figure: str, p: GameParams, a: float, b: float, n: int, cfg: dict) -> list:
-    """The figure's columns on the n-point log grid from a to b, solved slice by slice.
-
-    Each slice's results fill full-length columns of the first slice's dtypes,
-    so only one slice's temporaries exist at a time.
-    """
-    import numpy as np
-
-    from . import columns as col
-
-    v = col.log_grid(a, b, n)
-    table = None
-    # Weights near the ends of the double range overflow or divide by zero on
-    # the way into W; the inf that results is refused there as a DomainError.
-    with np.errstate(over="ignore", divide="ignore"):
-        solve = _figure_solver(figure, p, cfg)
-        for start, stop in _slices(n):
-            part = solve(v[start:stop])
-            if table is None:
-                table = [np.empty(n, column.dtype) for column in part]
-            for column, values in zip(table, part):
-                column[start:stop] = values
-    return [v, *table]
-
-
 def _cmd_sweep(args) -> int:
-    if args.figure not in FIGURE_COLUMNS:
-        raise ConfigError(
-            f"unknown figure id {args.figure!r}; choose from {sorted(FIGURE_COLUMNS)}"
-        )
+    from .figures import FIGURES, sweep_columns
+
+    if args.figure not in FIGURES:
+        raise ConfigError(f"unknown figure id {args.figure!r}; choose from {sorted(FIGURES)}")
     a, b, n = args.log_range
     if not (0 < a < b and math.isfinite(b / a)):
         raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
@@ -244,9 +137,9 @@ def _cmd_sweep(args) -> int:
     cfg = read_config(args.config)
     n = int(n)
     # Every slice is solved before anything is written: a refused weight leaves no rows.
-    columns = _sweep_columns(args.figure, game_params_from_config(cfg), a, b, n, cfg)
+    columns = sweep_columns(args.figure, game_params_from_config(cfg), cfg, a, b, n, _CHUNK_ROWS)
 
-    header = FIGURE_COLUMNS[args.figure]
+    header = FIGURES[args.figure][0]
     blocks = ([column[start:stop] for column in columns] for start, stop in _slices(n))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

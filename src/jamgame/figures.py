@@ -1,0 +1,106 @@
+"""The figures of ``jamgame sweep``: ``FIGURES[id]`` is ``(header, solver)``.
+
+``solver(p, cfg)`` does once what does not depend on the grid (the
+efficiency figure reads its prior and solves xi_opt) and returns
+``solve(v)``: the figure's columns after the first on a slice v of the
+grid, each elementwise in v.  Only ``sweep`` imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import columns as col
+from .best_response import best_response_target
+from .errors import ConfigError
+from .model import GameParams
+
+__all__ = ["FIGURES", "sweep_columns"]
+
+
+def _finite(cfg: dict, key: str, default: float) -> float:
+    v = cfg.get(key, default)
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
+    return v
+
+
+def _payoffs(p: GameParams, cfg: dict):
+    def solve(v):
+        rep = col.improvement_sweep(p, v)
+        return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
+    return solve
+
+
+def _approx(p: GameParams, cfg: dict):
+    def solve(v):
+        x_se = col.stackelberg_sweep(p, v)
+        x_ap = col.stackelberg_approx_sweep(p, v)
+        u_se = col.utilities_xy(p, x_se, 0.0, v)[0]
+        u_ap = col.leader_utility(p, x_ap, v)
+        return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
+    return solve
+
+
+def _efficiency(p: GameParams, cfg: dict):
+    from .belief import UniformPrior, efficiency, xi_opt
+
+    prior = UniformPrior(xi_min=_finite(cfg, "xi_min", 1e5), xi_max=_finite(cfg, "xi_max", 1e9))
+    opt = xi_opt(p, prior)
+    xi_mean = 0.5 * (prior.xi_min + prior.xi_max)
+    assumed = np.array([[opt], [xi_mean], [prior.xi_max], [prior.xi_min]])
+    return lambda v: [np.full_like(v, opt), *efficiency(p, assumed, v)]
+
+
+def _comparison(p: GameParams, cfg: dict):
+    x_naive = best_response_target(p, 0.0)
+
+    def solve(v):
+        rep = col.improvement_sweep(p, v)
+        y_naive = col.best_response_jammer(p, x_naive, v)
+        # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
+        u_t_a, u_j_a = col.utilities_xy(p, x_naive, y_naive, v)
+        # Case B: jammer assumes a naive target; the target best-responds.
+        u_t_b, u_j_b = col.utilities_xy(p, col.best_response_target(p, y_naive), y_naive, v)
+        return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
+    return solve
+
+
+FIGURES = {
+    "brX": (["y", "x_best"], lambda p, cfg: lambda v: [col.best_response_target(p, v)]),
+    "brY": (["x", "y_best"], lambda p, cfg: lambda v: [col.best_response_jammer(p, v, p.c_t)]),
+    "neX": (["c_t", "x_ne"], lambda p, cfg: lambda v: [col.nash_sweep(p, v).x]),
+    "neY": (["c_t", "y_ne"], lambda p, cfg: lambda v: [col.nash_sweep(p, v).y]),
+    "seX": (["c_t", "x_ne", "x_se"],
+            lambda p, cfg: lambda v: [col.nash_sweep(p, v).x, col.stackelberg_sweep(p, v)]),
+    # The follower never jams a committed leader: y_se is 0 by construction.
+    "seY": (["c_t", "y_ne", "y_se"],
+            lambda p, cfg: lambda v: [col.nash_sweep(p, v).y, np.zeros_like(v)]),
+    "payoffs": (["c_t", "u_t_ne", "u_j_ne", "u_t_se", "u_j_se", "improved"], _payoffs),
+    "approx": (["c_t", "x_se", "x_se_approx", "u_t_se", "u_t_se_approx", "accuracy_ratio"], _approx),
+    "efficiency": (["c_t", "xi_opt", "e_xi_opt", "e_xi_mean", "e_xi_max", "e_xi_min"], _efficiency),
+    "comparison": (["c_t", "u_t_ne", "u_j_ne", "u_t_se", "u_j_se",
+                    "u_t_case_a", "u_j_case_a", "u_t_case_b", "u_j_case_b"], _comparison),
+}
+
+
+def sweep_columns(figure: str, p: GameParams, cfg: dict, a: float, b: float, n: int, chunk_rows: int):
+    """The figure's columns on the n-point log grid from a to b, chunk_rows points at a time.
+
+    Each slice fills full-length columns of the first slice's dtypes: one slice of temporaries.
+    """
+    v = col.log_grid(a, b, n)
+    table = None
+    # Weights near the ends of the double range overflow or divide by zero on
+    # the way into W; the inf that results is refused there as a DomainError.
+    with np.errstate(over="ignore", divide="ignore"):
+        solve = FIGURES[figure][1](p, cfg)
+        for start in range(0, n, chunk_rows):
+            part = solve(v[start:start + chunk_rows])
+            if table is None:
+                table = [np.empty(n, column.dtype) for column in part]
+            for column, values in zip(table, part):
+                column[start:start + chunk_rows] = values
+    return [v, *table]

@@ -67,3 +67,27 @@ def low_ratio_params(rng: np.random.Generator, c_t_factor_range=(-3.0, 0.0)) -> 
     base = GameParams(t_aj=t_aj, delta=delta, p_t=p_t, p_j=p_j, t_p=1e-5, c_t=1.0)
     c_t = thresholds(base).c_t_max * 10.0 ** rng.uniform(*c_t_factor_range)
     return GameParams(t_aj=t_aj, delta=delta, p_t=p_t, p_j=p_j, t_p=1e-5, c_t=c_t)
+
+
+def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(10.0 ** rng.uniform(np.log10(lo), np.log10(hi)))
+
+
+def wide_params(rng: np.random.Generator):
+    """(GameParams, prior (xi_min, xi_max), sweep range (a, b)) drawn from a wide box.
+
+    No physical sense is kept: t_aj and delta from 1e-15 to 1e2, p_t and p_j
+    from 1e-3 to 1e3, t_p from 1e-6 to 1, and c_t, the prior and the sweep
+    range of weights from 1e-20 to 1e25, each log-uniform.
+    """
+    p = GameParams(
+        t_aj=_log_uniform(rng, 1e-15, 1e2),
+        delta=_log_uniform(rng, 1e-15, 1e2),
+        p_t=_log_uniform(rng, 1e-3, 1e3),
+        p_j=_log_uniform(rng, 1e-3, 1e3),
+        t_p=_log_uniform(rng, 1e-6, 1.0),
+        c_t=_log_uniform(rng, 1e-20, 1e25),
+    )
+    prior = sorted(_log_uniform(rng, 1e-20, 1e25) for _ in range(2))
+    weights = sorted(_log_uniform(rng, 1e-20, 1e25) for _ in range(2))
+    return p, tuple(prior), tuple(weights)

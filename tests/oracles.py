@@ -179,14 +179,17 @@ def expected_utility_numeric(p: GameParams, prior: UniformPrior, xi: float) -> f
     """Prior-expected utility of committing to g(xi), by adaptive quadrature.
 
     Integrates the realized utility against the prior density, split at the
-    branch point alpha = xi.  This is the authoritative route; the library's
-    closed form ``expected_utility_closed`` is checked against it.
+    branch point: a true weight alpha is jammed at g when alpha < xi and
+    chi(g) > 0 under alpha, that is alpha < ln(g/delta) / (p_j ln2 (t_aj + g/2)^2).
+    This is the authoritative route; the library's closed form
+    ``expected_utility_closed`` is checked against it.
     """
     g = g_of_xi(p, xi)
     log2g = math.log2(g / p.delta)
     a, b = prior.xi_min, prior.xi_max
     dens = prior.density
-    split = min(max(xi, a), b)
+    stops_jamming = math.log(g / p.delta) / (p.p_j * math.log(2.0) * (p.t_aj + g / 2.0) ** 2)
+    split = min(max(min(xi, stops_jamming), a), b)
 
     total = 0.0
     if split > a:

@@ -127,10 +127,15 @@ def test_expected_utility_point_mass_limit(table1):
 
 
 def test_expected_utility_closed_matches_quadrature(table1, prior):
-    for xi in np.logspace(5, 9, 20):
-        c = expected_utility_closed(table1, prior, float(xi))
-        q = expected_utility_numeric(table1, prior, float(xi))
-        assert c == pytest.approx(q, rel=1e-6)
+    # The wide prior reaches past c_t_tilde (3.7e9), where g(xi) = b_t(0) and
+    # only true weights below c_t_tilde are jammed.
+    wide = UniformPrior(xi_min=1e5, xi_max=1e11)
+    assert thresholds(table1).c_t_tilde < 5e9
+    for pr, xis in [(prior, np.logspace(5, 9, 20)), (wide, [5e9, 1e10, 1e11])]:
+        for xi in xis:
+            c = expected_utility_closed(table1, pr, float(xi))
+            q = expected_utility_numeric(table1, pr, float(xi))
+            assert c == pytest.approx(q, rel=1e-6)
 
 
 def test_expected_utility_closed_lower_edge_algebra(table1, prior):

@@ -2,17 +2,21 @@
 
 import argparse
 import hashlib
+import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jamgame import cli, nash_closed_form, thresholds
-from jamgame.cli import FIGURE_COLUMNS
+from jamgame.figures import FIGURES
 from jamgame.config import dump_config, game_params_from_config, parse_config_text
+from .conftest import wide_params
+from .test_sweep import run_sweep
 
 TABLE1_CFG = """\
 # lab scenario
@@ -174,7 +178,7 @@ def test_sweep_thread_cap_preserves_output(cfg1):
     plain = run_cli("sweep", cfg1, "--figure", "seX", "--log-range", "1e5", "1e9", "8")
     assert plain.returncode == 0
     header, rows = parse_csv(plain.stdout)
-    assert header == FIGURE_COLUMNS["seX"] and len(rows) == 8
+    assert header == FIGURES["seX"][0] and len(rows) == 8
     for threads in ("1", "4"):
         capped = run_cli("sweep", cfg1, "--figure", "seX", "--log-range", "1e5", "1e9", "8",
                          env={"JAMGAME_THREADS": threads})
@@ -220,7 +224,9 @@ def test_sweep_efficiency_prior_past_c_t_tilde(tmp_path):
     assert res.returncode == 0
     header, rows = parse_csv(res.stdout)
     assert len(rows) == 8
+    c_t_tilde = thresholds(game_params_from_config(parse_config_text(TABLE1_CFG))).c_t_tilde
     for row in rows:
+        assert float(row[1]) <= c_t_tilde  # xi_opt: E is constant past c_t_tilde
         for v in row[2:]:
             assert 0.0 < float(v) <= 1.0 + 1e-12
 
@@ -421,7 +427,9 @@ def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):
 def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
     # Importing the package or the CLI, and every query command, in a fresh
     # interpreter: none of them loads numpy or the numpy-backed layers.
-    unloaded = ("scipy", "concurrent.futures", "numpy", "jamgame.columns", "jamgame.sim", "jamgame.belief")
+    unloaded = (
+        "scipy", "concurrent.futures", "numpy", "jamgame.columns", "jamgame.sim", "jamgame.belief", "jamgame.figures",
+    )
     inputs = [None, ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]]
     for argv in inputs:
         run = "0" if argv is None else f"jamgame.cli.main([{argv[0]!r}, {cfg1!r}, *{argv[1:]!r}])"
@@ -459,3 +467,48 @@ def test_usage_synopses_match_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert _synopsis_options(cli.__doc__) == want
     assert _synopsis_options(readme) == want
+
+
+def test_readme_schema_table_matches_the_figures():
+    # Each figure id and its header appear backticked in one row of the README's CSV-schema table.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### CSV schemas", 1)[1].split("\n\n")[1]
+    for figure, (header, _) in FIGURES.items():
+        rows = [row for row in table.splitlines() if f"`{figure}`" in row]
+        assert len(rows) == 1, figure
+        assert f"`{','.join(header)}`" in rows[0], figure
+
+
+WIDE_COMMANDS = [
+    ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"],
+    *(["sweep", "--figure", figure] for figure in ("payoffs", "approx", "efficiency", "comparison")),
+]
+
+
+def test_every_command_ends_in_a_documented_exit_on_a_wide_box(tmp_path):
+    # Any game from the wide box either gives finite output or is refused
+    # with a documented exit code, no traceback and nothing on stdout.
+    rng = np.random.default_rng(16)
+    cfg = tmp_path / "wide.cfg"
+    for _ in range(200):
+        p, (xi_min, xi_max), (a, b) = wide_params(rng)
+        cfg.write_text(dump_config(dict(vars(p), xi_min=xi_min, xi_max=xi_max)))
+        for command in WIDE_COMMANDS:
+            argv = [command[0], str(cfg), *command[1:]]
+            if command[0] == "sweep":
+                argv += ["--log-range", repr(a), repr(b), "5"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run_sweep(argv)
+            assert code in (0, 2, 3, 4), (argv, p, err)
+            assert "Traceback" not in err, (argv, p)
+            if code != 0:
+                assert out == "", (argv, p)
+                continue
+            for block in out.split("\n\n"):  # nash --brd writes a second table
+                header, rows = parse_csv(block)
+                for name, v in ((name, v) for row in rows for name, v in zip(header, row)):
+                    if v not in ("true", "false", "interior", "border"):
+                        assert math.isfinite(float(v)), (argv, p, name, v)
+                    if name.startswith("e_xi"):
+                        assert 0.0 < float(v) <= 1.0 + 1e-12, (argv, p, name, v)

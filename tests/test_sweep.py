@@ -26,7 +26,8 @@ from jamgame import (
     xi_opt,
 )
 from jamgame import cli
-from jamgame.cli import FIGURE_COLUMNS, MAX_SWEEP_POINTS, main
+from jamgame.cli import MAX_SWEEP_POINTS, main
+from jamgame.figures import FIGURES
 from jamgame.columns import log_grid, stackelberg_approx_sweep
 from jamgame.errors import ApproxUndefined
 from .test_stackelberg import X_HAT_BELOW_TWO_DELTA
@@ -92,13 +93,13 @@ def test_columns_match_scalar_calls(request, tmp_path, scenario, figure):
     code, out, err = run_sweep(["sweep", str(cfg), "--figure", figure, "--log-range", "1e5", "1e11", "31"])
     assert code == 0, err
     lines = out.splitlines()
-    assert lines[0].split(",") == FIGURE_COLUMNS[figure]
+    assert lines[0].split(",") == FIGURES[figure][0]
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 31
     prior = UniformPrior(1e5, 1e9)
     for row in rows:
         want = scalar_row(figure, replace(p, c_t=float(row[0])), prior)
-        for name, text, w in zip(FIGURE_COLUMNS[figure][1:], row[1:], want):
+        for name, text, w in zip(FIGURES[figure][0][1:], row[1:], want):
             if isinstance(w, bool):
                 assert text == ("true" if w else "false"), (name, row[0])
             elif name == "y_se":
@@ -136,7 +137,7 @@ def test_undefined_approx_point_exits_3_without_rows(tmp_path, table1):
 _RANGE = {"brX": ("1e-7", "1e-3"), "brY": ("2e-6", "1e-2")}
 
 
-@pytest.mark.parametrize("figure", sorted(FIGURE_COLUMNS))
+@pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_slices_join_seamlessly(tmp_path, monkeypatch, table1, figure):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(config_text(table1))
@@ -199,7 +200,7 @@ def test_sweep_memory_is_one_column_per_figure_column(tmp_path, table1, figure):
     finally:
         tracemalloc.stop()
     assert code == 0, err
-    assert peak <= 8 * len(FIGURE_COLUMNS[figure]) * n + 4_000_000, peak / n
+    assert peak <= 8 * len(FIGURES[figure][0]) * n + 4_000_000, peak / n
 
 
 def _small_count(text: str) -> bool:
@@ -238,7 +239,7 @@ def lab_config(tmp_path_factory):
 
 
 @given(
-    figure=st.one_of(st.sampled_from(sorted(FIGURE_COLUMNS)), st.text(max_size=6)),
+    figure=st.one_of(st.sampled_from(sorted(FIGURES)), st.text(max_size=6)),
     log_range=_log_range,
 )
 @settings(max_examples=300, deadline=None)
