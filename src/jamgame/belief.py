@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import columns
-from .best_response import thresholds
+from .best_response import _c_t_tilde, _delta_squared
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams
@@ -89,7 +89,7 @@ def g_of_xi(p: GameParams, xi):
     xi = np.asarray(xi, dtype=float)
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
-    if np.any(columns.eta(p, xi) * p.delta**2 <= _MIN_ETA_DELTA2):
+    if np.any(columns.eta(p, xi) * _delta_squared(p) <= _MIN_ETA_DELTA2):
         raise DomainError(_TOO_SMALL.format(float(xi.min())))
     return _float_if_scalar(columns.stackelberg_sweep(p, xi))
 
@@ -109,7 +109,7 @@ def realized_utility(p: GameParams, xi, c_t=None):
     """
     g = g_of_xi(p, xi)
     c_t = p.c_t if c_t is None else np.asarray(c_t, dtype=float)
-    log2g = np.log2(g / p.delta)
+    log2g = columns._log2_ratio(p, g)
     jammed = (xi > c_t) & (columns.chi(p, g, c_t) > 0.0)
     u = np.where(jammed, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
     return _float_if_scalar(u)
@@ -129,7 +129,7 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
     """
     if not np.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
-    xi = np.minimum(xi, thresholds(p).c_t_tilde)
+    xi = np.minimum(xi, _c_t_tilde(p))
     g = g_of_xi(p, xi)
     bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * np.sqrt(xi) * prior.xi_min**1.5
     return _float_if_scalar(p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket)
@@ -176,7 +176,7 @@ def foc_residual(p: GameParams, prior: UniformPrior, xi: float) -> float:
     approximated model; this helper exists to quantify the gap.  Uses the
     lower W branch, the one that selects the root above x_hat.
     """
-    w = lambert_w(-p.p_j * _LN2 * p.delta**2 * xi / 2.0, WBranch.MINUS1)
+    w = lambert_w(-p.p_j * _LN2 * _delta_squared(p) * xi / 2.0, WBranch.MINUS1)
     tail = (2.0 / 3.0) * prior.xi_min**1.5 / math.sqrt(xi)
     lhs = (w / (1.0 + w)) * (prior.xi_max - xi / 3.0 - tail)
     rhs = 2.0 * prior.xi_max - (4.0 / 3.0) * xi - tail

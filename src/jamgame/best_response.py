@@ -9,11 +9,12 @@ energy spent jamming.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
-from .model import GameParams
+from .model import GameParams, _log_ratio
 
 __all__ = [
     "Thresholds",
@@ -26,6 +27,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_SQRT_DBL_MAX = math.sqrt(sys.float_info.max)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+_LOG_DBL_MIN = math.log(sys.float_info.min)
 
 
 class Thresholds(NamedTuple):
@@ -62,26 +66,23 @@ def chi(p: GameParams, x: float) -> float:
     return math.sqrt(_log_ratio(p, x) / p.eta) - p.t_aj - x / 2.0
 
 
-def _log_ratio(p: GameParams, x: float) -> float:
-    """ln(x/delta), as ln x - ln delta where x/delta overflows."""
-    r = x / p.delta
-    return math.log(r) if r < math.inf else math.log(x) - math.log(p.delta)
-
-
 def best_response_target(p: GameParams, y: float) -> float:
     """Capacity-maximizing silence bound against mean jam duration y.
 
     Equals delta * e^(psi(y)+1); strictly increasing in y and always > 2*delta
-    for t_aj > 0.
+    for t_aj > 0.  Refused past the largest double.
     """
-    return p.delta * math.exp(psi(p, y) + 1.0)
+    return _finite("b_t(y)", p.delta * math.exp(psi(p, y) + 1.0))
 
 
 def best_response_jammer(p: GameParams, x: float) -> float:
-    """Utility-maximizing mean jam duration against silence bound x: max(chi, 0)."""
+    """Utility-maximizing mean jam duration against silence bound x: max(chi, 0).
+
+    Refused past the largest double.
+    """
     if x < 2.0 * p.delta:
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    return max(chi(p, x), 0.0)
+    return _finite("b_j(x)", max(chi(p, x), 0.0))
 
 
 def x_hat(p: GameParams) -> float:
@@ -90,18 +91,51 @@ def x_hat(p: GameParams) -> float:
     chi increases below this point and decreases above it, so any positive
     region of chi is an interval straddling x_hat.
     """
-    w = lambert_w(2.0 / (p.eta * p.delta**2), WBranch.PRINCIPAL)
-    return p.delta * math.exp(0.5 * w)
+    w = lambert_w(_ratio("2/(eta*delta^2)", 2.0, p.eta * _delta_squared(p)), WBranch.PRINCIPAL)
+    return _finite("x_hat", p.delta * math.exp(0.5 * w))
 
 
 def thresholds(p: GameParams) -> Thresholds:
-    """Compute both critical weights for the current physical parameters."""
-    c_t_max = 1.0 / (p.p_j * _LN2 * 2.0 * p.delta * (p.delta + p.t_aj))
+    """Compute both critical weights for the current physical parameters.
+
+    Refuses either weight past the largest double.
+    """
+    c_t_max = _ratio("c_t_max", 1.0, p.p_j * _LN2 * 2.0 * p.delta * (p.delta + p.t_aj))
+    return Thresholds(c_t_max=c_t_max, c_t_tilde=_finite("c_t_tilde", _c_t_tilde(p)))
+
+
+def _c_t_tilde(p: GameParams) -> float:
+    """The weight at which the Nash equilibrium meets the border y = 0; inf past the largest double.
+
+    4/(delta^2 p_j ln2) * e^(-2(omega+1)) / (omega+1), omega = psi(0).  Where
+    either factor leaves the normal doubles the product may still be in range,
+    so there it is taken in logs.
+    """
     omega = psi(p, 0.0)
-    c_t_tilde = (
-        4.0
-        / (p.delta**2 * p.p_j * _LN2)
-        * math.exp(-2.0 * (omega + 1.0))
-        / (omega + 1.0)
-    )
-    return Thresholds(c_t_max=c_t_max, c_t_tilde=c_t_tilde)
+    den = _delta_squared(p) * p.p_j * _LN2
+    scale = 4.0 / den if den else math.inf
+    if sys.float_info.min <= scale < math.inf and -2.0 * (omega + 1.0) > _LOG_DBL_MIN:
+        return scale * math.exp(-2.0 * (omega + 1.0)) / (omega + 1.0)
+    log_den = 2.0 * math.log(p.delta) + math.log(p.p_j * _LN2)
+    log_c = math.log(4.0 / (omega + 1.0)) - 2.0 * (omega + 1.0) - log_den
+    return math.exp(log_c) if log_c < _LOG_DBL_MAX else math.inf
+
+
+def _delta_squared(p: GameParams) -> float:
+    """delta**2, refused where it overflows or underflows below the normal doubles."""
+    d2 = p.delta**2 if p.delta <= _SQRT_DBL_MAX else math.inf
+    if not sys.float_info.min <= d2 < math.inf:
+        raise DomainError(f"delta**2 leaves the double range, delta = {p.delta!r}")
+    return d2
+
+
+def _finite(quantity: str, v: float) -> float:
+    """v, or a DomainError naming the quantity where it left the double range."""
+    if not math.isfinite(v):
+        raise DomainError(f"{quantity} leaves the double range")
+    return v
+
+
+def _ratio(quantity: str, num: float, den: float) -> float:
+    """num / den, refused as _finite does; a den that underflowed to 0 overflows it."""
+    return _finite(quantity, num / den if den else math.inf)

@@ -33,12 +33,12 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
 
-# A sweep holds its grid and one result column per figure column whole, 8 B a
+# A sweep holds its grid and the per-slice arrays of every figure column, 8 B a
 # point each (1 B for ``improved``), plus one slice of work: 16-72 B a point,
 # and ~45 MB peak RSS for neX at this limit.
 MAX_SWEEP_POINTS = 10**6
-# sweep solves and writes, and simulate writes, this many rows at a time, so
-# only one slice at a time exists as Python floats and strings.
+# _slices cuts every table (sweep's, and simulate's two) into this many rows,
+# so only one slice at a time exists as Python floats and strings.
 _CHUNK_ROWS = 4096
 
 
@@ -57,8 +57,7 @@ def _write_table(out, header, blocks) -> None:
 
 def _slices(rows: int):
     """``(start, stop)`` of consecutive slices of at most ``_CHUNK_ROWS`` rows."""
-    for start in range(0, rows, _CHUNK_ROWS):
-        yield start, min(start + _CHUNK_ROWS, rows)
+    return [(start, min(start + _CHUNK_ROWS, rows)) for start in range(0, rows, _CHUNK_ROWS)]
 
 
 def _check_positive_finite(name: str, v: float) -> None:
@@ -125,7 +124,7 @@ def _cmd_stackelberg(args) -> int:
 # sweep
 
 def _cmd_sweep(args) -> int:
-    from .figures import FIGURES, sweep_columns
+    from .figures import FIGURES, sweep_slices
 
     if args.figure not in FIGURES:
         raise ConfigError(f"unknown figure id {args.figure!r}; choose from {sorted(FIGURES)}")
@@ -137,10 +136,8 @@ def _cmd_sweep(args) -> int:
     cfg = read_config(args.config)
     n = int(n)
     # Every slice is solved before anything is written: a refused weight leaves no rows.
-    columns = sweep_columns(args.figure, game_params_from_config(cfg), cfg, a, b, n, _CHUNK_ROWS)
-
+    blocks = sweep_slices(args.figure, game_params_from_config(cfg), cfg, a, b, n, _slices(n))
     header = FIGURES[args.figure][0]
-    blocks = ([column[start:stop] for column in columns] for start, stop in _slices(n))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_table(fh, header, blocks)

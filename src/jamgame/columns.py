@@ -16,7 +16,7 @@ import numpy as np
 
 from . import best_response as br
 from .errors import ApproxUndefined, DomainError, InvalidStrategy, SingularError
-from .lambertw import _SERIES_ONLY_Q, BRANCH_POINT, WBranch, _fritsch
+from .lambertw import _SERIES_ONLY_Q, BRANCH_POINT, WBranch, _branch_series, _fritsch
 from .model import GameParams
 from .roots import _DBL_MAX, _TOO_SMALL, larger_zero_step
 from .stackelberg import ImprovementReport
@@ -85,18 +85,11 @@ def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
     return w / (arr * (w + 1.0))
 
 
-def _branch_series(q: np.ndarray, sign: float) -> np.ndarray:
-    # Expansion around the branch point in p = sqrt(2(e*z + 1));
-    # sign=+1 gives the principal side, sign=-1 the lower side.
-    p = sign * np.sqrt(2.0 * q)
-    return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
-
-
 def _principal(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     w = np.empty_like(z)
 
     near = z < -0.2
-    w[near] = _branch_series(q[near], +1.0)
+    w[near] = _branch_series(q[near], +1.0, np.sqrt)
     mid = (~near) & (z <= np.e)
     w[mid] = np.log1p(z[mid])
     far = z > np.e
@@ -109,7 +102,7 @@ def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     w = np.empty_like(z)
 
     near = z < -0.25
-    w[near] = _branch_series(q[near], -1.0)
+    w[near] = _branch_series(q[near], -1.0, np.sqrt)
     tail = ~near
     lz = np.log(-z[tail])
     w[tail] = lz - np.log(-lz)
@@ -128,7 +121,7 @@ def capacity_xy(p: GameParams, x, y) -> np.ndarray:
     _check_strategy(p, x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.log2(x / p.delta) / (p.t_aj + y + x / 2.0)
+    return _log2_ratio(p, x) / (p.t_aj + y + x / 2.0)
 
 
 def utilities_xy(p: GameParams, x, y, c_t):
@@ -155,27 +148,40 @@ def chi(p: GameParams, x, c_t) -> np.ndarray:
     return np.sqrt(_log_ratio(p, x) / eta(p, c_t)) - p.t_aj - x / 2.0
 
 
-def _log_ratio(p: GameParams, x: np.ndarray) -> np.ndarray:
-    """ln(x/delta), as ln x - ln delta where x/delta overflows."""
+def _log_ratio(p: GameParams, x: np.ndarray, log=np.log, scalar_log=math.log) -> np.ndarray:
+    """ln(x/delta), as ln x - ln delta where x/delta overflows; log2 with np.log2 and math.log2."""
     with np.errstate(over="ignore"):
         r = x / p.delta
-    log_r = np.log(r)
+    log_r = log(r)
     over = np.isinf(r)
     if over.any():
-        log_r = np.where(over, np.log(x) - math.log(p.delta), log_r)
+        log_r = np.where(over, log(x) - scalar_log(p.delta), log_r)
     return log_r
 
 
+def _log2_ratio(p: GameParams, x) -> np.ndarray:
+    """log2(x/delta), as log2 x - log2 delta where x/delta overflows."""
+    return _log_ratio(p, np.asarray(x, dtype=float), np.log2, math.log2)
+
+
+def _finite(quantity: str, v: np.ndarray) -> np.ndarray:
+    """v, or a DomainError naming the quantity where any element left the double range."""
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{quantity} leaves the double range")
+    return v
+
+
 def best_response_target(p: GameParams, y) -> np.ndarray:
-    """delta * e^(psi(y)+1) for every y."""
-    return p.delta * np.exp(psi(p, y) + 1.0)
+    """delta * e^(psi(y)+1) for every y; refused past the largest double."""
+    with np.errstate(over="ignore"):
+        return _finite("b_t(y)", p.delta * np.exp(psi(p, y) + 1.0))
 
 
 def best_response_jammer(p: GameParams, x, c_t) -> np.ndarray:
-    """max(chi, 0) for every x >= 2*delta, with the weights c_t."""
+    """max(chi, 0) for every x >= 2*delta, with the weights c_t; refused past the largest double."""
     if np.any(np.asarray(x) < 2.0 * p.delta):
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    return np.maximum(chi(p, x, c_t), 0.0)
+    return _finite("b_j(x)", np.maximum(chi(p, x, c_t), 0.0))
 
 
 def leader_utility(p: GameParams, x, c_t) -> np.ndarray:
@@ -183,7 +189,7 @@ def leader_utility(p: GameParams, x, c_t) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 2.0 * p.delta):
         raise DomainError("leader_utility requires x >= 2*delta")
-    log2x = np.log2(xa / p.delta)
+    log2x = _log2_ratio(p, xa)
     jammed = np.sqrt(c_t * p.p_j * log2x)
     free = log2x / (p.t_aj + xa / 2.0)
     cost = p.c_t_star * p.t_p * p.p_t
@@ -202,10 +208,10 @@ class EquilibriumColumns(NamedTuple):
 def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
     """nash_closed_form(replace(p, c_t=c)) for every weight c in the array c_t."""
     c_t = np.asarray(c_t, dtype=float)
-    half = 0.5 * lambert_w(8.0 / (eta(p, c_t) * p.delta**2), WBranch.PRINCIPAL)
+    half = 0.5 * lambert_w(8.0 / (eta(p, c_t) * br._delta_squared(p)), WBranch.PRINCIPAL)
     x_star = p.delta * np.exp(half)
     y_star = 0.5 * p.delta * (half - 1.0) * np.exp(half) - p.t_aj
-    interior = (c_t < br.thresholds(p).c_t_tilde) & (y_star > 0.0)
+    interior = (c_t < br._c_t_tilde(p)) & (y_star > 0.0)
     x = np.where(interior, x_star, br.best_response_target(p, 0.0))
     y = np.where(interior, y_star, 0.0)
     return EquilibriumColumns(x, y, *utilities_xy(p, x, y, c_t))
@@ -251,7 +257,7 @@ def stackelberg_approx_sweep(p: GameParams, c_t) -> np.ndarray:
     Raises ApproxUndefined if the approximation is undefined for any of them.
     """
     c_t = np.asarray(c_t, dtype=float)
-    arg = -eta(p, c_t) * p.delta**2 / 2.0
+    arg = -eta(p, c_t) * br._delta_squared(p) / 2.0
     if np.any(arg < BRANCH_POINT):
         bad = float(c_t[np.argmax(arg < BRANCH_POINT)])
         raise ApproxUndefined(

@@ -1,4 +1,4 @@
-"""The figures of ``jamgame sweep``: ``FIGURES[id]`` is ``(header, solver)``.
+"""The figures of ``jamgame sweep``: ``FIGURES[id]`` is ``(header, solver)``; ``sweep_slices`` runs one.
 
 ``solver(p, cfg)`` does once what does not depend on the grid (the
 efficiency figure reads its prior and solves xi_opt) and returns
@@ -17,7 +17,7 @@ from .best_response import best_response_target
 from .errors import ConfigError
 from .model import GameParams
 
-__all__ = ["FIGURES", "sweep_columns"]
+__all__ = ["FIGURES", "sweep_slices"]
 
 
 def _finite(cfg: dict, key: str, default: float) -> float:
@@ -86,21 +86,14 @@ FIGURES = {
 }
 
 
-def sweep_columns(figure: str, p: GameParams, cfg: dict, a: float, b: float, n: int, chunk_rows: int):
-    """The figure's columns on the n-point log grid from a to b, chunk_rows points at a time.
+def sweep_slices(figure: str, p: GameParams, cfg: dict, a: float, b: float, n: int, slices):
+    """The figure's columns on the n-point log grid from a to b: one block per ``(start, stop)``.
 
-    Each slice fills full-length columns of the first slice's dtypes: one slice of temporaries.
+    Every block is solved before this returns, so a refused weight leaves none to write.
     """
     v = col.log_grid(a, b, n)
-    table = None
     # Weights near the ends of the double range overflow or divide by zero on
     # the way into W; the inf that results is refused there as a DomainError.
     with np.errstate(over="ignore", divide="ignore"):
         solve = FIGURES[figure][1](p, cfg)
-        for start in range(0, n, chunk_rows):
-            part = solve(v[start:start + chunk_rows])
-            if table is None:
-                table = [np.empty(n, column.dtype) for column in part]
-            for column, values in zip(table, part):
-                column[start:start + chunk_rows] = values
-    return [v, *table]
+        return [[v[start:stop], *solve(v[start:stop])] for start, stop in slices]

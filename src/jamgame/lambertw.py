@@ -59,8 +59,7 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
     q = max(q, 0.0)
     if branch is WBranch.PRINCIPAL:
         if z < -0.2:
-            p = math.sqrt(2.0 * q)
-            w = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p**3
+            w = _branch_series(q, +1.0)
         elif z <= math.e:
             w = math.log1p(z)
         else:
@@ -70,8 +69,7 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
         if z >= 0.0:
             raise DomainError("Minus1 branch requires -1/e <= z < 0")
         if z < -0.25:
-            p = math.sqrt(2.0 * q)
-            w = -1.0 - p - p * p / 3.0 - (11.0 / 72.0) * p**3
+            w = _branch_series(q, -1.0)
         else:
             lz = math.log(-z)
             w = lz - math.log(-lz)
@@ -99,6 +97,15 @@ def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL):
         raise SingularError("lambert_w_prime is singular at z = -1/e")
     w = lambert_w(z, branch)
     return w / (z * (w + 1.0))
+
+
+def _branch_series(q, sign, sqrt=math.sqrt):
+    # Expansion around the branch point in p = sqrt(2(e*z + 1)), q = e*z + 1:
+    # sign=+1 gives the principal side, sign=-1 the lower one (negating p is
+    # exact in every term).  Written once for floats and arrays: the array
+    # form passes np.sqrt.
+    p = sign * sqrt(2.0 * q)
+    return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p**3
 
 
 def _fritsch(w, lz, log=math.log):

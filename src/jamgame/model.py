@@ -14,10 +14,11 @@ written with log2 while the best-response algebra uses natural logs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParams, InvalidStrategy
+from .errors import DomainError, InvalidParams, InvalidStrategy
 
 __all__ = [
     "GameParams",
@@ -62,8 +63,15 @@ class GameParams:
 
     @property
     def eta(self) -> float:
-        """c_t * p_j * ln 2, the natural-log form of the jammer's cost weight."""
-        return self.c_t * self.p_j * _LN2
+        """c_t * p_j * ln 2, the natural-log form of the jammer's cost weight.
+
+        Refused below the normal doubles, where it keeps too few bits for the
+        formulas that divide by it.
+        """
+        eta = self.c_t * self.p_j * _LN2
+        if eta < sys.float_info.min:
+            raise DomainError(f"eta = c_t*p_j*ln2 underflows (c_t = {self.c_t!r}, p_j = {self.p_j!r})")
+        return eta
 
     @property
     def x_min(self) -> float:
@@ -103,7 +111,13 @@ def capacity_xy(p: GameParams, x: float, y: float) -> float:
     The denominator is the expected cycle length: uniform silence has mean x/2.
     """
     _check_strategy(p, x, y)
-    return math.log2(x / p.delta) / (p.t_aj + y + x / 2.0)
+    return _log_ratio(p, x, math.log2) / (p.t_aj + y + x / 2.0)
+
+
+def _log_ratio(p: GameParams, x: float, log=math.log) -> float:
+    """ln(x/delta), as ln x - ln delta where x/delta overflows; log2 with math.log2."""
+    r = x / p.delta
+    return log(r) if r < math.inf else log(x) - log(p.delta)
 
 
 def utilities_xy(p: GameParams, x: float, y: float) -> UtilityPair:

@@ -16,11 +16,14 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .best_response import (
+    _LOG_DBL_MAX,
+    _c_t_tilde,
+    _delta_squared,
+    _ratio,
     best_response_jammer,
     best_response_target,
     chi,
     psi,
-    thresholds,
     x_hat,
 )
 from .errors import DomainError, InvalidStrategy
@@ -105,9 +108,8 @@ def nash_closed_form(p: GameParams) -> EquilibriumResult:
     The returned point is a simultaneous fixed point of both best responses
     to machine precision.
     """
-    th = thresholds(p)
-    if p.c_t < th.c_t_tilde:
-        w8 = lambert_w(8.0 / (p.eta * p.delta**2), WBranch.PRINCIPAL)
+    if p.c_t < _c_t_tilde(p):
+        w8 = lambert_w(_ratio("8/(eta*delta^2)", 8.0, p.eta * _delta_squared(p)), WBranch.PRINCIPAL)
         half = 0.5 * w8
         x_star = p.delta * math.exp(half)
         y_star = 0.5 * p.delta * (half - 1.0) * math.exp(half) - p.t_aj
@@ -206,8 +208,11 @@ def convergence_certificate(
     if not (epsilon > 0):
         raise DomainError("epsilon must be positive")
     omega = psi(p, 0.0)
-    rhs = 1.0 / (9.0 * p.delta**2 * _LN2 * p.p_j * (omega + 1.0) * math.exp(2.0 * (omega + 1.0)))
-    condition = p.c_t > rhs
+    # The weight bound is 0 where its denominator overflows and inf where it underflows to 0.
+    e2 = 2.0 * (omega + 1.0)
+    den = 9.0 * _delta_squared(p) * _LN2 * p.p_j * (omega + 1.0)
+    den *= math.exp(e2) if e2 < _LOG_DBL_MAX else math.inf
+    condition = p.c_t > (1.0 / den if den else math.inf)
 
     bounds = s_prime_bounds(p)
     jb = 2.0 / (omega + 1.0)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .best_response import _log_ratio
 from .errors import DomainError
-from .model import GameParams
+from .model import GameParams, _log_ratio
 
 __all__ = ["larger_zero"]
 
@@ -44,7 +43,8 @@ def larger_zero(p: GameParams, x_pos: float) -> float:
     too; only float noise takes one, where chi is flat at a double zero.
     Refuses a weight so small that ln(x/delta)/eta overflows at the start.
     """
-    x = min(4.0 / (p.eta * p.delta), _DBL_MAX)
+    den = p.eta * p.delta
+    x = min(4.0 / den, _DBL_MAX) if den else _DBL_MAX
     log_r = _log_ratio(p, x)
     if not math.isfinite(log_r / p.eta):
         raise DomainError(_TOO_SMALL.format(p.c_t))

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .best_response import best_response_target, chi
+from .best_response import _delta_squared, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, utilities_xy
+from .model import GameParams, StrategyProfile, _log_ratio, utilities_xy
 from .nash import EquilibriumResult, Regime, nash_closed_form
 from .roots import larger_zero
 
@@ -50,7 +50,7 @@ def leader_utility(p: GameParams, x: float) -> float:
     """
     if x < 2.0 * p.delta:
         raise DomainError("leader_utility requires x >= 2*delta")
-    log2x = math.log2(x / p.delta)
+    log2x = _log_ratio(p, x, math.log2)
     if chi(p, x) > 0.0:
         u = math.sqrt(p.c_t * p.p_j * log2x)
     else:
@@ -82,7 +82,7 @@ def stackelberg_approx(p: GameParams) -> EquilibriumResult:
     is what selects the root above x_hat (the principal branch would give the
     smaller one).  Undefined when the W argument falls below -1/e.
     """
-    arg = -p.eta * p.delta**2 / 2.0
+    arg = -p.eta * _delta_squared(p) / 2.0
     if arg < BRANCH_POINT:
         raise ApproxUndefined(
             f"approximation needs eta*delta^2 <= 2/e, got argument {arg:g} < -1/e"

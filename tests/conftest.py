@@ -73,21 +73,20 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(10.0 ** rng.uniform(np.log10(lo), np.log10(hi)))
 
 
-def wide_params(rng: np.random.Generator):
-    """(GameParams, prior (xi_min, xi_max), sweep range (a, b)) drawn from a wide box.
+#: A wide box of the six positive GameParams fields, with no physical sense kept.
+WIDE_BOX = dict(t_aj=(1e-15, 1e2), delta=(1e-15, 1e2), p_t=(1e-3, 1e3), p_j=(1e-3, 1e3), t_p=(1e-6, 1.0),
+                c_t=(1e-20, 1e25))
+#: Every positive double for each of the six, from the smallest subnormal up.
+FULL_RANGE = dict.fromkeys(WIDE_BOX, (5e-324, 1.7e308))
 
-    No physical sense is kept: t_aj and delta from 1e-15 to 1e2, p_t and p_j
-    from 1e-3 to 1e3, t_p from 1e-6 to 1, and c_t, the prior and the sweep
-    range of weights from 1e-20 to 1e25, each log-uniform.
+
+def wide_params(rng: np.random.Generator, box: dict):
+    """(GameParams, prior (xi_min, xi_max), sweep range (a, b)) drawn from a box.
+
+    ``box`` maps each of the six positive fields to its (lo, hi); the prior
+    and the sweep range of weights lie in 1e-20 to 1e25; all log-uniform.
     """
-    p = GameParams(
-        t_aj=_log_uniform(rng, 1e-15, 1e2),
-        delta=_log_uniform(rng, 1e-15, 1e2),
-        p_t=_log_uniform(rng, 1e-3, 1e3),
-        p_j=_log_uniform(rng, 1e-3, 1e3),
-        t_p=_log_uniform(rng, 1e-6, 1.0),
-        c_t=_log_uniform(rng, 1e-20, 1e25),
-    )
+    p = GameParams(**{name: _log_uniform(rng, lo, hi) for name, (lo, hi) in box.items()})
     prior = sorted(_log_uniform(rng, 1e-20, 1e25) for _ in range(2))
     weights = sorted(_log_uniform(rng, 1e-20, 1e25) for _ in range(2))
     return p, tuple(prior), tuple(weights)

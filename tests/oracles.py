@@ -60,14 +60,18 @@ def decimal_newton_w(z: float, branch_minus1: bool = False) -> float:
         w = Decimal(lz - math.log(-lz) if z > -0.3 else -1.2)
     else:
         w = Decimal(math.log(z) if z > math.e else (z if z > -0.3 else -0.9))
-    zd = Decimal(z)
+    return float(_decimal_newton_w(Decimal(z), w))
+
+
+def _decimal_newton_w(zd: Decimal, w: Decimal) -> Decimal:
+    """Newton on w*e^w = zd in Decimal from the start w."""
     for _ in range(200):
         ew = w.exp()
         step = (w * ew - zd) / (ew * (w + 1))
         w -= step
         if abs(step) <= Decimal("1e-40") * max(Decimal(1), abs(w)):
-            return float(w)
-    raise RuntimeError(f"Decimal Newton oracle failed to converge for z={z}")
+            return w
+    raise RuntimeError(f"Decimal Newton oracle failed to converge for z={zd}")
 
 
 def central_diff(f, x: float, h: float) -> float:
@@ -94,14 +98,36 @@ def _x_hat(p: GameParams) -> float:
 
 
 def _decimal_chi_of(p: GameParams):
-    """decimal_chi of p as a function of a Decimal x, with its constants converted once."""
-    eta = Decimal(repr(p.c_t)) * Decimal(repr(p.p_j)) * Decimal(2).ln()
-    t_aj, delta = Decimal(repr(p.t_aj)), Decimal(repr(p.delta))
+    """decimal_chi of p as a function of a Decimal x, with its constants converted once.
+
+    Each field enters with its exact binary value, subnormals included.
+    """
+    eta = Decimal(p.c_t) * Decimal(p.p_j) * Decimal(2).ln()
+    t_aj, delta = Decimal(p.t_aj), Decimal(p.delta)
 
     def chi(x: Decimal) -> Decimal:
         return ((x / delta).ln() / eta).sqrt() - t_aj - x / 2
 
     return chi
+
+
+def best_response_misses(p: GameParams, x: float, y: float) -> tuple[float, float]:
+    """How far (x, y) is from a fixed point of both best responses, in 60-digit Decimal.
+
+    Returns (psi(y) + 1 - ln(x/delta), max(chi(x), 0) - y): the first is the
+    miss of x against b_t(y) = delta e^(psi(y)+1) in the exponent.  psi is
+    W of a Decimal argument, which no double bounds.  Every double enters
+    with its exact binary value, subnormals included.
+    """
+    xd, yd, delta = Decimal(x), Decimal(y), Decimal(p.delta)
+    z = 2 * (Decimal(p.t_aj) + yd) / (Decimal(1).exp() * delta)
+    psi = _decimal_newton_w(z, z.ln() - z.ln().ln() if z > 3 else z)  # the float oracle's starts
+    return float(psi + 1 - (xd / delta).ln()), float(max(_decimal_chi_of(p)(xd), Decimal(0)) - yd)
+
+
+def exact_chi(p: GameParams, x: float) -> float:
+    """chi at x in 60-digit Decimal, from the exact binary values of x and of p's fields."""
+    return float(_decimal_chi_of(p)(Decimal(x)))
 
 
 def _bisect_zero(chi, neg: Decimal, pos: Decimal) -> float:

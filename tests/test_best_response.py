@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from jamgame import (
     best_response_target,
     chi,
     columns,
+    nash_closed_form,
     psi,
+    stackelberg_approx,
     thresholds,
     utilities_xy,
     x_hat,
 )
 from jamgame.roots import larger_zero
 from .conftest import low_ratio_params, random_params
-from .oracles import decimal_chi, lower_chi_zero, newton_w_principal
+from .oracles import decimal_chi, decimal_newton_w, lower_chi_zero, newton_w_principal
 
 # Frozen oracle values, Table-1 physics (see tests/oracles.py):
 PSI_AT_0 = 1.808628537617992            # Newton oracle, W(30/e)
@@ -221,3 +224,23 @@ def test_psi_matches_newton_oracle_random_points(rng):
         y = float(rng.uniform(0.0, 1e3 * p.delta))
         z = 2.0 * (p.t_aj + y) / (math.e * p.delta)
         assert psi(p, y) == pytest.approx(newton_w_principal(z), rel=1e-12)
+
+
+def test_c_t_tilde_where_its_factors_leave_the_normal_doubles():
+    # 4/(delta^2 p_j ln2) overflows and e^(-2(omega+1)) underflows to 0, so the
+    # plain product is nan, but c_t_tilde itself is a normal double.
+    p = GameParams(t_aj=1.49e180, delta=2.23e-74, p_t=1.0, p_j=1.38e-162, t_p=1.0, c_t=1.0)
+    omega = Decimal(decimal_newton_w(2.0 * p.t_aj / (math.e * p.delta)))
+    want = 4 / (Decimal(p.delta) ** 2 * Decimal(p.p_j) * Decimal(2).ln()) * (-2 * (omega + 1)).exp() / (omega + 1)
+    assert thresholds(p).c_t_tilde == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-155, 2e154])
+def test_delta_squared_outside_the_normal_doubles_is_refused(table1, delta):
+    # 1e-155 squares to a subnormal, 2e154 past the largest double.
+    p = replace(table1, delta=delta)
+    for solve in (thresholds, x_hat, nash_closed_form, stackelberg_approx):
+        with pytest.raises(DomainError, match=r"delta\*\*2 leaves the double range"):
+            solve(p)
+    with pytest.raises(DomainError, match=r"delta\*\*2 leaves the double range"):
+        columns.nash_sweep(p, np.array([1e6]))

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jamgame import cli, nash_closed_form, thresholds
+from jamgame import best_response_target, cli, nash_closed_form, thresholds
 from jamgame.figures import FIGURES
 from jamgame.config import dump_config, game_params_from_config, parse_config_text
-from .conftest import wide_params
+from . import oracles
+from .conftest import FULL_RANGE, WIDE_BOX, wide_params
 from .test_sweep import run_sweep
 
 TABLE1_CFG = """\
@@ -479,6 +480,16 @@ def test_readme_schema_table_matches_the_figures():
         assert f"`{','.join(header)}`" in rows[0], figure
 
 
+def test_a_weight_at_the_bottom_of_the_double_range_is_refused(tmp_path):
+    # The lab scenario at c_t = 1e-320: every query command needs eta, which underflows.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TABLE1_CFG.replace("c_t   = 1e6", "c_t   = 1e-320"))
+    for command in (["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]):
+        code, out, err = run_sweep([command[0], str(cfg), *command[1:]])
+        assert (code, out) == (3, ""), (command, err)
+        assert err.startswith("error: eta = c_t*p_j*ln2 underflows"), (command, err)
+
+
 WIDE_COMMANDS = [
     ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"],
     *(["sweep", "--figure", figure] for figure in ("payoffs", "approx", "efficiency", "comparison")),
@@ -486,12 +497,39 @@ WIDE_COMMANDS = [
 
 
 def test_every_command_ends_in_a_documented_exit_on_a_wide_box(tmp_path):
-    # Any game from the wide box either gives finite output or is refused
-    # with a documented exit code, no traceback and nothing on stdout.
-    rng = np.random.default_rng(16)
+    _every_command_ends_in_a_documented_exit(tmp_path, WIDE_BOX, np.random.default_rng(16), 200)
+
+
+def test_every_command_ends_in_a_documented_exit_on_the_full_positive_range(tmp_path):
+    _every_command_ends_in_a_documented_exit(tmp_path, FULL_RANGE, np.random.default_rng(17), 100)
+
+
+def _assert_equilibrium_residuals(command, p, row):
+    # Each residual is taken exactly (tests/oracles, in Decimal) at the printed point.
+    # nash: the fixed-point residual of both best responses, in ulps of the
+    # exponent e = ln(x/delta) = psi(y) + 1 of b_t = delta e^e: an ulp of e
+    # is e ulps of x, and the closed form's y carries the same error.
+    if command == "nash":
+        x, y = float(row["x_ne"]), float(row["y_ne"])
+        e = math.log(x) - math.log(p.delta)
+        exponent_miss, y_miss = oracles.best_response_misses(p, x, y)
+        assert abs(exponent_miss) <= 4 * math.ulp(e), (p, row, exponent_miss)
+        assert abs(y_miss) <= 4 * e * math.ulp(p.t_aj + x / 2 + y), (p, row, y_miss)
+    # stackelberg: off b_t(0) the leader sits on the larger zero of chi.
+    if command == "stackelberg":
+        x = float(row["x_se"])
+        if x != best_response_target(p, 0.0):
+            chi = oracles.exact_chi(p, x)
+            assert abs(chi) <= 4 * math.ulp(p.t_aj + x / 2), (p, row, chi)
+
+
+def _every_command_ends_in_a_documented_exit(tmp_path, box, rng, draws):
+    # Any game from the box either gives finite output or is refused with a
+    # documented exit code, no traceback and nothing on stdout; an equilibrium
+    # given meets its defining equations to a few ulp.
     cfg = tmp_path / "wide.cfg"
-    for _ in range(200):
-        p, (xi_min, xi_max), (a, b) = wide_params(rng)
+    for _ in range(draws):
+        p, (xi_min, xi_max), (a, b) = wide_params(rng, box)
         cfg.write_text(dump_config(dict(vars(p), xi_min=xi_min, xi_max=xi_max)))
         for command in WIDE_COMMANDS:
             argv = [command[0], str(cfg), *command[1:]]
@@ -512,3 +550,5 @@ def test_every_command_ends_in_a_documented_exit_on_a_wide_box(tmp_path):
                         assert math.isfinite(float(v)), (argv, p, name, v)
                     if name.startswith("e_xi"):
                         assert 0.0 < float(v) <= 1.0 + 1e-12, (argv, p, name, v)
+            header, rows = parse_csv(out.split("\n\n")[0])
+            _assert_equilibrium_residuals(command[0], p, dict(zip(header, rows[0])))

@@ -1,11 +1,13 @@
 """Tests for the game's data model: cycle timing, capacity, utilities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jamgame import (
+    DomainError,
     GameParams,
     InvalidParams,
     InvalidStrategy,
@@ -77,6 +79,14 @@ def test_utilities_table2_point(table2):
 def test_eta_positive_and_value(table1):
     assert table1.eta == pytest.approx(1e6 * 2.0 * np.log(2.0), rel=1e-15)
     assert table1.eta > 0
+
+
+@pytest.mark.parametrize("c_t", [1e-310, 1e-320])
+def test_eta_below_the_normal_doubles_is_refused(table1, c_t):
+    # GameParams takes the weight; only a formula that needs eta refuses it.
+    p = replace(table1, c_t=c_t)
+    with pytest.raises(DomainError, match="eta = c_t\\*p_j\\*ln2 underflows"):
+        p.eta
 
 
 @pytest.mark.parametrize(
