@@ -16,6 +16,7 @@ c_t_star term cancels from every comparison of interest).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -73,11 +74,29 @@ _MIN_ETA_DELTA2 = 2.0 / sys.float_info.max
 _TOO_SMALL = "xi = {!r} is too small: x_hat's W argument 2/(eta*delta^2) overflows"
 
 
+def _finite_result(fn):
+    """fn with numpy's overflow and divide warnings off, and a non-finite result refused.
+
+    Weights near the ends of the double range overflow or divide by zero on
+    the way into W; the inf that results is refused there, or here, as a
+    DomainError.
+    """
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", divide="ignore"):
+            out = fn(*args, **kwargs)
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"{fn.__name__} leaves the double range")
+        return out
+    return checked
+
+
 def _float_if_scalar(out):
     """A 0-d result as a Python float; an array as it is."""
     return float(out) if np.ndim(out) == 0 else out
 
 
+@_finite_result
 def g_of_xi(p: GameParams, xi):
     """Leader strategy if the jammer's weight were xi.
 
@@ -94,6 +113,7 @@ def g_of_xi(p: GameParams, xi):
     return _float_if_scalar(columns.stackelberg_sweep(p, xi))
 
 
+@_finite_result
 def realized_utility(p: GameParams, xi, c_t=None):
     """Target utility when it plays g(xi) but the true weight is p.c_t.
 
@@ -135,6 +155,7 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
     return _float_if_scalar(p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket)
 
 
+@_finite_result
 def xi_opt(p: GameParams, prior: UniformPrior) -> float:
     """Assumed weight maximizing the expected utility over the prior support.
 
@@ -153,6 +174,7 @@ def xi_opt(p: GameParams, prior: UniformPrior) -> float:
             return float(grid[k])
 
 
+@_finite_result
 def efficiency(p: GameParams, xi, c_t=None):
     """Realized utility under assumed weight xi relative to perfect knowledge.
 

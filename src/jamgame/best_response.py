@@ -98,9 +98,16 @@ def x_hat(p: GameParams) -> float:
 def thresholds(p: GameParams) -> Thresholds:
     """Compute both critical weights for the current physical parameters.
 
-    Refuses either weight past the largest double.
+    Refuses either weight past the largest double.  Where the denominator of
+    c_t_max overflows, the weight may still be a subnormal double, so there
+    it is taken in logs of factors that cannot overflow.
     """
-    c_t_max = _ratio("c_t_max", 1.0, p.p_j * _LN2 * 2.0 * p.delta * (p.delta + p.t_aj))
+    den = p.p_j * _LN2 * 2.0 * p.delta * (p.delta + p.t_aj)
+    if den < math.inf:
+        c_t_max = _ratio("c_t_max", 1.0, den)
+    else:
+        log_half_sum = math.log(0.5 * p.delta + 0.5 * p.t_aj)
+        c_t_max = math.exp(-(math.log(p.p_j * _LN2) + 2.0 * _LN2 + math.log(p.delta) + log_half_sum))
     return Thresholds(c_t_max=c_t_max, c_t_tilde=_finite("c_t_tilde", _c_t_tilde(p)))
 
 

@@ -9,14 +9,22 @@ Subcommands::
 
 All output is CSV with a header row; floats are printed with shortest
 round-trip precision (repr).  Exit codes: 0 ok, 2 config/usage error,
-3 game-invariant violation, 4 I/O error.  ``sweep`` takes each figure's
-header and solver from ``jamgame.figures``, which no other command loads.
+3 game-invariant violation, 4 I/O error, a failed write to stdout included.
+``sweep`` takes each figure's header and solver from ``jamgame.figures``,
+which no other command loads.
+
+As a command (``run``), jamgame starts numpy's BLAS with one thread, since
+it makes no BLAS call (a user's ``OPENBLAS_NUM_THREADS`` is kept), and the
+process ends as soon as its output is flushed, without the interpreter's
+teardown.  ``main`` runs the same commands for callers in the process and
+returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .best_response import thresholds
@@ -26,7 +34,7 @@ from .model import StrategyProfile
 from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form
 from .stackelberg import improvement_report, leader_utility, stackelberg_approx, stackelberg_exact
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a failed write to stdout is an I/O error too
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -246,5 +256,17 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """Run ``main`` and end the process at once with its exit code.
+
+    Every file is closed by then and jamgame registers no ``atexit``
+    callback, so the skipped teardown would write nothing.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .best_response import best_response_jammer, best_response_target
-from .errors import InvalidParams
+from .errors import DomainError, InvalidParams
 from .model import GameParams, UtilityPair
 from .nash import nash_closed_form, s_prime_bounds
 
@@ -107,7 +107,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
 
     ``perfect_observation`` is a testing hook that replaces the estimates by
     the opponent's true current strategy, making the strategy history follow
-    the analytic best-response dynamics exactly.
+    the analytic best-response dynamics exactly.  A run whose per-cycle jam
+    energy (jam * p_j) leaves the double range is refused as a DomainError.
     """
     p = cfg.params
     n, period = cfg.total_cycles, cfg.update_period_cycles
@@ -145,6 +146,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
 
     jam *= np.repeat(ys, period)[:n]
     silence *= np.repeat(xs, period)[:n]
+    if not math.isfinite(float(jam.max()) * p.p_j):
+        raise DomainError("jam_energy_j = jam_s * p_j leaves the double range")
 
     cycles_in_force = [period] * windows + [n - windows * period]
     total_bits = math.fsum(c * b for c, b in zip(cycles_in_force, _bits(xs, p.delta)))

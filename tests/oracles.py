@@ -91,6 +91,12 @@ def decimal_chi(x: str, t_aj: str, delta: str, c_t: str, p_j: str) -> float:
     return float(((xd / Decimal(delta)).ln() / eta).sqrt() - Decimal(t_aj) - xd / 2)
 
 
+
+def c_t_max(p: GameParams) -> float:
+    """1/(p_j ln2 2 delta (delta + t_aj)) in 60-digit Decimal, from the exact binary values of p's fields."""
+    delta = Decimal(p.delta)
+    return float(1 / (Decimal(p.p_j) * Decimal(2).ln() * 2 * delta * (delta + Decimal(p.t_aj))))
+
 def _x_hat(p: GameParams) -> float:
     """The maximum of chi, delta * e^(W(2/(eta*delta^2))/2), with the Newton W."""
     eta = p.c_t * p.p_j * math.log(2.0)

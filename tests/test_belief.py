@@ -9,6 +9,7 @@ import pytest
 from jamgame import (
     DomainError,
     InvalidParams,
+    JamGameError,
     UniformPrior,
     best_response_target,
     chi,
@@ -21,7 +22,7 @@ from jamgame import (
     xi_opt,
 )
 from jamgame.belief import foc_residual
-from .conftest import random_params
+from .conftest import FULL_RANGE, random_params, wide_params
 from .oracles import expected_utility_numeric, larger_chi_zero
 
 
@@ -244,3 +245,24 @@ def test_xi_min_efficiency_collapses_at_high_weight(table1, prior):
     e_min = efficiency(p, prior.xi_min)
     print(f"\n[efficiency] e(xi_min) at c_t=1e9: {e_min:.4f}")
     assert e_min < efficiency(p, prior.xi_max)
+
+
+def test_every_positive_double_gives_a_finite_value_or_a_refusal(rng):
+    # Called directly, not under a sweep's np.errstate: a game from every
+    # positive double for each field gives finite values or a JamGameError,
+    # and no numpy RuntimeWarning (an error under the suite's filter).
+    for _ in range(100):
+        p, (lo, hi), _ = wide_params(rng, FULL_RANGE)
+        calls = (
+            lambda: g_of_xi(p, lo),
+            lambda: realized_utility(p, hi),
+            lambda: efficiency(p, lo),
+            lambda: efficiency(p, np.array([[lo], [hi]]), np.array([lo, hi])),
+            lambda: xi_opt(p, UniformPrior(xi_min=lo, xi_max=hi)),
+        )
+        for call in calls:
+            try:
+                value = call()
+            except JamGameError:
+                continue
+            assert np.all(np.isfinite(value)), (p, lo, hi)

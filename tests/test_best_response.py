@@ -22,6 +22,7 @@ from jamgame import (
     x_hat,
 )
 from jamgame.roots import larger_zero
+from . import oracles
 from .conftest import low_ratio_params, random_params
 from .oracles import decimal_chi, decimal_newton_w, lower_chi_zero, newton_w_principal
 
@@ -233,6 +234,32 @@ def test_c_t_tilde_where_its_factors_leave_the_normal_doubles():
     omega = Decimal(decimal_newton_w(2.0 * p.t_aj / (math.e * p.delta)))
     want = 4 / (Decimal(p.delta) ** 2 * Decimal(p.p_j) * Decimal(2).ln()) * (-2 * (omega + 1)).exp() / (omega + 1)
     assert thresholds(p).c_t_tilde == pytest.approx(float(want), rel=1e-12)
+
+
+
+def test_c_t_max_where_its_denominator_overflows(rng):
+    # p_j ln2 2 delta (delta + t_aj) overflows, but c_t_max is still a
+    # subnormal double: ~5.3e-310 for the first game, not 0.0.  The others
+    # draw t_aj and delta over the full range and set p_j so that the
+    # denominator lies between the largest double and 1/(smallest subnormal),
+    # skipping the games whose c_t_tilde is refused.  The log form errs by a
+    # few ulp of its ~700-sized logs: 1e-12 relative.
+    p = GameParams(t_aj=4.49e-220, delta=6.98e19, p_t=1.0, p_j=2.81e269, t_p=1e-3, c_t=1.0)
+    assert thresholds(p).c_t_max == pytest.approx(5.26899004624925e-310, rel=1e-12)
+    checked = 0
+    while checked < 15:
+        t_aj, delta = (10.0 ** float(e) for e in rng.uniform(-323.0, 308.0, 2))
+        log_p_j = float(rng.uniform(709.8, 744.4)) - math.log(2.0 * math.log(2.0) * delta) - math.log(delta + t_aj)
+        if not math.log(5e-324) < log_p_j < math.log(1.7e308):
+            continue
+        p = GameParams(t_aj=t_aj, delta=delta, p_t=1.0, p_j=math.exp(log_p_j), t_p=1.0, c_t=1.0)
+        try:
+            got = thresholds(p).c_t_max
+        except DomainError:
+            continue
+        want = oracles.c_t_max(p)
+        assert abs(got - want) <= 1e-12 * want + 5e-324, (p, got, want)
+        checked += 1
 
 
 @pytest.mark.parametrize("delta", [1e-155, 2e154])

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import argparse
+import ast
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -96,16 +98,16 @@ def test_nash_missing_key_exit_2(tmp_path):
     path = tmp_path / "broken.cfg"
     path.write_text("\n".join(ln for ln in TABLE1_CFG.splitlines() if "delta" not in ln))
     res = run_cli("nash", str(path))
-    assert res.returncode == 2
-    assert "delta" in res.stderr
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: ") and "delta" in res.stderr
 
 
 def test_nash_invariant_violation_exit_3(tmp_path):
     path = tmp_path / "neg.cfg"
     path.write_text(TABLE1_CFG.replace("delta = 1e-6", "delta = -1e-6"))
     res = run_cli("nash", str(path))
-    assert res.returncode == 3
-    assert "delta" in res.stderr
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr.startswith("error: ") and "delta" in res.stderr
 
 
 def test_nash_brd_trace_converges_to_row(cfg1):
@@ -318,8 +320,22 @@ def test_simulate_draws_and_records_seed(cfg2, tmp_path):
 
 def test_simulate_unwritable_exit_4(cfg2):
     res = run_cli("simulate", cfg2, "--seed", "1", "--out", "/nonexistent-dir/x.csv")
-    assert res.returncode == 4
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
+
+
+def test_simulate_refuses_jam_energies_past_the_largest_double(tmp_path):
+    # jam_energy_j = jam_s * p_j overflows for p_j near the largest double:
+    # refused before the trace file is opened, with no numpy RuntimeWarning.
+    cfg = tmp_path / "huge_p_j.cfg"
+    cfg.write_text("t_aj = 1\ndelta = 1e-3\np_t = 1\np_j = 1.7e308\nt_p = 1e-3\nc_t = 1e-313\n"
+                   "total_cycles = 40\nupdate_period_cycles = 10\n")
+    out = tmp_path / "trace.csv"
+    code, stdout, err = run_sweep(["simulate", str(cfg), "--seed", "3", "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: jam_energy_j")
+    assert not out.exists()
 
 def test_config_round_trip():
     cfg = parse_config_text(TABLE2_CFG)
@@ -552,3 +568,98 @@ def _every_command_ends_in_a_documented_exit(tmp_path, box, rng, draws):
                         assert 0.0 < float(v) <= 1.0 + 1e-12, (argv, p, name, v)
             header, rows = parse_csv(out.split("\n\n")[0])
             _assert_equilibrium_residuals(command[0], p, dict(zip(header, rows[0])))
+
+
+# ---------------------------------------------------------------------------
+# The process: `python -m jamgame` and the installed `jamgame` both run cli.run
+
+
+def _buffered_env(**extra):
+    """The environment with ``extra``, without PYTHONUNBUFFERED (so the child's stdout is
+    block-buffered) and without a user's OPENBLAS_NUM_THREADS."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("argv", [
+    ["nash", "--brd"],
+    ["stackelberg", "--approx"],
+    ["sweep", "--figure", "payoffs", "--log-range", "1e5", "1e9", "2000"],
+    ["sweep", "--figure", "efficiency", "--log-range", "1e5", "1e9", "300", "--out", "{out}"],
+    ["simulate", "--seed", "7", "--out", "{out}"],
+])
+def test_the_process_writes_what_main_writes(cfg1, tmp_path, argv):
+    # The process ends with os._exit after main: every byte main writes is out by then.
+    def command(out):
+        return [a.replace("{out}", str(tmp_path / out)) for a in (argv[0], cfg1, *argv[1:])]
+
+    res = subprocess.run([sys.executable, "-m", "jamgame", *command("process.csv")],
+                         capture_output=True, text=True, env=_buffered_env())
+    code, out, err = run_sweep(command("main.csv"))
+    assert (res.returncode, res.stdout, res.stderr) == (code, out, err) == (0, out, "")
+    if "{out}" in argv:
+        assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nash"],
+    ["stackelberg"],
+    ["sweep", "--figure", "brY", "--log-range", "1e-5", "1e-3", "2000"],  # fails before the last flush
+])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+def test_a_failed_write_to_stdout_exits_4(cfg1, argv, sink):
+    command = [sys.executable, "-m", "jamgame", argv[0], cfg1, *argv[1:]]
+    if sink == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=_buffered_env())
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True, env=_buffered_env())
+        finally:
+            os.close(write_end)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Exception ignored" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_the_command_starts_numpy_with_one_blas_thread(cfg1, user_value):
+    # A sweep loads numpy; main is wrapped to report the process's threads,
+    # the BLAS setting and whether numpy is loaded once it returns.  A value
+    # the user set is kept (its thread count depends on the host's cores).
+    code = (
+        "import os, sys, jamgame.cli as cli\n"
+        "main = cli.main\n"
+        "def reporting():\n"
+        "    code = main()\n"
+        "    threads = len(os.listdir('/proc/self/task'))\n"
+        "    print(threads, os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules, file=sys.stderr)\n"
+        "    return code\n"
+        "cli.main = reporting\n"
+        "cli.run()\n"
+    )
+    argv = ["sweep", cfg1, "--figure", "brY", "--log-range", "1e-5", "1e-3", "5"]
+    env = _buffered_env(**({} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}))
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    threads, blas_threads, numpy_loaded = res.stderr.split()
+    assert (blas_threads, numpy_loaded) == (user_value or "1", "True")
+    if user_value is None:
+        assert threads == "1"
+
+
+def test_the_installed_command_runs_what_python_m_runs():
+    # pyproject's [project.scripts] target is the function __main__.py calls.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    target = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["jamgame"]
+    tree = ast.parse((root / "src" / "jamgame" / "__main__.py").read_text(encoding="utf-8"))
+    imported = {alias.name: f"jamgame.{node.module}" for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = [node.value.func.id for node in tree.body if isinstance(node, ast.Expr)]
+    assert [f"{imported[name]}:{name}" for name in called] == [target] == ["jamgame.cli:run"]
