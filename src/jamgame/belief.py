@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +67,6 @@ class UniformPrior:
         return 1.0 / (self.xi_max - self.xi_min)
 
 
-# At or below this eta*delta^2 the game has no x_hat (its W argument
-# 2/(eta*delta^2) overflows) and no Nash point; g_of_xi refuses such weights.
-_MIN_ETA_DELTA2 = 2.0 / sys.float_info.max
-_TOO_SMALL = "xi = {!r} is too small: x_hat's W argument 2/(eta*delta^2) overflows"
-
-
 def _finite_result(fn):
     """fn with numpy's overflow and divide warnings off, and a non-finite result refused.
 
@@ -104,12 +97,11 @@ def g_of_xi(p: GameParams, xi):
     chi, or b_t(0) when xi is large enough that jamming is inhibited there.
     Decreasing in xi.  Every xi, a float or an array, is solved by
     columns.stackelberg_sweep in one batched pass; a float gives a float.
+    It refuses exactly the weights that stackelberg_exact refuses.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all((xi > 0) & np.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
-    if np.any(columns.eta(p, xi) * _delta_squared(p) <= _MIN_ETA_DELTA2):
-        raise DomainError(_TOO_SMALL.format(float(xi.min())))
     return _float_if_scalar(columns.stackelberg_sweep(p, xi))
 
 

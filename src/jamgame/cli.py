@@ -200,10 +200,19 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, with usage errors led by ``error: `` like every other failure."""
+    """argparse, with usage errors led by ``error: `` like every other failure.
+
+    ``--help`` flushes its text before argparse's SystemExit, and a failed
+    write of it raises: argparse's own writer drops the error.
+    """
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"error: {message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        out = file or sys.stdout
+        out.write(self.format_help())
+        out.flush()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # --help and usage errors raise SystemExit
         code = args.fn(args)
         sys.stdout.flush()  # a failed write to stdout is an I/O error too
         return code

@@ -10,6 +10,7 @@ one takes the Newton steps of ``roots`` for all weights at once.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +43,11 @@ def log_grid(a: float, b: float, n: int) -> np.ndarray:
 
 
 def eta(p: GameParams, c_t):
-    """p.eta with the weights c_t in place of p.c_t."""
-    return np.asarray(c_t, dtype=float) * p.p_j * _LN2
+    """p.eta with the weights c_t in place of p.c_t; refused, as there, below the normal doubles."""
+    e = np.asarray(c_t, dtype=float) * p.p_j * _LN2
+    if np.any(e < sys.float_info.min):
+        raise DomainError(f"eta = c_t*p_j*ln2 underflows (c_t = {float(np.min(c_t))!r}, p_j = {p.p_j!r})")
+    return e
 
 
 def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
@@ -206,12 +210,17 @@ class EquilibriumColumns(NamedTuple):
 
 
 def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
-    """nash_closed_form(replace(p, c_t=c)) for every weight c in the array c_t."""
+    """nash_closed_form(replace(p, c_t=c)) for every weight c in the array c_t.
+
+    As there, 8/(eta*delta^2) is formed only for the weights below c_t_tilde.
+    """
     c_t = np.asarray(c_t, dtype=float)
-    half = 0.5 * lambert_w(8.0 / (eta(p, c_t) * br._delta_squared(p)), WBranch.PRINCIPAL)
+    inner = c_t < br._c_t_tilde(p)
+    half = np.zeros(c_t.shape)
+    half[inner] = 0.5 * lambert_w(8.0 / (eta(p, c_t[inner]) * br._delta_squared(p)), WBranch.PRINCIPAL)
     x_star = p.delta * np.exp(half)
     y_star = 0.5 * p.delta * (half - 1.0) * np.exp(half) - p.t_aj
-    interior = (c_t < br._c_t_tilde(p)) & (y_star > 0.0)
+    interior = inner & (y_star > 0.0)
     x = np.where(interior, x_star, br.best_response_target(p, 0.0))
     y = np.where(interior, y_star, 0.0)
     return EquilibriumColumns(x, y, *utilities_xy(p, x, y, c_t))

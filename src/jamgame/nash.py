@@ -16,7 +16,6 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .best_response import (
-    _LOG_DBL_MAX,
     _c_t_tilde,
     _delta_squared,
     _ratio,
@@ -28,7 +27,7 @@ from .best_response import (
 )
 from .errors import DomainError, InvalidStrategy
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, StrategyProfile, UtilityPair, utilities_xy
+from .model import GameParams, StrategyProfile, UtilityPair, _log_ratio, utilities_xy
 from .roots import larger_zero
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITER",
 ]
-
-_LN2 = math.log(2.0)
 
 # Convergence test is sup-norm on (x/delta, y/delta): x and y sit orders of
 # magnitude above delta, so one scaled tolerance is meaningful for both.
@@ -180,7 +177,7 @@ def s_prime_bounds(p: GameParams) -> SPrimeBounds:
 
 def _bj_slope(p: GameParams, x: float) -> float:
     """|d b_j / d x| = |(1/(x*sqrt(eta*ln(x/delta))) - 1)| / 2 on the active region."""
-    h = 1.0 / (x * math.sqrt(p.eta * math.log(x / p.delta)))
+    h = 1.0 / (x * math.sqrt(p.eta * _log_ratio(p, x)))
     return 0.5 * abs(h - 1.0)
 
 
@@ -190,7 +187,8 @@ def convergence_certificate(
     """Evaluate the contraction condition and the worst-case iteration bound.
 
     condition_ct_holds checks the sufficient condition on the weight,
-        c_t > 1 / (9 delta^2 ln2 p_j (omega+1) e^(2(omega+1))),  omega = psi(0).
+        c_t > 1 / (9 delta^2 ln2 p_j (omega+1) e^(2(omega+1))) = c_t_tilde / 36,
+    omega = psi(0), with c_t_tilde taken from _c_t_tilde on the whole double range.
     jb_max maximizes the closed-form best-response slopes over S'.  The slope
     of b_t peaks at y = 0, at 2/(omega+1).  b_j has slope zero wherever the
     clamp is active, and S' reaches its active interval only if chi(x_m) > 0:
@@ -207,13 +205,8 @@ def convergence_certificate(
     """
     if not (epsilon > 0):
         raise DomainError("epsilon must be positive")
+    condition = p.c_t > _c_t_tilde(p) / 36.0
     omega = psi(p, 0.0)
-    # The weight bound is 0 where its denominator overflows and inf where it underflows to 0.
-    e2 = 2.0 * (omega + 1.0)
-    den = 9.0 * _delta_squared(p) * _LN2 * p.p_j * (omega + 1.0)
-    den *= math.exp(e2) if e2 < _LOG_DBL_MAX else math.inf
-    condition = p.c_t > (1.0 / den if den else math.inf)
-
     bounds = s_prime_bounds(p)
     jb = 2.0 / (omega + 1.0)
     if chi(p, bounds.x_m) > 0.0:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .best_response import best_response_jammer, best_response_target
 from .errors import DomainError, InvalidParams
-from .model import GameParams, UtilityPair
+from .model import GameParams, UtilityPair, _log_ratio
 from .nash import nash_closed_form, s_prime_bounds
 
 __all__ = [
@@ -97,9 +97,10 @@ class SimTrace:
     config: SimConfig = field(repr=False)
 
 
-def _bits(x: np.ndarray, delta: float):
-    # log2(x/delta), lazily; np.log2 differs from math.log2 in the last bit for some doubles.
-    return (math.log2(v / delta) for v in x.tolist())
+def _bits(x: np.ndarray, p: GameParams):
+    # log2(x/delta), lazily, finite where x/delta overflows; np.log2 differs
+    # from math.log2 in the last bit for some doubles.
+    return (_log_ratio(p, v, math.log2) for v in x.tolist())
 
 
 def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
@@ -150,7 +151,7 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
         raise DomainError("jam_energy_j = jam_s * p_j leaves the double range")
 
     cycles_in_force = [period] * windows + [n - windows * period]
-    total_bits = math.fsum(c * b for c, b in zip(cycles_in_force, _bits(xs, p.delta)))
+    total_bits = math.fsum(c * b for c, b in zip(cycles_in_force, _bits(xs, p)))
     jam_total = float(jam.sum())
     realized_capacity = total_bits / (n * p.t_aj + jam_total + float(silence.sum()))
     realized = UtilityPair(
@@ -186,7 +187,7 @@ def event_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, .
     cfg = trace.config
     p, period = cfg.params, cfg.update_period_cycles
     first = start // period
-    bits = np.fromiter(_bits(trace.x[first : (stop - 1) // period + 1], p.delta), float)
+    bits = np.fromiter(_bits(trace.x[first : (stop - 1) // period + 1], p), float)
     cycle = np.arange(start, stop)
     jam = trace.jam[start:stop]
     return cycle, trace.silence[start:stop], jam, bits[cycle // period - first], jam * p.p_j

@@ -117,6 +117,18 @@ def _decimal_chi_of(p: GameParams):
     return chi
 
 
+def c_t_tilde(p: GameParams) -> Decimal:
+    """4/(delta^2 p_j ln2) e^(-2(omega+1)) / (omega+1), omega = psi(0), in 60-digit Decimal.
+
+    A Decimal, which holds the weight past either end of the double range.
+    Every field enters with its exact binary value, subnormals included.
+    """
+    delta = Decimal(p.delta)
+    z = 2 * Decimal(p.t_aj) / (Decimal(1).exp() * delta)
+    omega1 = _decimal_newton_w(z, z.ln() - z.ln().ln() if z > 3 else z) + 1
+    return 4 / (delta * delta * Decimal(p.p_j) * Decimal(2).ln()) * (-2 * omega1).exp() / omega1
+
+
 def best_response_misses(p: GameParams, x: float, y: float) -> tuple[float, float]:
     """How far (x, y) is from a fixed point of both best responses, in 60-digit Decimal.
 
@@ -177,26 +189,6 @@ def lower_chi_zero(p: GameParams) -> float:
     if not chi(hi) > 0:
         raise ValueError("chi has no positive value at x_hat: no lower zero to bracket")
     return _bisect_zero(chi, Decimal(p.delta), hi)
-
-
-def leader_loss_bracket_width(p: GameParams) -> float:
-    """A root width costing the leader at most 1e-6 of |U_t(x_hat)|.
-
-    The leader utility's slope on the jammed branch is bounded by
-    u_max = sqrt(c_t * p_j) / (4 delta ln 2), so a width of
-    1e-6 * |U_t(x_hat)| / u_max costs at most that much utility.  This was
-    the stop width of the library's former bisection; the residual checks
-    keep it as their bound.
-    """
-    xh = _x_hat(p)
-    log2x = math.log2(xh / p.delta)
-    if decimal_chi(repr(xh), repr(p.t_aj), repr(p.delta), repr(p.c_t), repr(p.p_j)) > 0.0:
-        u = math.sqrt(p.c_t * p.p_j * log2x)
-    else:
-        u = log2x / (p.t_aj + xh / 2.0)
-    leader_loss = 1e-6 * abs(u - p.c_t_star * p.t_p * p.p_t)
-    u_max = math.sqrt(p.c_t * p.p_j) / (4.0 * p.delta * math.log(2.0))
-    return leader_loss / u_max
 
 
 def grid_argmax(f, lo: float, hi: float, n: int) -> tuple[float, float]:

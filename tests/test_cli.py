@@ -234,20 +234,33 @@ def test_sweep_efficiency_prior_past_c_t_tilde(tmp_path):
             assert 0.0 < float(v) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize(
-    "bound",
-    ["xi_max = 1e300", "xi_min = 1e-300", "xi_min = 1e-305\nxi_max = 1e-5", "xi_min = 1e-320\nxi_max = 2e-320"],
-)
+def test_sweep_efficiency_prior_down_to_1e_305_is_solved(tmp_path):
+    # eta*delta^2 = 1.4e-317 at xi_min: the leader is still solved there, as
+    # stackelberg_exact solves it, so the prior is solved whole.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TABLE1_CFG + "xi_min = 1e-305\nxi_max = 1e-5\n")
+    res = run_cli("sweep", str(path), "--figure", "efficiency", "--log-range", "1e6", "1e8", "3")
+    assert res.returncode == 0, res.stderr
+    header, rows = parse_csv(res.stdout)
+    assert len(rows) == 3
+    for row in rows:
+        assert 1e-305 <= float(row[1]) <= 1e-5  # xi_opt
+        for v in row[2:]:
+            assert 0.0 < float(v) <= 1.0
+
+
+@pytest.mark.parametrize("bound", ["xi_max = 1e300", "xi_min = 1e-300", "xi_min = 1e-320\nxi_max = 2e-320"])
 def test_sweep_efficiency_prior_out_of_range_exit_3(tmp_path, bound):
     # xi_max**2 or xi_max / xi_min overflows: the prior is refused, not solved.
-    # A weight so small that x_hat's W argument overflows is refused by name.
+    # A weight whose eta underflows is refused by the leader's own rule, which
+    # names the smallest weight of xi_opt's first grid: xi_min.
     path = tmp_path / "scenario.cfg"
     path.write_text(TABLE1_CFG + bound + "\n")
     res = run_cli("sweep", str(path), "--figure", "efficiency", "--log-range", "1e6", "1e8", "3")
     assert res.returncode == 3
     assert res.stdout == ""
     assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
-    assert "xi" in res.stderr
+    assert ("(c_t = 1e-320," if "1e-320" in bound else "xi") in res.stderr
 
 
 def test_sweep_bad_range_exit_2(cfg1):
@@ -624,6 +637,25 @@ def test_a_failed_write_to_stdout_exits_4(cfg1, argv, sink):
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith("error: ")
     assert "Exception ignored" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["nash", "--help"]], ids=["jamgame", "nash"])
+def test_help_to_a_failing_stdout_exits_4(argv, unbuffered):
+    # argparse exits before main's flush, and its own writer drops a failed
+    # write: the help text is flushed as it is written, so neither loses it.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = _buffered_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    command = [sys.executable, "-m", "jamgame", *argv]
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Exception ignored" not in res.stderr and "Traceback" not in res.stderr
+    res = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.startswith("usage: jamgame")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")

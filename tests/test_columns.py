@@ -11,6 +11,7 @@ result).
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,21 +20,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
+    JamGameError,
     WBranch,
     best_response_jammer,
     best_response_target,
     capacity_xy,
     chi,
     columns,
+    improvement_report,
     lambert_w,
     leader_utility,
+    nash_closed_form,
     psi,
+    stackelberg_approx,
     stackelberg_exact,
     thresholds,
     utilities_xy,
 )
 from jamgame.belief import g_of_xi
-from .conftest import random_params
+from .conftest import FULL_RANGE, WIDE_BOX, random_params, wide_params
 from .oracles import decimal_newton_w
 
 ULPS = 4
@@ -153,3 +158,59 @@ def test_log_grid_is_the_python_power_of_each_point(a, b):
     ratio = (b / a) ** (1.0 / (n - 1))
     want = [a * ratio**k for k in range(n - 1)] + [b]
     assert columns.log_grid(a, b, n).tolist() == want
+
+
+def _answer(solve):
+    """solve()'s values as one float array, or None where it is refused."""
+    try:
+        with np.errstate(over="ignore", divide="ignore"):  # as figures.sweep_slices runs the array forms
+            return np.array(solve(), dtype=float).ravel()
+    except JamGameError:
+        return None
+
+
+def _solvers(p, x, y):
+    """Each scalar solver at p's own weight, with its array forms at the one-element column of it."""
+    w = np.array([p.c_t])
+
+    def nash():
+        ne = nash_closed_form(p)
+        return [ne.profile.x, ne.profile.y, *ne.utilities]
+
+    def approx():
+        se = stackelberg_approx(p)
+        return [se.profile.x, *se.utilities]
+
+    def approx_sweep():  # priced at (x, 0) as stackelberg_approx prices it
+        x_ap = columns.stackelberg_approx_sweep(p, w)
+        return [x_ap, *columns.utilities_xy(p, x_ap, 0.0, w)]
+
+    return [
+        (nash, [lambda: columns.nash_sweep(p, w)]),
+        (lambda: stackelberg_exact(p).profile.x, [lambda: columns.stackelberg_sweep(p, w), lambda: g_of_xi(p, w)]),
+        (approx, [approx_sweep]),
+        (lambda: improvement_report(p), [lambda: columns.improvement_sweep(p, w)]),
+        (lambda: best_response_target(p, y), [lambda: columns.best_response_target(p, y)]),
+        (lambda: best_response_jammer(p, x), [lambda: columns.best_response_jammer(p, x, w)]),
+    ]
+
+
+@pytest.mark.parametrize("box", [WIDE_BOX, FULL_RANGE], ids=["wide_box", "full_range"])
+def test_solvers_and_their_array_forms_refuse_the_same_games(box):
+    # Over the whole double range each array form answers where its scalar
+    # solver answers, to 1e-13 relative, and is refused where it is refused.
+    rng = np.random.default_rng(1)
+    answered = 0
+    for _ in range(300):
+        p, _, _ = wide_params(rng, box)
+        x = min(p.delta * 10.0 ** rng.uniform(0.31, 3.0), sys.float_info.max)
+        y = p.t_aj * rng.uniform(0.0, 50.0)
+        for scalar, arrays in _solvers(p, x, y):
+            want = _answer(scalar)
+            for array in arrays:
+                got = _answer(array)
+                assert (want is None) == (got is None), (p, scalar, want, got)
+                if want is not None:
+                    assert np.allclose(got, want, rtol=1e-13, atol=0.0), (p, want, got)
+                    answered += 1
+    assert answered >= 600

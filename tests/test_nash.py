@@ -1,7 +1,9 @@
 """Tests for the closed-form equilibrium, BRD, and the contraction certificate."""
 
 import math
+import sys
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from .conftest import low_ratio_params, random_params
+from . import oracles
+from .conftest import FULL_RANGE, low_ratio_params, random_params, wide_params
 
 # Frozen from the Newton-oracle evaluation of the closed forms (Table-1
 # physics, c_t = 1e6): see tests/oracles.py.
@@ -211,6 +214,27 @@ def test_certificate_condition_implies_contraction(table1, rng):
             assert cert.jb_max < 1.0
             assert cert.predicted_max_iterations is not None
     assert conditioned > 0
+
+
+def test_certificate_condition_is_c_t_above_c_t_tilde_over_36_on_the_full_range():
+    # The printed bound 1/(9 delta^2 ln2 p_j (omega+1) e^(2(omega+1))) is
+    # c_t_tilde/36, here in Decimal past either end of the double range.
+    # Draws within 1e-12 of it are left out: there the bound's last bits decide.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(1500):
+        p, _, _ = wide_params(rng, FULL_RANGE)
+        try:
+            start = StrategyProfile(min(2.0 * p.delta, sys.float_info.max), 0.0)
+            cert = convergence_certificate(p, epsilon=1e-9, start=start)
+        except JamGameError:
+            continue
+        bound = oracles.c_t_tilde(p) / 36
+        if abs(Decimal(p.c_t) - bound) <= Decimal("1e-12") * bound:
+            continue
+        assert cert.condition_ct_holds == (Decimal(p.c_t) > bound), (p, bound)
+        checked += 1
+    assert checked >= 500
 
 
 def test_certificate_target_slope_at_zero(table1):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jamgame import (
+    GameParams,
     InvalidParams,
     SimConfig,
     SimTrace,
@@ -249,3 +250,14 @@ def test_realized_utilities_definition(table2):
 def test_drawn_start_when_x_hat_below_two_delta(costly_jammer):
     tr = run_sim(SimConfig(params=costly_jammer, total_cycles=10, rng_seed=1))
     assert len(tr.jam) == len(tr.silence) == 10 and len(tr.x) == len(tr.y) == 2
+
+
+def test_bits_where_x_over_delta_overflows():
+    # x0/delta = 1e310 overflows: the bits are log2 x - log2 delta, not inf.
+    p = GameParams(t_aj=15e-6, delta=1e-10, p_t=2.0, p_j=2.0, t_p=50e-6, c_t=1e6)
+    tr = run_sim(SimConfig(params=p, total_cycles=20, x0=1e300, y0=0.0))
+    bits = event_columns(tr, 0, 20)[3]
+    assert bits[:10].tolist() == [math.log2(1e300) - math.log2(1e-10)] * 10
+    assert bits[0] == pytest.approx(1029.7977, rel=1e-7)
+    assert math.isfinite(tr.realized_capacity) and tr.realized_capacity > 0.0
+    assert math.isfinite(tr.realized_utilities.u_t) and math.isfinite(tr.realized_utilities.u_j)

@@ -26,7 +26,7 @@ from jamgame import (
     x_hat,
 )
 from .conftest import low_ratio_params, random_params
-from .oracles import larger_chi_zero, leader_loss_bracket_width
+from .oracles import exact_chi, larger_chi_zero
 from .test_columns import ULPS
 
 # The reproducer of a jammed game with x_hat < 2*delta: the solver used to
@@ -81,7 +81,7 @@ def test_exact_active_regime_root_properties(table1):
     se = stackelberg_exact(table1)
     assert se.profile.y == 0.0
     assert se.profile.x > x_hat(table1)
-    assert abs(chi(table1, se.profile.x)) <= leader_loss_bracket_width(table1)
+    assert abs(exact_chi(table1, se.profile.x)) <= 4 * math.ulp(table1.t_aj + se.profile.x / 2)
 
 
 def test_follower_never_jams_at_equilibrium(table1):
@@ -89,7 +89,7 @@ def test_follower_never_jams_at_equilibrium(table1):
         p = replace(table1, c_t=float(c_t))
         se = stackelberg_exact(p)
         assert se.profile.y == 0.0
-        assert best_response_jammer(p, se.profile.x) <= leader_loss_bracket_width(p)
+        assert best_response_jammer(p, se.profile.x) <= 4 * math.ulp(p.t_aj + se.profile.x / 2)
 
 
 def test_root_ordering(table1):
