@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import columns
 from .best_response import _c_t_tilde, _delta_squared
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
-from .model import GameParams
+from .model import GameParams, _Record
 
 __all__ = [
     "UniformPrior",
@@ -42,8 +41,7 @@ _LN2 = math.log(2.0)
 _GRID_POINTS = 241  # per xi_opt pass
 
 
-@dataclass(frozen=True)
-class UniformPrior:
+class UniformPrior(_Record):
     """Uniform density for the jammer weight on [xi_min, xi_max].
 
     The bounds must keep xi_max / xi_min and xi_max**2 finite: the log grid
@@ -51,10 +49,8 @@ class UniformPrior:
     squares xi_max.
     """
 
-    xi_min: float
-    xi_max: float
-
-    def __post_init__(self):
+    def __init__(self, xi_min: float, xi_max: float):
+        self._set(xi_min, xi_max)
         if not (0 < self.xi_min < self.xi_max):
             raise InvalidParams(f"need 0 < xi_min < xi_max, got ({self.xi_min!r}, {self.xi_max!r})")
         if not (math.isfinite(self.xi_max / self.xi_min) and math.isfinite(self.xi_max * self.xi_max)):
@@ -156,6 +152,9 @@ def xi_opt(p: GameParams, prior: UniformPrior) -> float:
     the first pass spans the support, and the loop ends once the bracket is
     at most 1e-10 * xi_max wide.  Returns the best point of the last pass.
     A boundary maximizer is a legitimate outcome and is returned as such.
+    Ties go to the first (smallest) maximizer of each pass: np.argmax takes
+    the first, and the expected utility is exactly constant for every xi
+    past c_t_tilde.
     """
     lo, hi = prior.xi_min, prior.xi_max
     while True:

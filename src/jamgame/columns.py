@@ -263,16 +263,21 @@ def stackelberg_sweep(p: GameParams, c_t) -> np.ndarray:
 def stackelberg_approx_sweep(p: GameParams, c_t) -> np.ndarray:
     """The x of stackelberg_approx(replace(p, c_t=c)) for each weight c in c_t.
 
-    Raises ApproxUndefined if the approximation is undefined for any of them.
+    Raises ApproxUndefined if the approximation is undefined for any of them,
+    and InvalidStrategy, as stackelberg_approx does, if any x is below 2*delta.
     """
     c_t = np.asarray(c_t, dtype=float)
     arg = -eta(p, c_t) * br._delta_squared(p) / 2.0
     if np.any(arg < BRANCH_POINT):
-        bad = float(c_t[np.argmax(arg < BRANCH_POINT)])
+        bad = float(c_t.flat[np.argmax(arg < BRANCH_POINT)])
         raise ApproxUndefined(
             f"approximation needs eta*delta^2 <= 2/e, undefined from c_t = {bad:g}"
         )
-    return p.delta * np.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
+    x = p.delta * np.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
+    if np.any(x < p.x_min):
+        bad = float(c_t.flat[np.argmax(x < p.x_min)])
+        raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}, not met from c_t = {bad:g}")
+    return x
 
 
 def improvement_sweep(p: GameParams, c_t) -> ImprovementReport:

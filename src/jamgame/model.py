@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidParams, InvalidStrategy
@@ -31,8 +30,77 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class GameParams:
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, made by ``dataclasses`` on first read.
+
+    Its fields are the parameters of the class's ``__init__``, with their
+    annotations and defaults.  With it, ``dataclasses.fields``, ``replace``
+    (which calls ``__init__``, so it validates), ``asdict`` and
+    ``is_dataclass`` treat the record as the frozen dataclass it replaces.
+    """
+
+    def __init__(self):
+        self._made = {}
+
+    def __get__(self, obj, cls):
+        if cls not in self._made:
+            from dataclasses import field, make_dataclass
+
+            init, names = cls.__init__, cls.__match_args__
+            defaults = init.__defaults__ or ()
+            first = len(names) - len(defaults)  # the first field with a default
+            specs = [(n, init.__annotations__[n]) for n in names[:first]]
+            specs += [(n, init.__annotations__[n], field(default=d)) for n, d in zip(names[first:], defaults)]
+            self._made[cls] = make_dataclass(cls.__name__, specs, frozen=True).__dataclass_fields__
+        return self._made[cls]
+
+
+class _Record:
+    """Base of the frozen records: fields set once by ``__init__``, compared and hashed as a tuple.
+
+    Each subclass's ``__init__`` takes its fields in order, stores them with
+    ``_set`` and validates them.  ``repr``, ``==``, ``hash`` and assignment
+    behave as on a frozen dataclass, without importing ``dataclasses`` unless
+    an assignment is refused or the dataclass view is read.
+    """
+
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def _set(self, *values):
+        for name, v in zip(self.__match_args__, values):
+            object.__setattr__(self, name, v)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GameParams(_Record):
     """Physical and economic constants of one game instance.
 
     t_aj     -- jammer reaction delay [s]
@@ -44,15 +112,10 @@ class GameParams:
     c_t_star -- target energy-cost weight [bit/(s*J)]
     """
 
-    t_aj: float
-    delta: float
-    p_t: float
-    p_j: float
-    t_p: float
-    c_t: float
-    c_t_star: float = 0.0
-
-    def __post_init__(self):
+    def __init__(
+        self, t_aj: float, delta: float, p_t: float, p_j: float, t_p: float, c_t: float, c_t_star: float = 0.0
+    ):
+        self._set(t_aj, delta, p_t, p_j, t_p, c_t, c_t_star)
         for name in ("t_aj", "delta", "p_t", "p_j", "t_p", "c_t"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -79,14 +142,11 @@ class GameParams:
         return 2.0 * self.delta
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """A point (x, y): target's max silence duration, jammer's mean jam duration."""
 
-    x: float
-    y: float
-
-    def __post_init__(self):
+    def __init__(self, x: float, y: float):
+        self._set(x, y)
         if not (math.isfinite(self.x) and self.x > 0):
             raise InvalidStrategy(f"x must be positive and finite, got {self.x!r}")
         if not (math.isfinite(self.y) and self.y >= 0):

@@ -456,12 +456,17 @@ def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):
 
 def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
     # Importing the package or the CLI, and every query command, in a fresh
-    # interpreter: none of them loads numpy or the numpy-backed layers.
-    unloaded = (
+    # interpreter: none of them loads numpy, the numpy-backed layers or
+    # dataclasses (with its inspect); a sweep loads numpy but not dataclasses.
+    query_unloaded = (
         "scipy", "concurrent.futures", "numpy", "jamgame.columns", "jamgame.sim", "jamgame.belief", "jamgame.figures",
+        "dataclasses", "inspect",
     )
-    inputs = [None, ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]]
-    for argv in inputs:
+    sweep = ["sweep", "--figure", "efficiency", "--log-range", "1e5", "1e9", "20"]
+    queries = [None, ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]]
+    inputs = [(argv, query_unloaded) for argv in queries]
+    inputs.append((sweep, ("scipy", "concurrent.futures", "jamgame.sim", "dataclasses")))
+    for argv, unloaded in inputs:
         run = "0" if argv is None else f"jamgame.cli.main([{argv[0]!r}, {cfg1!r}, *{argv[1:]!r}])"
         code = (
             f"import sys, jamgame, jamgame.cli; status = {run}; "

@@ -20,6 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
+    ApproxUndefined,
+    GameParams,
+    InvalidStrategy,
     JamGameError,
     WBranch,
     best_response_jammer,
@@ -177,18 +180,10 @@ def _solvers(p, x, y):
         ne = nash_closed_form(p)
         return [ne.profile.x, ne.profile.y, *ne.utilities]
 
-    def approx():
-        se = stackelberg_approx(p)
-        return [se.profile.x, *se.utilities]
-
-    def approx_sweep():  # priced at (x, 0) as stackelberg_approx prices it
-        x_ap = columns.stackelberg_approx_sweep(p, w)
-        return [x_ap, *columns.utilities_xy(p, x_ap, 0.0, w)]
-
     return [
         (nash, [lambda: columns.nash_sweep(p, w)]),
         (lambda: stackelberg_exact(p).profile.x, [lambda: columns.stackelberg_sweep(p, w), lambda: g_of_xi(p, w)]),
-        (approx, [approx_sweep]),
+        (lambda: stackelberg_approx(p).profile.x, [lambda: columns.stackelberg_approx_sweep(p, w)]),
         (lambda: improvement_report(p), [lambda: columns.improvement_sweep(p, w)]),
         (lambda: best_response_target(p, y), [lambda: columns.best_response_target(p, y)]),
         (lambda: best_response_jammer(p, x), [lambda: columns.best_response_jammer(p, x, w)]),
@@ -214,3 +209,19 @@ def test_solvers_and_their_array_forms_refuse_the_same_games(box):
                     assert np.allclose(got, want, rtol=1e-13, atol=0.0), (p, want, got)
                     answered += 1
     assert answered >= 600
+
+
+def test_approx_sweep_refuses_an_x_below_2_delta_as_the_scalar_does():
+    # Near the branch point the approximation's x falls below 2*delta: the
+    # scalar form refuses it, and so does the array form, naming the weight.
+    p = GameParams(t_aj=4.09e-11, delta=1.16e-4, p_t=1.0, p_j=3.70, t_p=1e-3, c_t=2.11e7)
+    with pytest.raises(InvalidStrategy, match=r"x must be >= 2\*delta") as scalar:
+        stackelberg_approx(p)
+    for c_t in (np.array([1e6, p.c_t]), p.c_t):  # a column, and one weight as a 0-d array
+        with pytest.raises(InvalidStrategy, match=r"x must be >= 2\*delta") as array:
+            columns.stackelberg_approx_sweep(p, c_t)
+        assert str(array.value).startswith(str(scalar.value))
+        assert str(array.value).endswith("from c_t = 2.11e+07")
+    with pytest.raises(ApproxUndefined, match="undefined from c_t = 3e"):
+        columns.stackelberg_approx_sweep(p, 3e7)
+    assert columns.stackelberg_approx_sweep(p, np.array([1e6]))[0] > p.x_min

@@ -1,6 +1,9 @@
 """Tests for the game's data model: cycle timing, capacity, utilities."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +21,7 @@ from jamgame import (
     columns,
     utilities_xy,
 )
+from jamgame.belief import UniformPrior
 from .oracles import decimal_capacity
 
 # Frozen from the 60-digit Decimal oracle in tests/oracles.py.
@@ -139,3 +143,59 @@ def test_capacity_decreasing_in_y(table1, rng):
         ys = np.linspace(0.0, 1e-2, 300)
         c = columns.capacity_xy(table1, float(x), ys)
         assert np.all(np.diff(c) < 0)
+
+
+_MISSING = dataclasses.MISSING
+
+
+@pytest.mark.parametrize(
+    "record, defaults, text, bad, error",
+    [
+        (
+            GameParams(t_aj=15e-6, delta=1e-6, p_t=2.0, p_j=2.0, t_p=50e-6, c_t=1e6),
+            {"t_aj": _MISSING, "delta": _MISSING, "p_t": _MISSING, "p_j": _MISSING, "t_p": _MISSING,
+             "c_t": _MISSING, "c_t_star": 0.0},
+            "GameParams(t_aj=1.5e-05, delta=1e-06, p_t=2.0, p_j=2.0, t_p=5e-05, c_t=1000000.0, c_t_star=0.0)",
+            {"delta": 0.0},
+            InvalidParams,
+        ),
+        (
+            StrategyProfile(x=0.0006661826962418657, y=0.0018175233534130962),
+            {"x": _MISSING, "y": _MISSING},
+            "StrategyProfile(x=0.0006661826962418657, y=0.0018175233534130962)",
+            {"y": -1.0},
+            InvalidStrategy,
+        ),
+        (
+            UniformPrior(xi_min=1e5, xi_max=1e9),
+            {"xi_min": _MISSING, "xi_max": _MISSING},
+            "UniformPrior(xi_min=100000.0, xi_max=1000000000.0)",
+            {"xi_min": 2e9},
+            InvalidParams,
+        ),
+    ],
+    ids=["GameParams", "StrategyProfile", "UniformPrior"],
+)
+def test_records_keep_the_frozen_dataclass_contract(record, defaults, text, bad, error):
+    # The records are built by hand, but every dataclasses function and every
+    # dunder behaves as on the frozen dataclasses they replace.
+    cls = type(record)
+    assert dataclasses.is_dataclass(record) and dataclasses.is_dataclass(cls)
+    fields = dataclasses.fields(record)
+    assert [(f.name, f.default, f.type) for f in fields] == [(n, d, "float") for n, d in defaults.items()]
+    assert cls.__match_args__ == tuple(defaults)
+    assert dataclasses.replace(record) == record
+    with pytest.raises(error):
+        dataclasses.replace(record, **bad)
+    assert dataclasses.asdict(record) == {n: getattr(record, n) for n in defaults} == vars(record)
+    assert repr(record) == text
+    twin = cls(*(getattr(record, n) for n in defaults))
+    assert twin == record and twin is not record and hash(twin) == hash(record)
+    assert record.__eq__(tuple(vars(record).values())) is NotImplemented
+    name = fields[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
