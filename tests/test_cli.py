@@ -528,6 +528,11 @@ WIDE_COMMANDS = [
     ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"],
     *(["sweep", "--figure", figure] for figure in ("payoffs", "approx", "efficiency", "comparison")),
 ]
+# Run on the first 100 draws of each box only, to keep the test's time down.
+MORE_WIDE_COMMANDS = [
+    *(["sweep", "--figure", figure] for figure in ("brX", "brY", "neX", "neY", "seX", "seY")),
+    ["simulate", "--seed", "1"],
+]
 
 
 def test_every_command_ends_in_a_documented_exit_on_a_wide_box(tmp_path):
@@ -559,33 +564,52 @@ def _assert_equilibrium_residuals(command, p, row):
 
 def _every_command_ends_in_a_documented_exit(tmp_path, box, rng, draws):
     # Any game from the box either gives finite output or is refused with a
-    # documented exit code, no traceback and nothing on stdout; an equilibrium
-    # given meets its defining equations to a few ulp.
-    cfg = tmp_path / "wide.cfg"
-    for _ in range(draws):
+    # documented exit code, no traceback, nothing on stdout and no --out file;
+    # an equilibrium given meets its defining equations to a few ulp.  brX
+    # sweeps y over 1e-2..1e2 t_aj and brY x over 2..2e4 delta; simulate runs
+    # 40 cycles.
+    cfg, trace = tmp_path / "wide.cfg", tmp_path / "trace.csv"
+    for k in range(draws):
         p, (xi_min, xi_max), (a, b) = wide_params(rng, box)
-        cfg.write_text(dump_config(dict(vars(p), xi_min=xi_min, xi_max=xi_max)))
-        for command in WIDE_COMMANDS:
+        cfg.write_text(dump_config(dict(vars(p), xi_min=xi_min, xi_max=xi_max, total_cycles=40)))
+        ranges = {"brX": (1e-2 * p.t_aj, 1e2 * p.t_aj), "brY": (2.0 * p.delta, 2e4 * p.delta)}
+        for command in WIDE_COMMANDS + (MORE_WIDE_COMMANDS if k < 100 else []):
             argv = [command[0], str(cfg), *command[1:]]
             if command[0] == "sweep":
-                argv += ["--log-range", repr(a), repr(b), "5"]
+                lo, hi = ranges.get(command[2], (a, b))
+                argv += ["--log-range", repr(lo), repr(hi), "5"]
+            if command[0] == "simulate":
+                argv += ["--out", str(trace)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 code, out, err = run_sweep(argv)
             assert code in (0, 2, 3, 4), (argv, p, err)
             assert "Traceback" not in err, (argv, p)
             if code != 0:
-                assert out == "", (argv, p)
+                assert out == "" and not trace.exists(), (argv, p)
                 continue
-            for block in out.split("\n\n"):  # nash --brd writes a second table
-                header, rows = parse_csv(block)
-                for name, v in ((name, v) for row in rows for name, v in zip(header, row)):
-                    if v not in ("true", "false", "interior", "border"):
-                        assert math.isfinite(float(v)), (argv, p, name, v)
-                    if name.startswith("e_xi"):
-                        assert 0.0 < float(v) <= 1.0 + 1e-12, (argv, p, name, v)
+            _assert_finite_tables(out, argv, p)
+            if command[0] == "simulate":
+                body = "".join(ln for ln in trace.read_text().splitlines(True) if not ln.startswith("#"))
+                _assert_finite_tables(body, argv, p)
+                trace.unlink()
+                continue
             header, rows = parse_csv(out.split("\n\n")[0])
             _assert_equilibrium_residuals(command[0], p, dict(zip(header, rows[0])))
+
+
+def _assert_finite_tables(text, argv, p):
+    # Every number of every table is finite, but the opponent estimates in row
+    # 0 of simulate's strategy table, which are NaN before the first update.
+    for block in text.split("\n\n"):  # nash --brd and simulate write a second table
+        header, rows = parse_csv(block)
+        for k, row in enumerate(rows):
+            for name, v in zip(header, row):
+                if v in ("true", "false", "interior", "border") or (k == 0 and "_est_by_" in name):
+                    continue
+                assert math.isfinite(float(v)), (argv, p, name, v)
+                if name.startswith("e_xi"):
+                    assert 0.0 < float(v) <= 1.0 + 1e-12, (argv, p, name, v)
 
 
 # ---------------------------------------------------------------------------
