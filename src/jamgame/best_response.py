@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, _log_ratio
+from .model import GameParams, _eta, _floats, _log_ratio
 
 __all__ = [
     "Thresholds",
@@ -49,7 +49,11 @@ class Thresholds(NamedTuple):
 
 def psi(p: GameParams, y: float) -> float:
     """Principal-branch W of 2*(t_aj + y) / (e * delta); positive for y >= 0."""
-    if y < 0:
+    return _psi(p, y, _floats)
+
+
+def _psi(p: GameParams, y, xp):
+    if xp.any(y < 0):
         raise DomainError("psi requires y >= 0")
     return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL)
 
@@ -57,13 +61,20 @@ def psi(p: GameParams, y: float) -> float:
 def chi(p: GameParams, x: float) -> float:
     """sqrt(ln(x/delta)/eta) - t_aj - x/2, the jammer's unclamped optimum.
 
-    Defined for x >= delta (nonnegative log; where x/delta overflows, the log
-    is taken as ln x - ln delta).  Where chi < 0 the jammer
+    Defined for finite x >= delta (nonnegative log; where x/delta overflows,
+    the log is taken as ln x - ln delta).  Where chi < 0 the jammer
     prefers not to jam at all.
     """
-    if x < p.delta:
+    return _chi(p, x, p.c_t, _floats)
+
+
+def _chi(p: GameParams, x, c_t, xp):
+    if xp.any(x < p.delta):
         raise DomainError("chi requires x >= delta")
-    return math.sqrt(_log_ratio(p, x) / p.eta) - p.t_aj - x / 2.0
+    eta = _eta(p, c_t, xp)
+    if not xp.all(xp.isfinite(x)):
+        raise DomainError("chi requires a finite x")
+    return xp.sqrt(_log_ratio(p, x, xp) / eta) - p.t_aj - x / 2.0
 
 
 def best_response_target(p: GameParams, y: float) -> float:
@@ -72,7 +83,11 @@ def best_response_target(p: GameParams, y: float) -> float:
     Equals delta * e^(psi(y)+1); strictly increasing in y and always > 2*delta
     for t_aj > 0.  Refused past the largest double.
     """
-    return _finite("b_t(y)", p.delta * math.exp(psi(p, y) + 1.0))
+    return _best_response_target(p, y, _floats)
+
+
+def _best_response_target(p: GameParams, y, xp):
+    return _finite("b_t(y)", p.delta * xp.exp(_psi(p, y, xp) + 1.0), xp)
 
 
 def best_response_jammer(p: GameParams, x: float) -> float:
@@ -80,9 +95,13 @@ def best_response_jammer(p: GameParams, x: float) -> float:
 
     Refused past the largest double.
     """
-    if x < 2.0 * p.delta:
+    return _best_response_jammer(p, x, p.c_t, _floats)
+
+
+def _best_response_jammer(p: GameParams, x, c_t, xp):
+    if xp.any(x < 2.0 * p.delta):
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    return _finite("b_j(x)", max(chi(p, x), 0.0))
+    return _finite("b_j(x)", xp.maximum(_chi(p, x, c_t, xp), 0.0), xp)
 
 
 def x_hat(p: GameParams) -> float:
@@ -136,9 +155,9 @@ def _delta_squared(p: GameParams) -> float:
     return d2
 
 
-def _finite(quantity: str, v: float) -> float:
-    """v, or a DomainError naming the quantity where it left the double range."""
-    if not math.isfinite(v):
+def _finite(quantity: str, v, xp=_floats):
+    """v, or a DomainError naming the quantity where it, or any element of it, left the double range."""
+    if not xp.all(xp.isfinite(v)):
         raise DomainError(f"{quantity} leaves the double range")
     return v
 

@@ -1,22 +1,24 @@
 """Array forms of the kernels, the sweep solvers and their log grid, in numpy.
 
-Each kernel is the elementwise twin of the scalar function of the same name
-in the pure-``math`` core, with ``c_t`` always explicit: one jammer weight
-per element, or one that broadcasts.  A sweep solver gives the scalar
-solver's answer for every weight of a column in one pass; the Stackelberg
-one takes the Newton steps of ``roots`` for all weights at once.
+Each elementwise kernel has one body, in the pure-``math`` core module that
+owns it, written over a namespace argument ``xp`` as the Python array API
+standard writes array code.  The scalar function passes ``model._floats``,
+math's functions under numpy's names; the function of the same name here
+passes numpy.  It only turns its arguments into float arrays, takes the
+jammer weight ``c_t`` explicitly (one weight per element, or one that
+broadcasts) and turns numpy's overflow warnings off.  A sweep solver gives
+the scalar solver's answer for every weight of a column in one pass; the
+Stackelberg one takes the Newton steps of ``roots`` for all weights at once.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from . import best_response as br
-from .errors import ApproxUndefined, DomainError, InvalidStrategy, SingularError
+from . import best_response as br, lambertw, model, stackelberg as st
+from .errors import ApproxUndefined, DomainError
 from .lambertw import _SERIES_ONLY_Q, BRANCH_POINT, WBranch, _branch_series, _fritsch
 from .model import GameParams
 from .roots import _DBL_MAX, _TOO_SMALL, larger_zero_step
@@ -29,7 +31,16 @@ __all__ = [
     "improvement_sweep",
 ]
 
-_LN2 = math.log(2.0)
+
+def _on_arrays(body, p: GameParams, *args):
+    """body(p, *args, np) on the args as float arrays, with numpy's overflow warnings off."""
+    with np.errstate(over="ignore"):
+        return body(p, *(np.asarray(a, dtype=float) for a in args), np)
+
+
+def _first(c_t: np.ndarray, refused) -> float:
+    """The first weight of the column c_t where ``refused`` holds."""
+    return float(c_t.flat[np.argmax(refused)])
 
 
 def log_grid(a: float, b: float, n: int) -> np.ndarray:
@@ -44,10 +55,7 @@ def log_grid(a: float, b: float, n: int) -> np.ndarray:
 
 def eta(p: GameParams, c_t):
     """p.eta with the weights c_t in place of p.c_t; refused, as there, below the normal doubles."""
-    e = np.asarray(c_t, dtype=float) * p.p_j * _LN2
-    if np.any(e < sys.float_info.min):
-        raise DomainError(f"eta = c_t*p_j*ln2 underflows (c_t = {float(np.min(c_t))!r}, p_j = {p.p_j!r})")
-    return e
+    return _on_arrays(model._eta, p, c_t)
 
 
 def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
@@ -55,24 +63,8 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
     shape = arr.shape
     arr = np.atleast_1d(arr).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("lambert_w requires finite arguments")
-
-    # e*z + 1 >= 0 characterizes the real domain; tolerate rounding in a
-    # caller's own computation of -1/e.
-    q = np.e * np.minimum(arr, 1.0) + 1.0  # only matters near -1/e
-    if np.any(q < -1e-12):
-        raise DomainError("lambert_w argument below -1/e")
-    q = np.clip(q, 0.0, None)
-
-    if branch is WBranch.PRINCIPAL:
-        w = _principal(arr, q)
-    elif branch is WBranch.MINUS1:
-        if np.any(arr >= 0.0):
-            raise DomainError("Minus1 branch requires -1/e <= z < 0")
-        w = _minus1(arr, q)
-    else:
-        raise DomainError(f"unknown branch {branch!r}")
+    q = lambertw._domain(arr, branch, np)
+    w = _principal(arr, q) if branch is WBranch.PRINCIPAL else _minus1(arr, q)
     step = (q > _SERIES_ONLY_Q) & (arr != 0.0)
     w[step] = _fritsch(w[step], np.log(np.abs(arr[step])), np.log)
     return w.reshape(shape)
@@ -80,13 +72,7 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
 
 def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
     """dW/dz = W / (z * (W + 1)) of every element of z; errors as in lambertw."""
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr == 0.0):
-        raise DomainError("lambert_w_prime is undefined at z = 0")
-    if np.any(np.e * arr + 1.0 < 1e-14):
-        raise SingularError("lambert_w_prime is singular at z = -1/e")
-    w = lambert_w(arr, branch)
-    return w / (arr * (w + 1.0))
+    return lambertw._lambert_w_prime(np.asarray(z, dtype=float), branch, np)
 
 
 def _principal(z: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -113,91 +99,39 @@ def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_strategy(p: GameParams, x, y) -> None:
-    if np.any(np.asarray(x) < p.x_min):
-        raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}")
-    if np.any(np.asarray(y) < 0):
-        raise InvalidStrategy("y must be >= 0")
-
-
 def capacity_xy(p: GameParams, x, y) -> np.ndarray:
     """log2(x/delta) / (t_aj + y + x/2) for x and y broadcast against each other."""
-    _check_strategy(p, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _log2_ratio(p, x) / (p.t_aj + y + x / 2.0)
+    return _on_arrays(model._capacity_xy, p, x, y)
 
 
 def utilities_xy(p: GameParams, x, y, c_t):
     """(u_t, u_j) at (x, y), the jammer's cost priced with the weights c_t."""
-    c = capacity_xy(p, x, y)
-    u_t = c - p.c_t_star * p.t_p * p.p_t
-    u_j = -c - c_t * np.asarray(y, dtype=float) * p.p_j
-    return u_t, u_j
+    return _on_arrays(model._utilities_xy, p, x, y, c_t)
 
 
 def psi(p: GameParams, y) -> np.ndarray:
     """Principal-branch W of 2*(t_aj + y) / (e * delta) for every y >= 0."""
-    if np.any(np.asarray(y) < 0):
-        raise DomainError("psi requires y >= 0")
-    y = np.asarray(y, dtype=float)
-    return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL)
+    return _on_arrays(br._psi, p, y)
 
 
 def chi(p: GameParams, x, c_t) -> np.ndarray:
-    """sqrt(ln(x/delta)/eta) - t_aj - x/2 for x >= delta, with the weights c_t."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < p.delta):
-        raise DomainError("chi requires x >= delta")
-    return np.sqrt(_log_ratio(p, x) / eta(p, c_t)) - p.t_aj - x / 2.0
-
-
-def _log_ratio(p: GameParams, x: np.ndarray, log=np.log, scalar_log=math.log) -> np.ndarray:
-    """ln(x/delta), as ln x - ln delta where x/delta overflows; log2 with np.log2 and math.log2."""
-    with np.errstate(over="ignore"):
-        r = x / p.delta
-    log_r = log(r)
-    over = np.isinf(r)
-    if over.any():
-        log_r = np.where(over, log(x) - scalar_log(p.delta), log_r)
-    return log_r
-
-
-def _log2_ratio(p: GameParams, x) -> np.ndarray:
-    """log2(x/delta), as log2 x - log2 delta where x/delta overflows."""
-    return _log_ratio(p, np.asarray(x, dtype=float), np.log2, math.log2)
-
-
-def _finite(quantity: str, v: np.ndarray) -> np.ndarray:
-    """v, or a DomainError naming the quantity where any element left the double range."""
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"{quantity} leaves the double range")
-    return v
+    """sqrt(ln(x/delta)/eta) - t_aj - x/2 for finite x >= delta, with the weights c_t."""
+    return _on_arrays(br._chi, p, x, c_t)
 
 
 def best_response_target(p: GameParams, y) -> np.ndarray:
     """delta * e^(psi(y)+1) for every y; refused past the largest double."""
-    with np.errstate(over="ignore"):
-        return _finite("b_t(y)", p.delta * np.exp(psi(p, y) + 1.0))
+    return _on_arrays(br._best_response_target, p, y)
 
 
 def best_response_jammer(p: GameParams, x, c_t) -> np.ndarray:
     """max(chi, 0) for every x >= 2*delta, with the weights c_t; refused past the largest double."""
-    if np.any(np.asarray(x) < 2.0 * p.delta):
-        raise DomainError("best_response_jammer requires x >= 2*delta")
-    return _finite("b_j(x)", np.maximum(chi(p, x, c_t), 0.0))
+    return _on_arrays(br._best_response_jammer, p, x, c_t)
 
 
 def leader_utility(p: GameParams, x, c_t) -> np.ndarray:
     """stackelberg.leader_utility for every x, with the weights c_t."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 2.0 * p.delta):
-        raise DomainError("leader_utility requires x >= 2*delta")
-    log2x = _log2_ratio(p, xa)
-    jammed = np.sqrt(c_t * p.p_j * log2x)
-    free = log2x / (p.t_aj + xa / 2.0)
-    cost = p.c_t_star * p.t_p * p.p_t
-    return np.where(chi(p, xa, c_t) > 0.0, jammed, free) - cost
+    return _on_arrays(st._leader_utility, p, x, c_t)
 
 
 class EquilibriumColumns(NamedTuple):
@@ -235,18 +169,18 @@ def larger_zero(p: GameParams, c_t, x_pos: float) -> np.ndarray:
     e = eta(p, c_t)
     with np.errstate(over="ignore"):  # an overflowing start is clamped, ln(x/delta)/eta refused
         x = np.minimum(4.0 / (e * p.delta), _DBL_MAX)
-        log_r = _log_ratio(p, x)
+        log_r = model._log_ratio(p, x, np)
         too_small = ~np.isfinite(log_r / e)
-    if too_small.any():
-        raise DomainError(_TOO_SMALL.format(float(np.max(c_t[too_small]))))
-    moving = np.ones(x.shape, dtype=bool)
-    while moving.any():
-        xm = x[moving]
-        x_next = larger_zero_step(xm, log_r[moving], e[moving], p.t_aj, np.sqrt)
-        down = (x_pos < x_next) & (x_next < xm)
-        moving[moving] = down
-        x[moving] = x_next[down]
-        log_r[moving] = _log_ratio(p, x[moving])
+        if too_small.any():
+            raise DomainError(_TOO_SMALL.format(float(np.max(c_t[too_small]))))
+        moving = np.ones(x.shape, dtype=bool)
+        while moving.any():
+            xm = x[moving]
+            x_next = larger_zero_step(xm, log_r[moving], e[moving], p.t_aj, np.sqrt)
+            down = (x_pos < x_next) & (x_next < xm)
+            moving[moving] = down
+            x[moving] = x_next[down]
+            log_r[moving] = model._log_ratio(p, x[moving], np)
     return x
 
 
@@ -269,14 +203,11 @@ def stackelberg_approx_sweep(p: GameParams, c_t) -> np.ndarray:
     c_t = np.asarray(c_t, dtype=float)
     arg = -eta(p, c_t) * br._delta_squared(p) / 2.0
     if np.any(arg < BRANCH_POINT):
-        bad = float(c_t.flat[np.argmax(arg < BRANCH_POINT)])
         raise ApproxUndefined(
-            f"approximation needs eta*delta^2 <= 2/e, undefined from c_t = {bad:g}"
+            f"approximation needs eta*delta^2 <= 2/e, undefined from c_t = {_first(c_t, arg < BRANCH_POINT):g}"
         )
-    x = p.delta * np.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
-    if np.any(x < p.x_min):
-        bad = float(c_t.flat[np.argmax(x < p.x_min)])
-        raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}, not met from c_t = {bad:g}")
+    x = st._approx_x(p, arg, np)
+    model._check_strategy(p, x, 0.0, np, lambda refused: f", not met from c_t = {_first(c_t, refused):g}")
     return x
 
 

@@ -15,6 +15,7 @@ import math
 from enum import Enum
 
 from .errors import DomainError, SingularError
+from .model import _floats
 
 __all__ = ["WBranch", "lambert_w", "lambert_w_prime", "BRANCH_POINT"]
 
@@ -51,12 +52,7 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
         from .columns import lambert_w as lambert_w_array
         return lambert_w_array(z, branch)
     z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("lambert_w requires finite arguments")
-    q = math.e * z + 1.0
-    if q < -1e-12:
-        raise DomainError("lambert_w argument below -1/e")
-    q = max(q, 0.0)
+    q = _domain(z, branch, _floats)
     if branch is WBranch.PRINCIPAL:
         if z < -0.2:
             w = _branch_series(q, +1.0)
@@ -65,19 +61,32 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
         else:
             lz = math.log(z)
             w = lz - math.log(lz)
-    elif branch is WBranch.MINUS1:
-        if z >= 0.0:
-            raise DomainError("Minus1 branch requires -1/e <= z < 0")
-        if z < -0.25:
-            w = _branch_series(q, -1.0)
-        else:
-            lz = math.log(-z)
-            w = lz - math.log(-lz)
+    elif z < -0.25:
+        w = _branch_series(q, -1.0)
     else:
-        raise DomainError(f"unknown branch {branch!r}")
+        lz = math.log(-z)
+        w = lz - math.log(-lz)
     if q <= _SERIES_ONLY_Q or z == 0.0:
         return w
     return _fritsch(w, math.log(abs(z)))
+
+
+def _domain(z, branch: WBranch, xp):
+    """e*z + 1, clamped at 0, for a z on the branch's real domain; any other z or branch is refused.
+
+    e*z + 1 >= 0 characterizes the real domain; rounding in a caller's own
+    computation of -1/e is tolerated.
+    """
+    if not xp.all(xp.isfinite(z)):
+        raise DomainError("lambert_w requires finite arguments")
+    q = math.e * xp.minimum(z, 1.0) + 1.0  # only matters near -1/e
+    if xp.any(q < -1e-12):
+        raise DomainError("lambert_w argument below -1/e")
+    if branch is WBranch.MINUS1 and xp.any(z >= 0.0):
+        raise DomainError("Minus1 branch requires -1/e <= z < 0")
+    if not isinstance(branch, WBranch):
+        raise DomainError(f"unknown branch {branch!r}")
+    return xp.maximum(q, 0.0)
 
 
 def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL):
@@ -90,10 +99,13 @@ def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL):
     if not isinstance(z, (float, int)):
         from .columns import lambert_w_prime as lambert_w_prime_array
         return lambert_w_prime_array(z, branch)
-    z = float(z)
-    if z == 0.0:
+    return _lambert_w_prime(float(z), branch, _floats)
+
+
+def _lambert_w_prime(z, branch: WBranch, xp):
+    if xp.any(z == 0.0):
         raise DomainError("lambert_w_prime is undefined at z = 0")
-    if math.e * z + 1.0 < 1e-14:
+    if xp.any(math.e * z + 1.0 < 1e-14):
         raise SingularError("lambert_w_prime is singular at z = -1/e")
     w = lambert_w(z, branch)
     return w / (z * (w + 1.0))

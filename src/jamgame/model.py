@@ -30,6 +30,16 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+class _floats:
+    """math under numpy's names: the ``xp`` a scalar kernel passes to the body its ``columns`` form runs on numpy."""
+
+    log, log2, exp, sqrt, isfinite = math.log, math.log2, math.exp, math.sqrt, math.isfinite
+    any = all = bool
+    maximum, minimum = max, min
+    min = float  # the least of one float is itself
+    where = staticmethod(lambda cond, a, b: a if cond else b)  # both branches evaluated, as in numpy
+
+
 class _DataclassFields:
     """A record class's ``__dataclass_fields__``, made by ``dataclasses`` on first read.
 
@@ -131,10 +141,7 @@ class GameParams(_Record):
         Refused below the normal doubles, where it keeps too few bits for the
         formulas that divide by it.
         """
-        eta = self.c_t * self.p_j * _LN2
-        if eta < sys.float_info.min:
-            raise DomainError(f"eta = c_t*p_j*ln2 underflows (c_t = {self.c_t!r}, p_j = {self.p_j!r})")
-        return eta
+        return _eta(self, self.c_t, _floats)
 
     @property
     def x_min(self) -> float:
@@ -158,11 +165,21 @@ class UtilityPair(NamedTuple):
     u_j: float
 
 
-def _check_strategy(p: GameParams, x: float, y: float) -> None:
-    if x < p.x_min:
-        raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}")
-    if y < 0:
+def _eta(p: GameParams, c_t, xp):
+    eta = c_t * p.p_j * _LN2
+    if xp.any(eta < sys.float_info.min):
+        raise DomainError(f"eta = c_t*p_j*ln2 underflows (c_t = {float(xp.min(c_t))!r}, p_j = {p.p_j!r})")
+    return eta
+
+
+def _check_strategy(p: GameParams, x, y, xp, at=lambda refused: "") -> None:
+    """Refuse an x below 2*delta, a y below 0, or either not finite; ``at(refused)`` ends the first message."""
+    if xp.any(x < p.x_min):
+        raise InvalidStrategy(f"x must be >= 2*delta = {p.x_min:g}{at(x < p.x_min)}")
+    if xp.any(y < 0):
         raise InvalidStrategy("y must be >= 0")
+    if not xp.all(xp.isfinite(x) & xp.isfinite(y)):
+        raise InvalidStrategy("x and y must be finite")
 
 
 def capacity_xy(p: GameParams, x: float, y: float) -> float:
@@ -170,14 +187,18 @@ def capacity_xy(p: GameParams, x: float, y: float) -> float:
 
     The denominator is the expected cycle length: uniform silence has mean x/2.
     """
-    _check_strategy(p, x, y)
-    return _log_ratio(p, x, math.log2) / (p.t_aj + y + x / 2.0)
+    return _capacity_xy(p, x, y, _floats)
 
 
-def _log_ratio(p: GameParams, x: float, log=math.log) -> float:
-    """ln(x/delta), as ln x - ln delta where x/delta overflows; log2 with math.log2."""
+def _capacity_xy(p: GameParams, x, y, xp):
+    _check_strategy(p, x, y, xp)
+    return _log_ratio(p, x, xp, "log2") / (p.t_aj + y + x / 2.0)
+
+
+def _log_ratio(p: GameParams, x, xp=_floats, log="log"):
+    """ln(x/delta), as ln x - ln delta where x/delta overflows; log2 with log="log2"."""
     r = x / p.delta
-    return log(r) if r < math.inf else log(x) - log(p.delta)
+    return xp.where(r < math.inf, getattr(xp, log)(r), getattr(xp, log)(x) - getattr(math, log)(p.delta))
 
 
 def utilities_xy(p: GameParams, x: float, y: float) -> UtilityPair:
@@ -186,7 +207,9 @@ def utilities_xy(p: GameParams, x: float, y: float) -> UtilityPair:
     The jammer's cost charges the commanded mean y; realized-energy accounting
     belongs to the simulator, not to the analytic game.
     """
-    c = capacity_xy(p, x, y)
-    u_t = c - p.c_t_star * p.t_p * p.p_t
-    u_j = -c - p.c_t * y * p.p_j
-    return UtilityPair(u_t, u_j)
+    return UtilityPair(*_utilities_xy(p, x, y, p.c_t, _floats))
+
+
+def _utilities_xy(p: GameParams, x, y, c_t, xp):
+    c = _capacity_xy(p, x, y, xp)
+    return c - p.c_t_star * p.t_p * p.p_t, -c - c_t * y * p.p_j

@@ -100,7 +100,7 @@ class SimTrace:
 def _bits(x: np.ndarray, p: GameParams):
     # log2(x/delta), lazily, finite where x/delta overflows; np.log2 differs
     # from math.log2 in the last bit for some doubles.
-    return (_log_ratio(p, v, math.log2) for v in x.tolist())
+    return (_log_ratio(p, v, log="log2") for v in x.tolist())
 
 
 def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:

@@ -11,13 +11,12 @@ construction, and re-solving it would price float noise.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .best_response import _delta_squared, best_response_target, chi
+from .best_response import _chi, _delta_squared, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, _log_ratio, utilities_xy
+from .model import GameParams, StrategyProfile, _floats, _log_ratio, utilities_xy
 from .nash import EquilibriumResult, Regime, nash_closed_form
 from .roots import larger_zero
 
@@ -48,13 +47,15 @@ def leader_utility(p: GameParams, x: float) -> float:
     chi(x) <= 0 the channel is unjammed and this is plain capacity at y = 0.
     The two branches agree at the zeros of chi.
     """
-    if x < 2.0 * p.delta:
+    return _leader_utility(p, x, p.c_t, _floats)
+
+
+def _leader_utility(p: GameParams, x, c_t, xp):
+    if xp.any(x < 2.0 * p.delta):
         raise DomainError("leader_utility requires x >= 2*delta")
-    log2x = _log_ratio(p, x, math.log2)
-    if chi(p, x) > 0.0:
-        u = math.sqrt(p.c_t * p.p_j * log2x)
-    else:
-        u = log2x / (p.t_aj + x / 2.0)
+    jammed = _chi(p, x, c_t, xp) > 0.0
+    log2x = _log_ratio(p, x, xp, "log2")
+    u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2x), log2x / (p.t_aj + x / 2.0))
     return u - p.c_t_star * p.t_p * p.p_t
 
 
@@ -87,11 +88,14 @@ def stackelberg_approx(p: GameParams) -> EquilibriumResult:
         raise ApproxUndefined(
             f"approximation needs eta*delta^2 <= 2/e, got argument {arg:g} < -1/e"
         )
-    w = lambert_w(arg, WBranch.MINUS1)
-    x_approx = p.delta * math.exp(-0.5 * w)
+    x_approx = _approx_x(p, arg, _floats)
     return EquilibriumResult(
         StrategyProfile(x=x_approx, y=0.0), Regime.STACKELBERG_APPROX, utilities_xy(p, x_approx, 0.0)
     )
+
+
+def _approx_x(p: GameParams, arg, xp):
+    return p.delta * xp.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
 
 
 def improvement_report(p: GameParams) -> ImprovementReport:

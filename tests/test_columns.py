@@ -1,6 +1,6 @@
-"""Each scalar kernel and its array twin agree elementwise.
+"""Each scalar kernel and its array form agree elementwise, and refuse alike.
 
-The two forms run the same formula; numpy's and libm's log, log2 and exp may
+The two forms run the same body; numpy's and libm's log, log2 and exp may
 differ in the last bit.  So each pair is compared in ulps of the scale of its
 computation: the sum of the magnitudes of the terms it adds, times a
 condition number where one is large.  For W that sum is the one of Fritsch's
@@ -12,6 +12,7 @@ result).
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 
 from jamgame import (
     ApproxUndefined,
+    DomainError,
     GameParams,
     InvalidStrategy,
     JamGameError,
+    SingularError,
     WBranch,
     best_response_jammer,
     best_response_target,
@@ -32,6 +35,7 @@ from jamgame import (
     columns,
     improvement_report,
     lambert_w,
+    lambert_w_prime,
     leader_utility,
     nash_closed_form,
     psi,
@@ -225,3 +229,74 @@ def test_approx_sweep_refuses_an_x_below_2_delta_as_the_scalar_does():
     with pytest.raises(ApproxUndefined, match="undefined from c_t = 3e"):
         columns.stackelberg_approx_sweep(p, 3e7)
     assert columns.stackelberg_approx_sweep(p, np.array([1e6]))[0] > p.x_min
+
+
+def _refusal(call):
+    """The class and message of the error call() raises, numpy's warnings raised as errors too."""
+    with pytest.raises(JamGameError) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def _non_finite(v):
+    # Capacity and the utilities refuse an x or y that is not finite, chi and
+    # the leader's utility such an x.
+    return {
+        f"capacity x = {v}": (InvalidStrategy, lambda p: capacity_xy(p, v, 0.0),
+                              lambda p: columns.capacity_xy(p, np.array([1e-5, v]), 0.0)),
+        f"capacity y = {v}": (InvalidStrategy, lambda p: capacity_xy(p, 3e-6, v),
+                              lambda p: columns.capacity_xy(p, 3e-6, np.array([0.0, v]))),
+        f"utilities x = {v}": (InvalidStrategy, lambda p: utilities_xy(p, v, 0.0),
+                               lambda p: columns.utilities_xy(p, np.array([1e-5, v]), 0.0, p.c_t)),
+        f"utilities y = {v}": (InvalidStrategy, lambda p: utilities_xy(p, 3e-6, v),
+                               lambda p: columns.utilities_xy(p, 3e-6, np.array([0.0, v]), p.c_t)),
+        f"chi x = {v}": (DomainError, lambda p: chi(p, v), lambda p: columns.chi(p, np.array([1e-5, v]), p.c_t)),
+        f"leader_utility x = {v}": (DomainError, lambda p: leader_utility(p, v),
+                                    lambda p: columns.leader_utility(p, np.array([1e-5, v]), p.c_t)),
+    }
+
+
+_BELOW = -math.exp(-1.0) - 1e-9  # below the real domain of W
+# Each scalar kernel refused, with its array form refused on a column holding
+# the same refused value after an admissible one.  Lab scenario: delta = 1e-6.
+REFUSALS = {
+    "psi y < 0": (DomainError, lambda p: psi(p, -1e-6), lambda p: columns.psi(p, np.array([0.0, -1e-6]))),
+    "chi x < delta": (DomainError, lambda p: chi(p, 5e-7),
+                      lambda p: columns.chi(p, np.array([1e-5, 5e-7]), p.c_t)),
+    "b_t y < 0": (DomainError, lambda p: best_response_target(p, -1e-6),
+                  lambda p: columns.best_response_target(p, np.array([0.0, -1e-6]))),
+    "b_j x < 2 delta": (DomainError, lambda p: best_response_jammer(p, 1.5e-6),
+                        lambda p: columns.best_response_jammer(p, np.array([1e-5, 1.5e-6]), p.c_t)),
+    "leader_utility x < 2 delta": (DomainError, lambda p: leader_utility(p, 1.5e-6),
+                                   lambda p: columns.leader_utility(p, np.array([1e-5, 1.5e-6]), p.c_t)),
+    "capacity x < 2 delta": (InvalidStrategy, lambda p: capacity_xy(p, 1.5e-6, 0.0),
+                             lambda p: columns.capacity_xy(p, np.array([1e-5, 1.5e-6]), 0.0)),
+    "capacity y < 0": (InvalidStrategy, lambda p: capacity_xy(p, 1e-5, -1e-6),
+                       lambda p: columns.capacity_xy(p, 1e-5, np.array([0.0, -1e-6]))),
+    "utilities x < 2 delta": (InvalidStrategy, lambda p: utilities_xy(p, 1.5e-6, 0.0),
+                              lambda p: columns.utilities_xy(p, np.array([1e-5, 1.5e-6]), 0.0, p.c_t)),
+    "utilities y < 0": (InvalidStrategy, lambda p: utilities_xy(p, 1e-5, -1e-6),
+                        lambda p: columns.utilities_xy(p, 1e-5, np.array([0.0, -1e-6]), p.c_t)),
+    "eta underflows": (DomainError, lambda p: replace(p, c_t=1e-320).eta,
+                       lambda p: columns.eta(p, np.array([1.0, 1e-320]))),
+    "W non-finite": (DomainError, lambda p: lambert_w(math.inf),
+                     lambda p: columns.lambert_w(np.array([1.0, math.inf]))),
+    "W below -1/e": (DomainError, lambda p: lambert_w(_BELOW), lambda p: columns.lambert_w(np.array([1.0, _BELOW]))),
+    "W_-1 z >= 0": (DomainError, lambda p: lambert_w(0.0, WBranch.MINUS1),
+                    lambda p: columns.lambert_w(np.array([-0.1, 0.0]), WBranch.MINUS1)),
+    "W' z = 0": (DomainError, lambda p: lambert_w_prime(0.0),
+                 lambda p: columns.lambert_w_prime(np.array([1.0, 0.0]))),
+    "W' z = -1/e": (SingularError, lambda p: lambert_w_prime(-math.exp(-1.0)),
+                    lambda p: columns.lambert_w_prime(np.array([1.0, -math.exp(-1.0)]))),
+    **_non_finite(math.inf),
+    **_non_finite(math.nan),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_kernel_and_its_array_form_refuse_alike(table1, case):
+    error, scalar, array = REFUSALS[case]
+    refusal = _refusal(lambda: scalar(table1))
+    assert refusal[0] is error
+    assert _refusal(lambda: array(table1)) == refusal
