@@ -1,14 +1,15 @@
 """Array forms of the kernels, the sweep solvers and their log grid, in numpy.
 
-Each elementwise kernel has one body, in the pure-``math`` core module that
-owns it, written over a namespace argument ``xp`` as the Python array API
-standard writes array code.  The scalar function passes ``model._floats``,
-math's functions under numpy's names; the function of the same name here
-passes numpy.  It only turns its arguments into float arrays, takes the
-jammer weight ``c_t`` explicitly (one weight per element, or one that
-broadcasts) and turns numpy's overflow warnings off.  A sweep solver gives
-the scalar solver's answer for every weight of a column in one pass; the
-Stackelberg one takes the Newton steps of ``roots`` for all weights at once.
+Each elementwise kernel, W and the Newton loop of ``roots`` included, has one
+body, in the pure-``math`` core module that owns it, written over a namespace
+argument ``xp`` as the Python array API standard writes array code.  The
+scalar function passes ``model._floats``, math's functions under numpy's
+names; the function of the same name here passes numpy.  It only turns its
+arguments into float arrays, takes the jammer weight ``c_t`` explicitly (one
+weight per element, or one that broadcasts) and turns numpy's overflow
+warnings off.  A sweep solver gives the scalar solver's answer for every
+weight of a column in one pass; what is written here alone is their regime
+masks, the approximation's refusal and the log grid.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import best_response as br, lambertw, model, stackelberg as st
-from .errors import ApproxUndefined, DomainError
-from .lambertw import _SERIES_ONLY_Q, BRANCH_POINT, WBranch, _branch_series, _fritsch
+from . import best_response as br, lambertw, model, roots, stackelberg as st
+from .errors import ApproxUndefined
+from .lambertw import BRANCH_POINT, WBranch
 from .model import GameParams
-from .roots import _DBL_MAX, _TOO_SMALL, larger_zero_step
 from .stackelberg import ImprovementReport
 
 __all__ = [
@@ -59,44 +59,13 @@ def eta(p: GameParams, c_t):
 
 
 def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
-    """W of every element of z, in the shape of z, by the scalar form's guesses and steps."""
-    arr = np.asarray(z, dtype=float)
-    shape = arr.shape
-    arr = np.atleast_1d(arr).ravel()
-    q = lambertw._domain(arr, branch, np)
-    w = _principal(arr, q) if branch is WBranch.PRINCIPAL else _minus1(arr, q)
-    step = (q > _SERIES_ONLY_Q) & (arr != 0.0)
-    w[step] = _fritsch(w[step], np.log(np.abs(arr[step])), np.log)
-    return w.reshape(shape)
+    """W of every element of z, in the shape of z; errors as in lambertw."""
+    return lambertw._lambert_w(np.asarray(z, dtype=float), branch, np)
 
 
 def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL) -> np.ndarray:
     """dW/dz = W / (z * (W + 1)) of every element of z; errors as in lambertw."""
     return lambertw._lambert_w_prime(np.asarray(z, dtype=float), branch, np)
-
-
-def _principal(z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    w = np.empty_like(z)
-
-    near = z < -0.2
-    w[near] = _branch_series(q[near], +1.0, np.sqrt)
-    mid = (~near) & (z <= np.e)
-    w[mid] = np.log1p(z[mid])
-    far = z > np.e
-    lz = np.log(z[far])
-    w[far] = lz - np.log(lz)
-    return w
-
-
-def _minus1(z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    w = np.empty_like(z)
-
-    near = z < -0.25
-    w[near] = _branch_series(q[near], -1.0, np.sqrt)
-    tail = ~near
-    lz = np.log(-z[tail])
-    w[tail] = lz - np.log(-lz)
-    return w
 
 
 def capacity_xy(p: GameParams, x, y) -> np.ndarray:
@@ -161,27 +130,8 @@ def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
 
 
 def larger_zero(p: GameParams, c_t, x_pos: float) -> np.ndarray:
-    """roots.larger_zero for every weight, with chi > 0 at x_pos for each.
-
-    A masked loop takes the scalar steps until each element takes its own last one.
-    """
-    c_t = np.asarray(c_t, dtype=float)
-    e = eta(p, c_t)
-    with np.errstate(over="ignore"):  # an overflowing start is clamped, ln(x/delta)/eta refused
-        x = np.minimum(4.0 / (e * p.delta), _DBL_MAX)
-        log_r = model._log_ratio(p, x, np)
-        too_small = ~np.isfinite(log_r / e)
-        if too_small.any():
-            raise DomainError(_TOO_SMALL.format(float(np.max(c_t[too_small]))))
-        moving = np.ones(x.shape, dtype=bool)
-        while moving.any():
-            xm = x[moving]
-            x_next = larger_zero_step(xm, log_r[moving], e[moving], p.t_aj, np.sqrt)
-            down = (x_pos < x_next) & (x_next < xm)
-            moving[moving] = down
-            x[moving] = x_next[down]
-            log_r[moving] = model._log_ratio(p, x[moving], np)
-    return x
+    """roots.larger_zero for every weight, with chi > 0 at x_pos for each."""
+    return _on_arrays(roots._larger_zero, p, c_t, x_pos)
 
 
 def stackelberg_sweep(p: GameParams, c_t) -> np.ndarray:

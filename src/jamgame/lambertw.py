@@ -5,8 +5,10 @@ self-contained: piecewise initial guesses (branch-point series, log
 asymptotics) refined by a fixed three steps of Fritsch's iteration on the log
 form ln|w| + w = ln|z| (Fritsch, Shafer & Crowley, CACM 16(2) 1973; Veberic,
 arXiv:1209.0735).  No step forms exp(w), so the same steps hold across the
-whole double range, tails included.  Floats in, floats out, in pure ``math``;
-a numpy array is handed to the array form in ``columns`` (imported on first use).
+whole double range, tails included.  The guesses and steps are written once,
+over a namespace argument ``xp``: a float runs them in pure ``math``, and a
+numpy array is handed to ``columns`` (imported on first use), which runs them
+on numpy.
 """
 
 from __future__ import annotations
@@ -51,24 +53,24 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
     if not isinstance(z, (float, int)):
         from .columns import lambert_w as lambert_w_array
         return lambert_w_array(z, branch)
-    z = float(z)
-    q = _domain(z, branch, _floats)
+    return _lambert_w(float(z), branch, _floats)
+
+
+def _lambert_w(z, branch: WBranch, xp):
+    # Each guess is taken on an input clamped into its own domain, so every
+    # branch of each where is finite on every element.  Where no step may be
+    # taken (at the branch point, and at z = 0) Fritsch runs on the stand-in
+    # w = 1, ln|z| = 1, a fixed point, and where drops the result.
+    q = _domain(z, branch, xp)
     if branch is WBranch.PRINCIPAL:
-        if z < -0.2:
-            w = _branch_series(q, +1.0)
-        elif z <= math.e:
-            w = math.log1p(z)
-        else:
-            lz = math.log(z)
-            w = lz - math.log(lz)
-    elif z < -0.25:
-        w = _branch_series(q, -1.0)
+        lz = xp.log(xp.maximum(z, math.e))
+        far = lz - xp.log(lz)
+        w = xp.where(z < -0.2, _branch_series(q, +1.0, xp), xp.where(z <= math.e, xp.log1p(z), far))
     else:
-        lz = math.log(-z)
-        w = lz - math.log(-lz)
-    if q <= _SERIES_ONLY_Q or z == 0.0:
-        return w
-    return _fritsch(w, math.log(abs(z)))
+        lz = xp.log(-z)  # _domain refused z >= 0
+        w = xp.where(z < -0.25, _branch_series(q, -1.0, xp), lz - xp.log(-lz))
+    step = (q > _SERIES_ONLY_Q) & (z != 0.0)
+    return xp.where(step, _fritsch(xp.where(step, w, 1.0), xp.log(abs(xp.where(step, z, math.e))), xp), w)
 
 
 def _domain(z, branch: WBranch, xp):
@@ -107,24 +109,22 @@ def _lambert_w_prime(z, branch: WBranch, xp):
         raise DomainError("lambert_w_prime is undefined at z = 0")
     if xp.any(math.e * z + 1.0 < 1e-14):
         raise SingularError("lambert_w_prime is singular at z = -1/e")
-    w = lambert_w(z, branch)
+    w = _lambert_w(z, branch, xp)
     return w / (z * (w + 1.0))
 
 
-def _branch_series(q, sign, sqrt=math.sqrt):
+def _branch_series(q, sign, xp):
     # Expansion around the branch point in p = sqrt(2(e*z + 1)), q = e*z + 1:
     # sign=+1 gives the principal side, sign=-1 the lower one (negating p is
-    # exact in every term).  Written once for floats and arrays: the array
-    # form passes np.sqrt.
-    p = sign * sqrt(2.0 * q)
+    # exact in every term).
+    p = sign * xp.sqrt(2.0 * q)
     return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p**3
 
 
-def _fritsch(w, lz, log=math.log):
-    # Fritsch's step on ln|w| + w = lz, for either branch (z and w share a
-    # sign).  Written once for floats and arrays: the array form passes np.log.
+def _fritsch(w, lz, xp):
+    # Fritsch's step on ln|w| + w = lz, for either branch (z and w share a sign).
     for _ in range(_FRITSCH_STEPS):
-        zn = lz - log(abs(w)) - w
+        zn = lz - xp.log(abs(w)) - w
         wp1 = w + 1.0
         t = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * zn)
         w = w * (1.0 + zn / wp1 * (t - zn) / (t - 2.0 * zn))

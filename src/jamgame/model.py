@@ -31,12 +31,16 @@ _LN2 = math.log(2.0)
 
 
 class _floats:
-    """math under numpy's names: the ``xp`` a scalar kernel passes to the body its ``columns`` form runs on numpy."""
+    """math under numpy's names: the ``xp`` a scalar kernel passes to the body its ``columns`` form runs on numpy.
 
-    log, log2, exp, sqrt, isfinite = math.log, math.log2, math.exp, math.sqrt, math.isfinite
+    A shared body builds its masks only with comparisons, ``&`` and ``where``:
+    on a Python bool ``~True`` is -2, which is truthy.
+    """
+
+    log, log1p, log2, exp, sqrt, isfinite = math.log, math.log1p, math.log2, math.exp, math.sqrt, math.isfinite
     any = all = bool
     maximum, minimum = max, min
-    min = float  # the least of one float is itself
+    min = max = float  # the least and the greatest of one float are itself
     where = staticmethod(lambda cond, a, b: a if cond else b)  # both branches evaluated, as in numpy
 
 
