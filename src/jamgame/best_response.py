@@ -162,6 +162,6 @@ def _finite(quantity: str, v, xp=_floats):
     return v
 
 
-def _ratio(quantity: str, num: float, den: float) -> float:
+def _ratio(quantity: str, num: float, den, xp=_floats):
     """num / den, refused as _finite does; a den that underflowed to 0 overflows it."""
-    return _finite(quantity, num / den if den else math.inf)
+    return _finite(quantity, num / xp.maximum(den, 5e-324), xp)

@@ -524,6 +524,16 @@ def test_a_weight_at_the_bottom_of_the_double_range_is_refused(tmp_path):
         assert err.startswith("error: eta = c_t*p_j*ln2 underflows"), (command, err)
 
 
+def test_nash_and_its_sweeps_word_an_overflowing_nash_ratio_alike(tmp_path):
+    # eta*delta^2 = 6.9e-311 at c_t = 1e-300, so 8/(eta*delta^2) leaves the doubles.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(dump_config(dict(t_aj=1e-20, delta=1e-5, p_t=1.0, p_j=1.0, t_p=1e-3, c_t=1e-300)))
+    want = (3, "", "error: 8/(eta*delta^2) leaves the double range\n")
+    assert run_sweep(["nash", str(cfg)]) == want
+    for figure in ("payoffs", "comparison", "neX", "neY", "seX", "seY"):
+        assert run_sweep(["sweep", str(cfg), "--figure", figure, "--log-range", "1e-300", "2e-300", "2"]) == want
+
+
 WIDE_COMMANDS = [
     ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"],
     *(["sweep", "--figure", figure] for figure in ("payoffs", "approx", "efficiency", "comparison")),
