@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, _eta, _floats, _log_ratio
+from .model import GameParams, _eta, _finite, _floats, _log_ratio
 
 __all__ = [
     "Thresholds",
@@ -153,13 +153,6 @@ def _delta_squared(p: GameParams) -> float:
     if not sys.float_info.min <= d2 < math.inf:
         raise DomainError(f"delta**2 leaves the double range, delta = {p.delta!r}")
     return d2
-
-
-def _finite(quantity: str, v, xp=_floats):
-    """v, or a DomainError naming the quantity where it, or any element of it, left the double range."""
-    if not xp.all(xp.isfinite(v)):
-        raise DomainError(f"{quantity} leaves the double range")
-    return v
 
 
 def _ratio(quantity: str, num: float, den, xp=_floats):

@@ -209,11 +209,19 @@ def utilities_xy(p: GameParams, x: float, y: float) -> UtilityPair:
     """(u_t, u_j) at (x, y): capacity minus each side's energy cost.
 
     The jammer's cost charges the commanded mean y; realized-energy accounting
-    belongs to the simulator, not to the analytic game.
+    belongs to the simulator, not to the analytic game.  Either utility is
+    refused past the largest double.
     """
     return UtilityPair(*_utilities_xy(p, x, y, p.c_t, _floats))
 
 
 def _utilities_xy(p: GameParams, x, y, c_t, xp):
     c = _capacity_xy(p, x, y, xp)
-    return c - p.c_t_star * p.t_p * p.p_t, -c - c_t * y * p.p_j
+    return _finite("u_t", c - p.c_t_star * p.t_p * p.p_t, xp), _finite("u_j", -c - c_t * y * p.p_j, xp)
+
+
+def _finite(quantity: str, v, xp=_floats):
+    """v, or a DomainError naming the quantity where it, or any element of it, left the double range."""
+    if not xp.all(xp.isfinite(v)):
+        raise DomainError(f"{quantity} leaves the double range")
+    return v

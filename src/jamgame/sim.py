@@ -29,7 +29,7 @@ import numpy as np
 
 from .best_response import best_response_jammer, best_response_target
 from .errors import DomainError, InvalidParams
-from .model import GameParams, UtilityPair, _log_ratio
+from .model import GameParams, UtilityPair, _finite, _log_ratio
 from .nash import nash_closed_form, s_prime_bounds
 
 __all__ = [
@@ -109,7 +109,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
     ``perfect_observation`` is a testing hook that replaces the estimates by
     the opponent's true current strategy, making the strategy history follow
     the analytic best-response dynamics exactly.  A run whose per-cycle jam
-    energy (jam * p_j) leaves the double range is refused as a DomainError.
+    energy (jam * p_j) or realized utilities leave the double range is
+    refused as a DomainError.
     """
     p = cfg.params
     n, period = cfg.total_cycles, cfg.update_period_cycles
@@ -155,8 +156,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
     jam_total = float(jam.sum())
     realized_capacity = total_bits / (n * p.t_aj + jam_total + float(silence.sum()))
     realized = UtilityPair(
-        u_t=realized_capacity - p.c_t_star * p.t_p * p.p_t,
-        u_j=-realized_capacity - p.c_t * jam_total * p.p_j / n,
+        u_t=_finite("u_t", realized_capacity - p.c_t_star * p.t_p * p.p_t),
+        u_j=_finite("u_j", -realized_capacity - p.c_t * jam_total * p.p_j / n),
     )
     return SimTrace(
         x=xs,

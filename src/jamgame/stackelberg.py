@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .best_response import _chi, _delta_squared, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, _floats, _log_ratio, utilities_xy
+from .model import GameParams, StrategyProfile, _finite, _floats, _log_ratio, utilities_xy
 from .nash import EquilibriumResult, Regime, nash_closed_form
 from .roots import larger_zero
 
@@ -45,7 +45,8 @@ def leader_utility(p: GameParams, x: float) -> float:
     Where chi(x) > 0 the jammer jams for chi(x) and the whole cycle collapses
     to sqrt(c_t * p_j * log2(x/delta)) minus the fixed transmit cost; where
     chi(x) <= 0 the channel is unjammed and this is plain capacity at y = 0.
-    The two branches agree at the zeros of chi.
+    The two branches agree at the zeros of chi.  Refused past the largest
+    double.
     """
     return _leader_utility(p, x, p.c_t, _floats)
 
@@ -56,7 +57,7 @@ def _leader_utility(p: GameParams, x, c_t, xp):
     jammed = _chi(p, x, c_t, xp) > 0.0
     log2x = _log_ratio(p, x, xp, "log2")
     u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2x), log2x / (p.t_aj + x / 2.0))
-    return u - p.c_t_star * p.t_p * p.p_t
+    return _finite("u_t", u - p.c_t_star * p.t_p * p.p_t, xp)
 
 
 def stackelberg_exact(p: GameParams) -> EquilibriumResult:

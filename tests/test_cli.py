@@ -553,6 +553,12 @@ def test_every_command_ends_in_a_documented_exit_on_the_full_positive_range(tmp_
     _every_command_ends_in_a_documented_exit(tmp_path, FULL_RANGE, np.random.default_rng(17), 100)
 
 
+def test_every_command_ends_in_a_documented_exit_with_the_transmit_cost_drawn(tmp_path):
+    # c_t_star * t_p * p_t may overflow: u_t is refused, never printed as -inf.
+    box = dict(FULL_RANGE, c_t_star=(5e-324, 1.7e308))
+    _every_command_ends_in_a_documented_exit(tmp_path, box, np.random.default_rng(18), 100)
+
+
 def _assert_equilibrium_residuals(command, p, row):
     # Each residual is taken exactly (tests/oracles, in Decimal) at the printed point.
     # nash: the fixed-point residual of both best responses, in ulps of the

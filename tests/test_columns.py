@@ -45,6 +45,7 @@ from jamgame import (
     utilities_xy,
 )
 from jamgame.belief import g_of_xi
+from jamgame.roots import larger_zero
 from .conftest import FULL_RANGE, WIDE_BOX, random_params, wide_params
 from .oracles import decimal_newton_w
 
@@ -289,6 +290,11 @@ REFUSALS = {
                  lambda p: columns.lambert_w_prime(np.array([1.0, 0.0]))),
     "W' z = -1/e": (SingularError, lambda p: lambert_w_prime(-math.exp(-1.0)),
                     lambda p: columns.lambert_w_prime(np.array([1.0, -math.exp(-1.0)]))),
+    "utilities u_j overflows": (DomainError, lambda p: utilities_xy(p, 3e-6, 1e303),
+                                lambda p: columns.utilities_xy(p, 3e-6, np.array([0.0, 1e303]), p.c_t)),
+    # ln(x/delta)/eta overflows at the Newton start.
+    "larger zero: weight too small": (DomainError, lambda p: larger_zero(replace(p, c_t=2e-308), 3e-6),
+                                      lambda p: columns.larger_zero(p, np.array([1e6, 2e-308]), 3e-6)),
     **_non_finite(math.inf),
     **_non_finite(math.nan),
 }

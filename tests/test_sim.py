@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jamgame import (
+    DomainError,
     GameParams,
     InvalidParams,
     SimConfig,
@@ -261,3 +262,10 @@ def test_bits_where_x_over_delta_overflows():
     assert bits[0] == pytest.approx(1029.7977, rel=1e-7)
     assert math.isfinite(tr.realized_capacity) and tr.realized_capacity > 0.0
     assert math.isfinite(tr.realized_utilities.u_t) and math.isfinite(tr.realized_utilities.u_j)
+
+
+def test_realized_utilities_past_the_double_range_are_refused(table1):
+    # c_t_star * t_p * p_t = 1e410: u_t would be -inf.
+    p = GameParams(t_aj=15e-6, delta=1e-6, p_t=1e200, p_j=2.0, t_p=1e200, c_t=1e6, c_t_star=1e10)
+    with pytest.raises(DomainError, match="^u_t leaves the double range$"):
+        run_sim(SimConfig(params=p, total_cycles=20, x0=3e-6, y0=1e-6))
