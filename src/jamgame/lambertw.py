@@ -64,13 +64,14 @@ def _lambert_w(z, branch: WBranch, xp):
     q = _domain(z, branch, xp)
     if branch is WBranch.PRINCIPAL:
         lz = xp.log(xp.maximum(z, math.e))
-        far = lz - xp.log(lz)
-        w = xp.where(z < -0.2, _branch_series(q, +1.0, xp), xp.where(z <= math.e, xp.log1p(z), far))
+        w = xp.where(z <= math.e, xp.log1p(z), lz - xp.log(lz))
+        w = xp.where(z < -0.2, _branch_series(q, +1.0, xp), w)
     else:
         lz = xp.log(-z)  # _domain refused z >= 0
         w = xp.where(z < -0.25, _branch_series(q, -1.0, xp), lz - xp.log(-lz))
     step = (q > _SERIES_ONLY_Q) & (z != 0.0)
-    return xp.where(step, _fritsch(xp.where(step, w, 1.0), xp.log(abs(xp.where(step, z, math.e))), xp), w)
+    lz = xp.log(abs(xp.where(step, z, math.e)))
+    return xp.where(step, _fritsch(xp.where(step, w, 1.0), lz, xp), w)
 
 
 def _domain(z, branch: WBranch, xp):

@@ -45,8 +45,7 @@ def leader_utility(p: GameParams, x: float) -> float:
     Where chi(x) > 0 the jammer jams for chi(x) and the whole cycle collapses
     to sqrt(c_t * p_j * log2(x/delta)) minus the fixed transmit cost; where
     chi(x) <= 0 the channel is unjammed and this is plain capacity at y = 0.
-    The two branches agree at the zeros of chi.  Refused past the largest
-    double.
+    The two branches agree at the zeros of chi.  Refused past the largest double.
     """
     return _leader_utility(p, x, p.c_t, _floats)
 
