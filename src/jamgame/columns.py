@@ -120,7 +120,8 @@ def nash_sweep(p: GameParams, c_t) -> EquilibriumColumns:
     c_t = np.asarray(c_t, dtype=float)
     inner = c_t < br._c_t_tilde(p)
     half = np.zeros(c_t.shape)
-    ratio = br._ratio("8/(eta*delta^2)", 8.0, eta(p, c_t[inner]) * br._delta_squared(p), np)
+    with np.errstate(over="ignore"):  # an overflowing ratio is refused by _ratio
+        ratio = br._ratio("8/(eta*delta^2)", 8.0, eta(p, c_t[inner]) * br._delta_squared(p), np)
     half[inner] = 0.5 * lambert_w(ratio, WBranch.PRINCIPAL)
     x_star = p.delta * np.exp(half)
     y_star = 0.5 * p.delta * (half - 1.0) * np.exp(half) - p.t_aj

@@ -290,6 +290,8 @@ REFUSALS = {
                  lambda p: columns.lambert_w_prime(np.array([1.0, 0.0]))),
     "W' z = -1/e": (SingularError, lambda p: lambert_w_prime(-math.exp(-1.0)),
                     lambda p: columns.lambert_w_prime(np.array([1.0, -math.exp(-1.0)]))),
+    "nash 8/(eta*delta^2) overflows": (DomainError, lambda p: nash_closed_form(replace(p, c_t=1e-300)),
+                                       lambda p: columns.nash_sweep(p, np.array([1e6, 1e-300]))),
     "utilities u_j overflows": (DomainError, lambda p: utilities_xy(p, 3e-6, 1e303),
                                 lambda p: columns.utilities_xy(p, 3e-6, np.array([0.0, 1e303]), p.c_t)),
     # ln(x/delta)/eta overflows at the Newton start.
