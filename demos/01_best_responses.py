@@ -42,5 +42,5 @@ print(f"  c_t_max   = {th.c_t_max:.4e}  (above this the jammer never jams at all
 ys = columns.log_grid(1e-6, 1e-2, 5)
 print("\nCSV equivalent of `jamgame sweep CONFIG --figure brX --log-range 1e-6 1e-2 5`:")
 print("y,x_best")
-for y, x in zip(ys.tolist(), columns.best_response_target(p, ys).tolist()):
+for y, x in zip(ys.tolist(), best_response_target(p, ys).tolist()):
     print(f"{y!r},{x!r}")

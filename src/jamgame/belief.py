@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import columns
-from .best_response import _c_t_tilde, _delta_squared
+from .best_response import _c_t_tilde, _delta_squared, chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
 from .lambertw import WBranch, lambert_w
 from .model import GameParams, _log_ratio, _Record
@@ -118,7 +118,7 @@ def realized_utility(p: GameParams, xi, c_t=None):
     g = g_of_xi(p, xi)
     c_t = p.c_t if c_t is None else np.asarray(c_t, dtype=float)
     log2g = _log_ratio(p, g, np, "log2")
-    jammed = (xi > c_t) & (columns.chi(p, g, c_t) > 0.0)
+    jammed = (xi > c_t) & (chi(p, g, c_t) > 0.0)
     u = np.where(jammed, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
     return _float_if_scalar(u)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, _eta, _finite, _floats, _log_ratio
+from .model import GameParams, _eta, _finite, _floats, _kernel, _log_ratio
 
 __all__ = [
     "Thresholds",
@@ -47,61 +47,49 @@ class Thresholds(NamedTuple):
     c_t_tilde: float
 
 
-def psi(p: GameParams, y: float) -> float:
+@_kernel
+def psi(p: GameParams, y, *, xp):
     """Principal-branch W of 2*(t_aj + y) / (e * delta); positive for y >= 0."""
-    return _psi(p, y, _floats)
-
-
-def _psi(p: GameParams, y, xp):
     if xp.any(y < 0):
         raise DomainError("psi requires y >= 0")
     return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL)
 
 
-def chi(p: GameParams, x: float) -> float:
+@_kernel
+def chi(p: GameParams, x, c_t=None, *, xp):
     """sqrt(ln(x/delta)/eta) - t_aj - x/2, the jammer's unclamped optimum.
 
     Defined for finite x >= delta (nonnegative log; where x/delta overflows,
     the log is taken as ln x - ln delta).  Where chi < 0 the jammer
-    prefers not to jam at all.
+    prefers not to jam at all.  Weights c_t replace p.c_t when given.
     """
-    return _chi(p, x, p.c_t, _floats)
-
-
-def _chi(p: GameParams, x, c_t, xp):
     if xp.any(x < p.delta):
         raise DomainError("chi requires x >= delta")
-    eta = _eta(p, c_t, xp)
+    eta = _eta(p, p.c_t if c_t is None else c_t, xp)
     if not xp.all(xp.isfinite(x)):
         raise DomainError("chi requires a finite x")
     return xp.sqrt(_log_ratio(p, x, xp) / eta) - p.t_aj - x / 2.0
 
 
-def best_response_target(p: GameParams, y: float) -> float:
+@_kernel
+def best_response_target(p: GameParams, y, *, xp):
     """Capacity-maximizing silence bound against mean jam duration y.
 
     Equals delta * e^(psi(y)+1); strictly increasing in y and always > 2*delta
     for t_aj > 0.  Refused past the largest double.
     """
-    return _best_response_target(p, y, _floats)
+    return _finite("b_t(y)", p.delta * xp.exp(psi(p, y) + 1.0), xp)
 
 
-def _best_response_target(p: GameParams, y, xp):
-    return _finite("b_t(y)", p.delta * xp.exp(_psi(p, y, xp) + 1.0), xp)
-
-
-def best_response_jammer(p: GameParams, x: float) -> float:
+@_kernel
+def best_response_jammer(p: GameParams, x, c_t=None, *, xp):
     """Utility-maximizing mean jam duration against silence bound x: max(chi, 0).
 
-    Refused past the largest double.
+    Weights c_t replace p.c_t when given.  Refused past the largest double.
     """
-    return _best_response_jammer(p, x, p.c_t, _floats)
-
-
-def _best_response_jammer(p: GameParams, x, c_t, xp):
     if xp.any(x < 2.0 * p.delta):
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    return _finite("b_j(x)", xp.maximum(_chi(p, x, c_t, xp), 0.0), xp)
+    return _finite("b_j(x)", xp.maximum(chi(p, x, c_t), 0.0), xp)
 
 
 def x_hat(p: GameParams) -> float:

@@ -13,9 +13,10 @@ import math
 import numpy as np
 
 from . import columns as col
-from .best_response import best_response_target
+from .best_response import best_response_jammer, best_response_target
 from .errors import ConfigError
-from .model import GameParams
+from .model import GameParams, utilities_xy
+from .stackelberg import leader_utility
 
 __all__ = ["FIGURES", "sweep_slices"]
 
@@ -38,8 +39,8 @@ def _approx(p: GameParams, cfg: dict):
     def solve(v):
         x_se = col.stackelberg_sweep(p, v)
         x_ap = col.stackelberg_approx_sweep(p, v)
-        u_se = col.utilities_xy(p, x_se, 0.0, v)[0]
-        u_ap = col.leader_utility(p, x_ap, v)
+        u_se = utilities_xy(p, x_se, 0.0, v)[0]
+        u_ap = leader_utility(p, x_ap, v)
         return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
     return solve
 
@@ -59,18 +60,18 @@ def _comparison(p: GameParams, cfg: dict):
 
     def solve(v):
         rep = col.improvement_sweep(p, v)
-        y_naive = col.best_response_jammer(p, x_naive, v)
+        y_naive = best_response_jammer(p, x_naive, v)
         # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
-        u_t_a, u_j_a = col.utilities_xy(p, x_naive, y_naive, v)
+        u_t_a, u_j_a = utilities_xy(p, x_naive, y_naive, v)
         # Case B: jammer assumes a naive target; the target best-responds.
-        u_t_b, u_j_b = col.utilities_xy(p, col.best_response_target(p, y_naive), y_naive, v)
+        u_t_b, u_j_b = utilities_xy(p, best_response_target(p, y_naive), y_naive, v)
         return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, u_t_a, u_j_a, u_t_b, u_j_b]
     return solve
 
 
 FIGURES = {
-    "brX": (["y", "x_best"], lambda p, cfg: lambda v: [col.best_response_target(p, v)]),
-    "brY": (["x", "y_best"], lambda p, cfg: lambda v: [col.best_response_jammer(p, v, p.c_t)]),
+    "brX": (["y", "x_best"], lambda p, cfg: lambda v: [best_response_target(p, v)]),
+    "brY": (["x", "y_best"], lambda p, cfg: lambda v: [best_response_jammer(p, v)]),
     "neX": (["c_t", "x_ne"], lambda p, cfg: lambda v: [col.nash_sweep(p, v).x]),
     "neY": (["c_t", "y_ne"], lambda p, cfg: lambda v: [col.nash_sweep(p, v).y]),
     "seX": (["c_t", "x_ne", "x_se"],

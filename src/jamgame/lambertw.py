@@ -6,9 +6,8 @@ asymptotics) refined by a fixed three steps of Fritsch's iteration on the log
 form ln|w| + w = ln|z| (Fritsch, Shafer & Crowley, CACM 16(2) 1973; Veberic,
 arXiv:1209.0735).  No step forms exp(w), so the same steps hold across the
 whole double range, tails included.  The guesses and steps are written once,
-over a namespace argument ``xp``: a float runs them in pure ``math``, and a
-numpy array is handed to ``columns`` (imported on first use), which runs them
-on numpy.
+over a namespace argument ``xp``: a float runs them in pure ``math``, and an
+array on numpy, which is imported only then (``model._kernel``).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 from enum import Enum
 
 from .errors import DomainError, SingularError
-from .model import _floats
+from .model import _kernel
 
 __all__ = ["WBranch", "lambert_w", "lambert_w_prime", "BRANCH_POINT"]
 
@@ -42,7 +41,8 @@ class WBranch(Enum):
     MINUS1 = -1     # W <= -1, defined for -1/e <= z < 0
 
 
-def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
+@_kernel
+def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL, *, xp):
     """Solve w * exp(w) = z for w on the requested real branch.
 
     Raises DomainError if z is outside the branch domain.  Accurate to
@@ -50,13 +50,6 @@ def lambert_w(z, branch: WBranch = WBranch.PRINCIPAL):
     ~1e-9 of -1/e the branch-point series is used directly (absolute error
     well below 1e-10).  An array z gives an array of the same shape.
     """
-    if not isinstance(z, (float, int)):
-        from .columns import lambert_w as lambert_w_array
-        return lambert_w_array(z, branch)
-    return _lambert_w(float(z), branch, _floats)
-
-
-def _lambert_w(z, branch: WBranch, xp):
     # Each guess is taken on an input clamped into its own domain, so every
     # branch of each where is finite on every element.  Where no step may be
     # taken (at the branch point, and at z = 0) Fritsch runs on the stand-in
@@ -92,25 +85,19 @@ def _domain(z, branch: WBranch, xp):
     return xp.maximum(q, 0.0)
 
 
-def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL):
+@_kernel
+def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL, *, xp):
     """Derivative dW/dz = W / (z * (W + 1)) on the requested branch.
 
     Undefined at z = 0 (use the principal-branch limit 1 by hand if needed)
     and singular at the branch point z = -1/e where W = -1.  An array z
     gives an array of the same shape.
     """
-    if not isinstance(z, (float, int)):
-        from .columns import lambert_w_prime as lambert_w_prime_array
-        return lambert_w_prime_array(z, branch)
-    return _lambert_w_prime(float(z), branch, _floats)
-
-
-def _lambert_w_prime(z, branch: WBranch, xp):
     if xp.any(z == 0.0):
         raise DomainError("lambert_w_prime is undefined at z = 0")
     if xp.any(math.e * z + 1.0 < 1e-14):
         raise SingularError("lambert_w_prime is singular at z = -1/e")
-    w = _lambert_w(z, branch, xp)
+    w = lambert_w(z, branch)
     return w / (z * (w + 1.0))
 
 

@@ -13,8 +13,10 @@ written with log2 while the best-response algebra uses natural logs.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidParams, InvalidStrategy
@@ -31,9 +33,9 @@ _LN2 = math.log(2.0)
 
 
 class _floats:
-    """math under numpy's names: the ``xp`` a scalar kernel passes to the body its ``columns`` form runs on numpy.
+    """math under numpy's names: the ``xp`` a kernel runs on when every number it is given is a float.
 
-    A shared body builds its masks only with comparisons, ``&`` and ``where``:
+    A kernel builds its masks only with comparisons, ``&`` and ``where``:
     on a Python bool ``~True`` is -2, which is truthy.
     """
 
@@ -169,6 +171,33 @@ class UtilityPair(NamedTuple):
     u_j: float
 
 
+_KEPT = (_Record, type(None), Enum, str)  # the arguments a kernel passes as they are
+_ON_FLOATS = (float, int, *_KEPT)
+
+
+def _kernel(body):
+    """``body(..., *, xp)``, written over ``xp``, as one function of floats or arrays.
+
+    Python floats and ints (``np.float64`` is a float) run it on ``_floats``
+    and give floats.  Any other number, such as an array, a list or a 0-d
+    array, imports numpy and runs it on float arrays, with overflow warnings
+    off.  A GameParams, a WBranch, a string and None pass as they are.
+    """
+
+    @functools.wraps(body)
+    def kernel(*args, **kwargs):
+        for a in (*args, *kwargs.values()):
+            if not isinstance(a, _ON_FLOATS):
+                import numpy as np
+
+                cast = lambda a: a if isinstance(a, _KEPT) else np.asarray(a, dtype=float)  # noqa: E731
+                with np.errstate(over="ignore"):
+                    return body(*map(cast, args), **{k: cast(a) for k, a in kwargs.items()}, xp=np)
+        return body(*args, **kwargs, xp=_floats)
+
+    return kernel
+
+
 def _eta(p: GameParams, c_t, xp):
     eta = c_t * p.p_j * _LN2
     if xp.any(eta < sys.float_info.min):
@@ -186,15 +215,12 @@ def _check_strategy(p: GameParams, x, y, xp, at=lambda refused: "") -> None:
         raise InvalidStrategy("x and y must be finite")
 
 
-def capacity_xy(p: GameParams, x: float, y: float) -> float:
+@_kernel
+def capacity_xy(p: GameParams, x, y, *, xp):
     """Timing-channel capacity log2(x/delta) / (t_aj + y + x/2) [bit/s].
 
     The denominator is the expected cycle length: uniform silence has mean x/2.
     """
-    return _capacity_xy(p, x, y, _floats)
-
-
-def _capacity_xy(p: GameParams, x, y, xp):
     _check_strategy(p, x, y, xp)
     return _log_ratio(p, x, xp, "log2") / (p.t_aj + y + x / 2.0)
 
@@ -205,19 +231,17 @@ def _log_ratio(p: GameParams, x, xp=_floats, log="log"):
     return xp.where(r < math.inf, getattr(xp, log)(r), getattr(xp, log)(x) - getattr(math, log)(p.delta))
 
 
-def utilities_xy(p: GameParams, x: float, y: float) -> UtilityPair:
+@_kernel
+def utilities_xy(p: GameParams, x, y, c_t=None, *, xp) -> UtilityPair:
     """(u_t, u_j) at (x, y): capacity minus each side's energy cost.
 
-    The jammer's cost charges the commanded mean y; realized-energy accounting
-    belongs to the simulator, not to the analytic game.  Either utility is
-    refused past the largest double.
+    The jammer's cost charges the commanded mean y; weights c_t replace p.c_t
+    when given.  Realized-energy accounting belongs to the simulator, not to
+    the analytic game.  Either utility is refused past the largest double.
     """
-    return UtilityPair(*_utilities_xy(p, x, y, p.c_t, _floats))
-
-
-def _utilities_xy(p: GameParams, x, y, c_t, xp):
-    c = _capacity_xy(p, x, y, xp)
-    return _finite("u_t", c - p.c_t_star * p.t_p * p.p_t, xp), _finite("u_j", -c - c_t * y * p.p_j, xp)
+    c = capacity_xy(p, x, y)
+    u_j = -c - (p.c_t if c_t is None else c_t) * y * p.p_j
+    return UtilityPair(_finite("u_t", c - p.c_t_star * p.t_p * p.p_t, xp), _finite("u_j", u_j, xp))
 
 
 def _finite(quantity: str, v, xp=_floats):

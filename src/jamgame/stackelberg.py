@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .best_response import _chi, _delta_squared, best_response_target, chi
+from .best_response import _delta_squared, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, _finite, _floats, _log_ratio, utilities_xy
+from .model import GameParams, StrategyProfile, _finite, _floats, _kernel, _log_ratio, utilities_xy
 from .nash import EquilibriumResult, Regime, nash_closed_form
 from .roots import larger_zero
 
@@ -39,21 +39,20 @@ class ImprovementReport(NamedTuple):
     improved: bool
 
 
-def leader_utility(p: GameParams, x: float) -> float:
+@_kernel
+def leader_utility(p: GameParams, x, c_t=None, *, xp):
     """Target utility when the jammer best-responds to x.
 
     Where chi(x) > 0 the jammer jams for chi(x) and the whole cycle collapses
     to sqrt(c_t * p_j * log2(x/delta)) minus the fixed transmit cost; where
     chi(x) <= 0 the channel is unjammed and this is plain capacity at y = 0.
-    The two branches agree at the zeros of chi.  Refused past the largest double.
+    The two branches agree at the zeros of chi.  Weights c_t replace p.c_t
+    when given.  Refused past the largest double.
     """
-    return _leader_utility(p, x, p.c_t, _floats)
-
-
-def _leader_utility(p: GameParams, x, c_t, xp):
     if xp.any(x < 2.0 * p.delta):
         raise DomainError("leader_utility requires x >= 2*delta")
-    jammed = _chi(p, x, c_t, xp) > 0.0
+    c_t = p.c_t if c_t is None else c_t
+    jammed = chi(p, x, c_t) > 0.0
     log2x = _log_ratio(p, x, xp, "log2")
     u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2x), log2x / (p.t_aj + x / 2.0))
     return _finite("u_t", u - p.c_t_star * p.t_p * p.p_t, xp)

@@ -23,6 +23,7 @@ from jamgame import (
     best_response_jammer,
     best_response_target,
     brd,
+    capacity_xy,
     convergence_certificate,
     efficiency,
     expected_utility_closed,
@@ -38,9 +39,9 @@ from jamgame import (
     stackelberg_exact,
     thresholds,
     updates_to_equilibrium,
+    utilities_xy,
     x_hat,
     SimConfig,
-    columns,
 )
 from .oracles import exact_chi, expected_utility_numeric
 
@@ -235,7 +236,7 @@ def test_c5_stackelberg():
         grid = np.logspace(
             math.log10(2 * p.delta), math.log10(10 * se.profile.x), 10**4
         )
-        if np.max(columns.leader_utility(p, grid, p.c_t)) > u_star * (1 + 1e-12):
+        if np.max(leader_utility(p, grid, p.c_t)) > u_star * (1 + 1e-12):
             glob_ok = False
 
     improve_ok = all(improvement_report(p).improved for p in sweep_params())
@@ -392,17 +393,17 @@ def test_c9_shape_properties_and_identity():
     for y in [0.0, 1e-4, 1e-3, 5e-3]:
         bt = float(best_response_target(p, y))
         xs = np.linspace(2 * p.delta, bt, 500)
-        if not np.all(np.diff(columns.utilities_xy(p, xs, y, p.c_t)[0], 2) < 0):
+        if not np.all(np.diff(utilities_xy(p, xs, y, p.c_t)[0], 2) < 0):
             shape_ok = False
         xs_after = np.linspace(bt, 100 * bt, 500)
-        if not np.all(np.diff(columns.utilities_xy(p, xs_after, y, p.c_t)[0]) < 0):
+        if not np.all(np.diff(utilities_xy(p, xs_after, y, p.c_t)[0]) < 0):
             shape_ok = False
     y_M = s_prime_bounds(p).y_M
     for x in [2e-6, 1e-4, 1e-3]:
         ys = np.linspace(0.0, 10 * y_M, 500)
-        if not np.all(np.diff(columns.utilities_xy(p, x, ys, p.c_t)[1], 2) <= 1e-18):
+        if not np.all(np.diff(utilities_xy(p, x, ys, p.c_t)[1], 2) <= 1e-18):
             shape_ok = False
-        if not np.all(np.diff(columns.capacity_xy(p, x, ys)) < 0):
+        if not np.all(np.diff(capacity_xy(p, x, ys)) < 0):
             shape_ok = False
 
     ident_ok = True

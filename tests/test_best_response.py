@@ -40,7 +40,7 @@ def test_psi_values(table1):
     assert psi(table1, 0.0) == pytest.approx(PSI_AT_0, rel=1e-12)
     # monotone increasing
     ys = np.linspace(0.0, 1e-2, 500)
-    assert np.all(np.diff(columns.psi(table1, ys)) > 0)
+    assert np.all(np.diff(psi(table1, ys)) > 0)
     # degenerate geometry making the W argument exactly e, so psi = 1
     p = replace(table1, delta=2 * table1.t_aj / math.e**2)
     assert psi(p, 0.0) == pytest.approx(1.0, rel=1e-12)
@@ -80,7 +80,7 @@ def test_x_hat_limits(table1):
 def test_best_response_target_values(table1):
     assert best_response_target(table1, 0.0) == pytest.approx(BT_AT_0, rel=1e-12)
     ys = np.logspace(-7, -2, 50)
-    bt = columns.best_response_target(table1, ys)
+    bt = best_response_target(table1, ys)
     assert np.all(np.diff(bt) > 0)
     assert np.all(bt > 2 * table1.delta)
 
@@ -89,7 +89,7 @@ def test_best_response_target_grid_optimality(table1):
     y = 2.8e-4
     bt = best_response_target(table1, y)
     grid = np.logspace(np.log10(2 * table1.delta), np.log10(100 * bt), 4001)
-    u = columns.utilities_xy(table1, grid, y, table1.c_t)[0]
+    u = utilities_xy(table1, grid, y, table1.c_t)[0]
     k = int(np.argmax(u))
     # true optimum beats every grid point and sits within one grid step
     assert utilities_xy(table1, bt, y)[0] >= u[k]
@@ -110,8 +110,8 @@ def test_jammer_inhibited_above_c_t_max(table1):
     th = thresholds(table1)
     p = replace(table1, c_t=1.01 * th.c_t_max)
     grid = np.logspace(np.log10(2 * p.delta), -1, 2000)
-    assert np.all(columns.best_response_jammer(p, grid, p.c_t) == 0.0)
-    assert np.max(columns.chi(p, grid, p.c_t)) < 0
+    assert np.all(best_response_jammer(p, grid, p.c_t) == 0.0)
+    assert np.max(chi(p, grid, p.c_t)) < 0
 
 
 def test_thresholds_values(table1):
@@ -184,7 +184,7 @@ def test_bj_bounded_by_value_at_x_hat(table1):
     xh = x_hat(table1)
     cap = best_response_jammer(table1, xh)
     grid = np.logspace(np.log10(2 * table1.delta), 0, 3000)
-    assert np.all(columns.best_response_jammer(table1, grid, table1.c_t) <= cap + 1e-18)
+    assert np.all(best_response_jammer(table1, grid, table1.c_t) <= cap + 1e-18)
 
 
 def test_best_response_optimality_random_params(rng):
@@ -193,13 +193,13 @@ def test_best_response_optimality_random_params(rng):
         y = float(rng.uniform(0.0, 50.0 * p.t_aj))
         bt = float(best_response_target(p, y))
         grid = np.logspace(np.log10(2 * p.delta), np.log10(100 * bt), 2000)
-        assert utilities_xy(p, bt, y)[0] >= np.max(columns.utilities_xy(p, grid, y, p.c_t)[0])
+        assert utilities_xy(p, bt, y)[0] >= np.max(utilities_xy(p, grid, y, p.c_t)[0])
 
         x = float(rng.uniform(2 * p.delta, 20 * bt))
         bj = float(best_response_jammer(p, x))
         y_hi = max(10 * float(best_response_jammer(p, x_hat(p))), 10 * p.t_aj)
         ygrid = np.linspace(0.0, y_hi, 2000)
-        assert utilities_xy(p, x, bj)[1] >= np.max(columns.utilities_xy(p, x, ygrid, p.c_t)[1])
+        assert utilities_xy(p, x, bj)[1] >= np.max(utilities_xy(p, x, ygrid, p.c_t)[1])
 
 
 def test_chi_where_x_over_delta_overflows(table1):
@@ -207,7 +207,7 @@ def test_chi_where_x_over_delta_overflows(table1):
     for x in (1e303, 1.7e308):
         want = math.sqrt((math.log(x) - math.log(table1.delta)) / table1.eta) - table1.t_aj - x / 2.0
         assert chi(table1, x) == want
-        assert columns.chi(table1, np.array([1e-3, x]), table1.c_t)[1] == want
+        assert chi(table1, np.array([1e-3, x]), table1.c_t)[1] == want
         assert best_response_jammer(table1, x) == 0.0
 
 

@@ -1,16 +1,17 @@
-"""Each scalar kernel and its array form agree elementwise, and refuse alike.
+"""Each kernel agrees with itself on floats and on arrays, elementwise, and refuses alike.
 
-The two forms run the same body; numpy's and libm's log, log2 and exp may
-differ in the last bit.  So each pair is compared in ulps of the scale of its
-computation: the sum of the magnitudes of the terms it adds, times a
-condition number where one is large.  For W that sum is the one of Fritsch's
-residual ln|z| - ln|W| - W, whose rounding a step carries into W times
-|W|/|1 + W|.  Where the result is exp of a W value, the condition number is
-the exponent (exp turns an ulp of its argument into |argument| ulps of its
-result).
+Floats run it on math and arrays on numpy, whose log, log2 and exp may
+differ from libm's in the last bit.  So each pair is compared in ulps of the
+scale of its computation: the sum of the magnitudes of the terms it adds,
+times a condition number where one is large.  For W that sum is the one of
+Fritsch's residual ln|z| - ln|W| - W, whose rounding a step carries into W
+times |W|/|1 + W|.  Where the result is exp of a W value, the condition
+number is the exponent (exp turns an ulp of its argument into |argument| ulps
+of its result).
 """
 
 import math
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -61,53 +62,53 @@ def w_scale(z, w):
 def w_principal(p, c, x, y, rng):
     z = np.concatenate([-math.exp(-1.0) + 10.0 ** rng.uniform(-12.0, 0.0, N // 2),
                         10.0 ** rng.uniform(-300.0, 300.0, N // 2)])
-    w = columns.lambert_w(z)
+    w = lambert_w(z)
     return [lambert_w(v) for v in z.tolist()], w, w_scale(z, w)
 
 
 def w_minus1(p, c, x, y, rng):
     z = -(10.0 ** rng.uniform(-300.0, math.log10(0.36), N))
-    w = columns.lambert_w(z, WBranch.MINUS1)
+    w = lambert_w(z, WBranch.MINUS1)
     return [lambert_w(v, WBranch.MINUS1) for v in z.tolist()], w, w_scale(z, w)
 
 
 def psi_pair(p, c, x, y, rng):
-    a = columns.psi(p, y)
+    a = psi(p, y)
     return [psi(p, v) for v in y.tolist()], a, a
 
 
 def chi_pair(p, c, x, y, rng):
-    a = columns.chi(p, x, c)
+    a = chi(p, x, c)
     scalar = [chi(replace(p, c_t=ck), v) for ck, v in zip(c.tolist(), x.tolist())]
     return scalar, a, np.abs(a) + 2.0 * (p.t_aj + x / 2.0)
 
 
 def b_t_pair(p, c, x, y, rng):
-    a = columns.best_response_target(p, y)
-    return [best_response_target(p, v) for v in y.tolist()], a, a * (columns.psi(p, y) + 1.0)
+    a = best_response_target(p, y)
+    return [best_response_target(p, v) for v in y.tolist()], a, a * (psi(p, y) + 1.0)
 
 
 def b_j_pair(p, c, x, y, rng):
-    a = columns.best_response_jammer(p, x, c)
+    a = best_response_jammer(p, x, c)
     scalar = [best_response_jammer(replace(p, c_t=ck), v) for ck, v in zip(c.tolist(), x.tolist())]
-    return scalar, a, np.abs(columns.chi(p, x, c)) + 2.0 * (p.t_aj + x / 2.0)
+    return scalar, a, np.abs(chi(p, x, c)) + 2.0 * (p.t_aj + x / 2.0)
 
 
 def capacity_pair(p, c, x, y, rng):
-    a = columns.capacity_xy(p, x, y)
+    a = capacity_xy(p, x, y)
     return [capacity_xy(p, u, v) for u, v in zip(x.tolist(), y.tolist())], a, a
 
 
 def utilities_pair(p, c, x, y, rng):
-    u_t, u_j = columns.utilities_xy(p, x, y, c)
+    u_t, u_j = utilities_xy(p, x, y, c)
     scalar = [utilities_xy(replace(p, c_t=ck), u, v) for ck, u, v in zip(c.tolist(), x.tolist(), y.tolist())]
-    cap = columns.capacity_xy(p, x, y)
+    cap = capacity_xy(p, x, y)
     scale = np.concatenate([cap + p.c_t_star * p.t_p * p.p_t, cap + c * y * p.p_j])
     return [u for u, _ in scalar] + [u for _, u in scalar], np.concatenate([u_t, u_j]), scale
 
 
 def leader_utility_pair(p, c, x, y, rng):
-    a = columns.leader_utility(p, x, c)
+    a = leader_utility(p, x, c)
     scalar = [leader_utility(replace(p, c_t=ck), v) for ck, v in zip(c.tolist(), x.tolist())]
     return scalar, a, np.abs(a) + 2.0 * p.c_t_star * p.t_p * p.p_t
 
@@ -154,7 +155,7 @@ def test_w_forms_apart_more_than_ulps_both_meet_the_oracle(z):
     # The two z where w_principal's forms differ by 5 and 6 ulp of |W|: each
     # form is still within ULPS of the Decimal oracle there.
     want = decimal_newton_w(z)
-    for got in (lambert_w(z), float(columns.lambert_w(np.array([z]))[0])):
+    for got in (lambert_w(z), float(lambert_w(np.array([z]))[0])):
         assert abs(got - want) <= ULPS * math.ulp(want)
 
 
@@ -190,8 +191,8 @@ def _solvers(p, x, y):
         (lambda: stackelberg_exact(p).profile.x, [lambda: columns.stackelberg_sweep(p, w), lambda: g_of_xi(p, w)]),
         (lambda: stackelberg_approx(p).profile.x, [lambda: columns.stackelberg_approx_sweep(p, w)]),
         (lambda: improvement_report(p), [lambda: columns.improvement_sweep(p, w)]),
-        (lambda: best_response_target(p, y), [lambda: columns.best_response_target(p, y)]),
-        (lambda: best_response_jammer(p, x), [lambda: columns.best_response_jammer(p, x, w)]),
+        (lambda: best_response_target(p, y), [lambda: best_response_target(p, np.asarray(y))]),
+        (lambda: best_response_jammer(p, x), [lambda: best_response_jammer(p, x, w)]),
     ]
 
 
@@ -245,16 +246,16 @@ def _non_finite(v):
     # the leader's utility such an x.
     return {
         f"capacity x = {v}": (InvalidStrategy, lambda p: capacity_xy(p, v, 0.0),
-                              lambda p: columns.capacity_xy(p, np.array([1e-5, v]), 0.0)),
+                              lambda p: capacity_xy(p, np.array([1e-5, v]), 0.0)),
         f"capacity y = {v}": (InvalidStrategy, lambda p: capacity_xy(p, 3e-6, v),
-                              lambda p: columns.capacity_xy(p, 3e-6, np.array([0.0, v]))),
+                              lambda p: capacity_xy(p, 3e-6, np.array([0.0, v]))),
         f"utilities x = {v}": (InvalidStrategy, lambda p: utilities_xy(p, v, 0.0),
-                               lambda p: columns.utilities_xy(p, np.array([1e-5, v]), 0.0, p.c_t)),
+                               lambda p: utilities_xy(p, np.array([1e-5, v]), 0.0, p.c_t)),
         f"utilities y = {v}": (InvalidStrategy, lambda p: utilities_xy(p, 3e-6, v),
-                               lambda p: columns.utilities_xy(p, 3e-6, np.array([0.0, v]), p.c_t)),
-        f"chi x = {v}": (DomainError, lambda p: chi(p, v), lambda p: columns.chi(p, np.array([1e-5, v]), p.c_t)),
+                               lambda p: utilities_xy(p, 3e-6, np.array([0.0, v]), p.c_t)),
+        f"chi x = {v}": (DomainError, lambda p: chi(p, v), lambda p: chi(p, np.array([1e-5, v]), p.c_t)),
         f"leader_utility x = {v}": (DomainError, lambda p: leader_utility(p, v),
-                                    lambda p: columns.leader_utility(p, np.array([1e-5, v]), p.c_t)),
+                                    lambda p: leader_utility(p, np.array([1e-5, v]), p.c_t)),
     }
 
 
@@ -262,41 +263,43 @@ _BELOW = -math.exp(-1.0) - 1e-9  # below the real domain of W
 # Each scalar kernel refused, with its array form refused on a column holding
 # the same refused value after an admissible one.  Lab scenario: delta = 1e-6.
 REFUSALS = {
-    "psi y < 0": (DomainError, lambda p: psi(p, -1e-6), lambda p: columns.psi(p, np.array([0.0, -1e-6]))),
+    "psi y < 0": (DomainError, lambda p: psi(p, -1e-6), lambda p: psi(p, np.array([0.0, -1e-6]))),
     "chi x < delta": (DomainError, lambda p: chi(p, 5e-7),
-                      lambda p: columns.chi(p, np.array([1e-5, 5e-7]), p.c_t)),
+                      lambda p: chi(p, np.array([1e-5, 5e-7]), p.c_t)),
     "b_t y < 0": (DomainError, lambda p: best_response_target(p, -1e-6),
-                  lambda p: columns.best_response_target(p, np.array([0.0, -1e-6]))),
+                  lambda p: best_response_target(p, np.array([0.0, -1e-6]))),
     "b_j x < 2 delta": (DomainError, lambda p: best_response_jammer(p, 1.5e-6),
-                        lambda p: columns.best_response_jammer(p, np.array([1e-5, 1.5e-6]), p.c_t)),
+                        lambda p: best_response_jammer(p, np.array([1e-5, 1.5e-6]), p.c_t)),
     "leader_utility x < 2 delta": (DomainError, lambda p: leader_utility(p, 1.5e-6),
-                                   lambda p: columns.leader_utility(p, np.array([1e-5, 1.5e-6]), p.c_t)),
+                                   lambda p: leader_utility(p, np.array([1e-5, 1.5e-6]), p.c_t)),
     "capacity x < 2 delta": (InvalidStrategy, lambda p: capacity_xy(p, 1.5e-6, 0.0),
-                             lambda p: columns.capacity_xy(p, np.array([1e-5, 1.5e-6]), 0.0)),
+                             lambda p: capacity_xy(p, np.array([1e-5, 1.5e-6]), 0.0)),
     "capacity y < 0": (InvalidStrategy, lambda p: capacity_xy(p, 1e-5, -1e-6),
-                       lambda p: columns.capacity_xy(p, 1e-5, np.array([0.0, -1e-6]))),
+                       lambda p: capacity_xy(p, 1e-5, np.array([0.0, -1e-6]))),
     "utilities x < 2 delta": (InvalidStrategy, lambda p: utilities_xy(p, 1.5e-6, 0.0),
-                              lambda p: columns.utilities_xy(p, np.array([1e-5, 1.5e-6]), 0.0, p.c_t)),
+                              lambda p: utilities_xy(p, np.array([1e-5, 1.5e-6]), 0.0, p.c_t)),
     "utilities y < 0": (InvalidStrategy, lambda p: utilities_xy(p, 1e-5, -1e-6),
-                        lambda p: columns.utilities_xy(p, 1e-5, np.array([0.0, -1e-6]), p.c_t)),
+                        lambda p: utilities_xy(p, 1e-5, np.array([0.0, -1e-6]), p.c_t)),
     "eta underflows": (DomainError, lambda p: replace(p, c_t=1e-320).eta,
-                       lambda p: columns.eta(p, np.array([1.0, 1e-320]))),
+                       lambda p: chi(p, 1e-5, np.array([1.0, 1e-320]))),
     "W non-finite": (DomainError, lambda p: lambert_w(math.inf),
-                     lambda p: columns.lambert_w(np.array([1.0, math.inf]))),
-    "W below -1/e": (DomainError, lambda p: lambert_w(_BELOW), lambda p: columns.lambert_w(np.array([1.0, _BELOW]))),
+                     lambda p: lambert_w(np.array([1.0, math.inf]))),
+    "W below -1/e": (DomainError, lambda p: lambert_w(_BELOW), lambda p: lambert_w(np.array([1.0, _BELOW]))),
     "W_-1 z >= 0": (DomainError, lambda p: lambert_w(0.0, WBranch.MINUS1),
-                    lambda p: columns.lambert_w(np.array([-0.1, 0.0]), WBranch.MINUS1)),
+                    lambda p: lambert_w(np.array([-0.1, 0.0]), WBranch.MINUS1)),
+    "W unknown branch": (DomainError, lambda p: lambert_w(0.5, "minus1"),
+                         lambda p: lambert_w(np.array([0.5]), "minus1")),
     "W' z = 0": (DomainError, lambda p: lambert_w_prime(0.0),
-                 lambda p: columns.lambert_w_prime(np.array([1.0, 0.0]))),
+                 lambda p: lambert_w_prime(np.array([1.0, 0.0]))),
     "W' z = -1/e": (SingularError, lambda p: lambert_w_prime(-math.exp(-1.0)),
-                    lambda p: columns.lambert_w_prime(np.array([1.0, -math.exp(-1.0)]))),
+                    lambda p: lambert_w_prime(np.array([1.0, -math.exp(-1.0)]))),
     "nash 8/(eta*delta^2) overflows": (DomainError, lambda p: nash_closed_form(replace(p, c_t=1e-300)),
                                        lambda p: columns.nash_sweep(p, np.array([1e6, 1e-300]))),
     "utilities u_j overflows": (DomainError, lambda p: utilities_xy(p, 3e-6, 1e303),
-                                lambda p: columns.utilities_xy(p, 3e-6, np.array([0.0, 1e303]), p.c_t)),
+                                lambda p: utilities_xy(p, 3e-6, np.array([0.0, 1e303]), p.c_t)),
     # ln(x/delta)/eta overflows at the Newton start.
     "larger zero: weight too small": (DomainError, lambda p: larger_zero(replace(p, c_t=2e-308), 3e-6),
-                                      lambda p: columns.larger_zero(p, np.array([1e6, 2e-308]), 3e-6)),
+                                      lambda p: larger_zero(p, 3e-6, np.array([1e6, 2e-308]))),
     **_non_finite(math.inf),
     **_non_finite(math.nan),
 }
@@ -308,3 +311,53 @@ def test_each_kernel_and_its_array_form_refuse_alike(table1, case):
     refusal = _refusal(lambda: scalar(table1))
     assert refusal[0] is error
     assert _refusal(lambda: array(table1)) == refusal
+
+
+_LAB = GameParams(t_aj=15e-6, delta=1e-6, p_t=2.0, p_j=2.0, t_p=50e-6, c_t=1e6)
+# Each kernel's arguments on floats, the lab game first where it takes one;
+# an int among them counts as a float.  chi > 0 at x = 3e-5, so larger_zero
+# may start there.
+KERNEL_ARGS = {
+    lambert_w: (0.5,),
+    lambert_w_prime: (1,),
+    capacity_xy: (_LAB, 3e-5, 0),
+    utilities_xy: (_LAB, 3e-5, 1e-5, 10**6),
+    psi: (_LAB, 0),
+    chi: (_LAB, 3e-5, 10**6),
+    best_response_target: (_LAB, 1e-5),
+    best_response_jammer: (_LAB, 3e-5, 10**6),
+    leader_utility: (_LAB, 3e-5, 10**6),
+    larger_zero: (_LAB, 3e-5, 10**6),
+}
+# The five kernels that price the jammer, and the index of the weight c_t among their arguments.
+WEIGHT_AT = {utilities_xy: 3, chi: 2, best_response_jammer: 2, leader_utility: 2, larger_zero: 2}
+
+
+def _outputs(kernel, *args):
+    """kernel(*args) as a list: the two utilities of utilities_xy, the one result of any other."""
+    out = kernel(*args)
+    return list(out) if kernel is utilities_xy else [out]
+
+
+@pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=lambda f: f.__name__)
+def test_a_kernel_gives_floats_for_floats_and_arrays_for_arrays(kernel):
+    # Floats and ints give floats; 2-d arrays give arrays of their shape; a
+    # float x with a column of weights gives a column (of u_j: u_t does not
+    # depend on the weights).
+    args = KERNEL_ARGS[kernel]
+    assert all(type(v) is float for v in _outputs(kernel, *args))
+    grid = [a if isinstance(a, GameParams) else np.full((2, 3), float(a)) for a in args]
+    assert all(v.shape == (2, 3) for v in _outputs(kernel, *grid))
+    if kernel in WEIGHT_AT:
+        weights = list(args)
+        weights[WEIGHT_AT[kernel]] = np.array([1e6, 2e6])
+        column = _outputs(kernel, *weights)[-1]
+        assert isinstance(column, np.ndarray) and column.shape == (2,)
+
+
+def test_every_kernel_on_floats_leaves_numpy_unloaded():
+    imports = "; ".join(f"from {f.__module__} import {f.__name__}" for f in KERNEL_ARGS)
+    calls = "; ".join(f"{f.__name__}({', '.join(map(repr, args))})" for f, args in KERNEL_ARGS.items())
+    code = f"import sys; from jamgame import GameParams; {imports}; {calls}; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (res.returncode, res.stdout.strip()) == (0, "False"), res.stderr

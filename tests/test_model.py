@@ -18,7 +18,6 @@ from jamgame import (
     UtilityPair,
     best_response_target,
     capacity_xy,
-    columns,
     utilities_xy,
 )
 from jamgame.belief import UniformPrior
@@ -124,24 +123,24 @@ def test_target_utility_concave_then_decreasing(table1):
     for y in [0.0, 1e-4, 1e-3]:
         bt = float(best_response_target(table1, y))
         xs = np.linspace(2 * table1.delta, bt, 400)
-        u = columns.utilities_xy(table1, xs, y, table1.c_t)[0]
+        u = utilities_xy(table1, xs, y, table1.c_t)[0]
         assert np.all(np.diff(u, 2) < 0)
         xs_after = np.linspace(bt, 50 * bt, 400)
-        u_after = columns.utilities_xy(table1, xs_after, y, table1.c_t)[0]
+        u_after = utilities_xy(table1, xs_after, y, table1.c_t)[0]
         assert np.all(np.diff(u_after) < 0)
 
 
 def test_jammer_utility_concave_in_y(table1):
     for x in [2e-6, 1e-4, 1e-3]:
         ys = np.linspace(0.0, 2e-2, 400)
-        u = columns.utilities_xy(table1, x, ys, table1.c_t)[1]
+        u = utilities_xy(table1, x, ys, table1.c_t)[1]
         assert np.all(np.diff(u, 2) <= 1e-18)
 
 
 def test_capacity_decreasing_in_y(table1, rng):
     for x in 10 ** rng.uniform(-5.5, -3.0, size=8):
         ys = np.linspace(0.0, 1e-2, 300)
-        c = columns.capacity_xy(table1, float(x), ys)
+        c = capacity_xy(table1, float(x), ys)
         assert np.all(np.diff(c) < 0)
 
 

@@ -16,7 +16,6 @@ from jamgame import (
     best_response_jammer,
     best_response_target,
     brd,
-    columns,
     convergence_certificate,
     nash_closed_form,
     psi,
@@ -258,7 +257,7 @@ def test_certificate_jb_max_matches_difference_slopes(rng):
         bj_slope = 0.0
         if b.x_M > b.x_m:
             x = np.geomspace(b.x_m, b.x_M, 20001)
-            y = columns.best_response_jammer(p, x, p.c_t)
+            y = best_response_jammer(p, x, p.c_t)
             bj_slope = float(np.max(np.abs(np.diff(y) / np.diff(x))))
         cert = convergence_certificate(p, epsilon=1e-9, start=StrategyProfile(b.x_m, 0.0))
         assert cert.jb_max == pytest.approx(max(bt_slope, bj_slope), rel=1e-3)

@@ -15,7 +15,6 @@ from jamgame import (
     best_response_target,
     capacity_xy,
     chi,
-    columns,
     improvement_report,
     leader_utility,
     nash_closed_form,
@@ -56,11 +55,11 @@ def test_leader_utility_grid_matches_piecewise_arithmetic(table1):
     grid = np.logspace(np.log10(2 * table1.delta), -2, 2000)
     log2x = np.log(grid / table1.delta) / math.log(2.0)
     expected = np.where(
-        np.asarray(columns.chi(table1, grid, table1.c_t)) > 0,
+        np.asarray(chi(table1, grid, table1.c_t)) > 0,
         np.sqrt(table1.c_t * table1.p_j * log2x),
         log2x / (table1.t_aj + grid / 2.0),
     )
-    assert np.allclose(columns.leader_utility(table1, grid, table1.c_t), expected, rtol=1e-12)
+    assert np.allclose(leader_utility(table1, grid, table1.c_t), expected, rtol=1e-12)
 
 
 def test_leader_utility_domain(table1):
@@ -106,7 +105,7 @@ def test_global_optimality_on_grid(table1):
     se = stackelberg_exact(table1)
     u_star = float(leader_utility(table1, se.profile.x))
     grid = np.logspace(np.log10(2 * table1.delta), np.log10(10 * se.profile.x), 10**4)
-    assert np.max(columns.leader_utility(table1, grid, table1.c_t)) <= u_star * (1 + 1e-12)
+    assert np.max(leader_utility(table1, grid, table1.c_t)) <= u_star * (1 + 1e-12)
 
 
 def test_bisection_loss_bound(table1):
