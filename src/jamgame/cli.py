@@ -174,6 +174,7 @@ def _cmd_simulate(args) -> int:
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
     trace = sim.run_sim(sim_cfg)
+    updates = sim.updates_to_equilibrium(trace)  # may refuse the game: before --out is opened
 
     period, n = sim_cfg.update_period_cycles, sim_cfg.total_cycles
     head = [
@@ -192,7 +193,7 @@ def _cmd_simulate(args) -> int:
         fh.write("\n")
         _write_table(fh, sim.EVENT_COLUMNS, events)
 
-    final = [trace.x[-1:], trace.y[-1:], [sim.updates_to_equilibrium(trace)]]
+    final = [trace.x[-1:], trace.y[-1:], [updates]]
     _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])
     return EXIT_OK
 

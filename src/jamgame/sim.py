@@ -83,7 +83,7 @@ class SimTrace:
 
     Row k of ``x``, ``y``, ``x_est_by_jammer`` and ``y_est_by_target`` is update
     k, in force from cycle k * update_period_cycles; row 0 is the start, with
-    NaN estimates.
+    NaN estimates.  The realized capacity and utilities are computed when read.
     """
 
     x: np.ndarray
@@ -92,9 +92,27 @@ class SimTrace:
     y_est_by_target: np.ndarray
     jam: np.ndarray
     silence: np.ndarray
-    realized_capacity: float
-    realized_utilities: UtilityPair
     config: SimConfig = field(repr=False)
+
+    @property
+    def realized_capacity(self) -> float:
+        """The bits of the run over its total time [bit/s]."""
+        p, n, period = self.config.params, self.config.total_cycles, self.config.update_period_cycles
+        cycles_in_force = [period] * (n // period) + [n % period]
+        total_bits = math.fsum(c * b for c, b in zip(cycles_in_force, _bits(self.x, p)))
+        return total_bits / (n * p.t_aj + float(self.jam.sum()) + float(self.silence.sum()))
+
+    @property
+    def realized_utilities(self) -> UtilityPair:
+        """(u_t, u_j): realized capacity minus each side's energy cost, the jammer's for its realized jams.
+
+        Either is refused past the largest double.
+        """
+        p, c = self.config.params, self.realized_capacity
+        return UtilityPair(
+            u_t=_finite("u_t", c - p.c_t_star * p.t_p * p.p_t),
+            u_j=_finite("u_j", -c - p.c_t * float(self.jam.sum()) * p.p_j / self.config.total_cycles),
+        )
 
 
 def _bits(x: np.ndarray, p: GameParams):
@@ -109,8 +127,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
     ``perfect_observation`` is a testing hook that replaces the estimates by
     the opponent's true current strategy, making the strategy history follow
     the analytic best-response dynamics exactly.  A run whose per-cycle jam
-    energy (jam * p_j) or realized utilities leave the double range is
-    refused as a DomainError.
+    energy (jam * p_j) leaves the double range is refused as a DomainError;
+    the realized utilities are refused only when read.
     """
     p = cfg.params
     n, period = cfg.total_cycles, cfg.update_period_cycles
@@ -150,25 +168,8 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
     silence *= np.repeat(xs, period)[:n]
     if not math.isfinite(float(jam.max()) * p.p_j):
         raise DomainError("jam_energy_j = jam_s * p_j leaves the double range")
-
-    cycles_in_force = [period] * windows + [n - windows * period]
-    total_bits = math.fsum(c * b for c, b in zip(cycles_in_force, _bits(xs, p)))
-    jam_total = float(jam.sum())
-    realized_capacity = total_bits / (n * p.t_aj + jam_total + float(silence.sum()))
-    realized = UtilityPair(
-        u_t=_finite("u_t", realized_capacity - p.c_t_star * p.t_p * p.p_t),
-        u_j=_finite("u_j", -realized_capacity - p.c_t * jam_total * p.p_j / n),
-    )
     return SimTrace(
-        x=xs,
-        y=ys,
-        x_est_by_jammer=x_ests,
-        y_est_by_target=y_ests,
-        jam=jam,
-        silence=silence,
-        realized_capacity=realized_capacity,
-        realized_utilities=realized,
-        config=cfg,
+        x=xs, y=ys, x_est_by_jammer=x_ests, y_est_by_target=y_ests, jam=jam, silence=silence, config=cfg
     )
 
 

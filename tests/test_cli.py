@@ -350,6 +350,21 @@ def test_simulate_refuses_jam_energies_past_the_largest_double(tmp_path):
     assert err.startswith("error: jam_energy_j")
     assert not out.exists()
 
+
+def test_simulate_prints_a_game_whose_realized_utility_leaves_the_doubles(tmp_path):
+    # c_t * jam * p_j overflows, so the realized u_j would leave the double
+    # range; simulate never prints it, so it does not refuse the game for it.
+    cfg = tmp_path / "huge_c_t.cfg"
+    cfg.write_text(dump_config(dict(
+        t_aj=1.3237988800961329e+70, delta=2.1704368044852136e-113, p_t=6.104877443224717e-157,
+        p_j=2.0860419044820804e+142, t_p=1.0722357315731347e+244, c_t=9.304509305637352e+304, total_cycles=40,
+    )))
+    out = tmp_path / "trace.csv"
+    code, stdout, err = run_sweep(["simulate", str(cfg), "--seed", "3", "--out", str(out)])
+    assert (code, stdout, err) == (0, "final_x,final_y,updates_to_ne\n6.386761906800475e+67,0.0,2\n", "")
+    assert out.exists()
+
+
 def test_config_round_trip():
     cfg = parse_config_text(TABLE2_CFG)
     assert parse_config_text(dump_config(cfg)) == cfg

@@ -13,7 +13,6 @@ from jamgame import (
     SimConfig,
     SimTrace,
     StrategyProfile,
-    UtilityPair,
     best_response_jammer,
     best_response_target,
     brd,
@@ -203,7 +202,6 @@ def _trace_with_rows(p, rows):
     return SimTrace(
         x=x, y=y, x_est_by_jammer=nan, y_est_by_target=nan,
         jam=np.zeros(n - 1), silence=np.zeros(n - 1),
-        realized_capacity=0.0, realized_utilities=UtilityPair(0.0, 0.0),
         config=SimConfig(params=p, total_cycles=n - 1, update_period_cycles=1),
     )
 
@@ -267,5 +265,6 @@ def test_bits_where_x_over_delta_overflows():
 def test_realized_utilities_past_the_double_range_are_refused(table1):
     # c_t_star * t_p * p_t = 1e410: u_t would be -inf.
     p = GameParams(t_aj=15e-6, delta=1e-6, p_t=1e200, p_j=2.0, t_p=1e200, c_t=1e6, c_t_star=1e10)
+    tr = run_sim(SimConfig(params=p, total_cycles=20, x0=3e-6, y0=1e-6))
     with pytest.raises(DomainError, match="^u_t leaves the double range$"):
-        run_sim(SimConfig(params=p, total_cycles=20, x0=3e-6, y0=1e-6))
+        tr.realized_utilities
