@@ -17,7 +17,7 @@ from jamgame import (
     thresholds,
     x_hat,
 )
-from jamgame import columns
+from jamgame.figures import log_grid
 
 p = GameParams(t_aj=15e-6, delta=1e-6, p_t=2.0, p_j=2.0, t_p=50e-6, c_t=1e6)
 
@@ -39,7 +39,7 @@ print(f"  c_t_tilde = {th.c_t_tilde:.4e}  (border of active jamming at the Nash 
 print(f"  c_t_max   = {th.c_t_max:.4e}  (above this the jammer never jams at all)")
 
 # the same curve, as the sweep command would emit it
-ys = columns.log_grid(1e-6, 1e-2, 5)
+ys = log_grid(1e-6, 1e-2, 5)
 print("\nCSV equivalent of `jamgame sweep CONFIG --figure brX --log-range 1e-6 1e-2 5`:")
 print("y,x_best")
 for y, x in zip(ys.tolist(), best_response_target(p, ys).tolist()):

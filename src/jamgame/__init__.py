@@ -26,8 +26,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "belief": ("UniformPrior", "efficiency", "expected_utility_closed", "g_of_xi",
                "realized_utility", "xi_opt"),
-    "columns": ("EquilibriumColumns", "improvement_sweep", "nash_sweep",
-                "stackelberg_approx_sweep", "stackelberg_sweep"),
     "sim": ("SimConfig", "SimTrace", "run_sim", "updates_to_equilibrium"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

@@ -6,9 +6,9 @@ g(xi) (the x of stackelberg_exact at weight xi), and the true jammer
 best-responds.  This module evaluates the realized utility of that play, its
 expectation under a uniform prior (by the printed closed form), the
 expectation-maximizing assumed weight, and the resulting efficiency relative
-to perfect knowledge.  Each quantity has one numpy path: a float xi is a 0-d
-array, solved by columns.stackelberg_sweep like a whole column of weights,
-and comes back as a float.
+to perfect knowledge.  Each quantity but xi_opt is a kernel
+(``model._kernel``): a float xi runs in ``math`` and gives a float, and an
+array of weights is solved in one numpy pass and gives an array.
 
 Everything here runs on the zero-transmit-cost convention (the constant
 c_t_star term cancels from every comparison of interest).
@@ -16,16 +16,16 @@ c_t_star term cancels from every comparison of interest).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from . import columns
 from .best_response import _c_t_tilde, _delta_squared, chi
 from .errors import DegenerateUtility, DomainError, InvalidParams
+from .figures import log_grid
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, _log_ratio, _Record
+from .model import GameParams, _finite, _kernel, _log_ratio, _Record
+from .stackelberg import stackelberg_x
 
 __all__ = [
     "UniformPrior",
@@ -63,46 +63,28 @@ class UniformPrior(_Record):
         return 1.0 / (self.xi_max - self.xi_min)
 
 
-def _finite_result(fn):
-    """fn with numpy's overflow and divide warnings off, and a non-finite result refused.
-
-    Weights near the ends of the double range overflow or divide by zero on
-    the way into W; the inf that results is refused there, or here, as a
-    DomainError.
-    """
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        with np.errstate(over="ignore", divide="ignore"):
-            out = fn(*args, **kwargs)
-        if not np.all(np.isfinite(out)):
-            raise DomainError(f"{fn.__name__} leaves the double range")
-        return out
-    return checked
-
-
 def _float_if_scalar(out):
-    """A 0-d result as a Python float; an array as it is."""
+    """A 0-d result, such as the one of a numpy scalar or a 0-d array, as a Python float; an array as it is."""
     return float(out) if np.ndim(out) == 0 else out
 
 
-@_finite_result
-def g_of_xi(p: GameParams, xi):
+@_kernel
+def g_of_xi(p: GameParams, xi, *, xp):
     """Leader strategy if the jammer's weight were xi.
 
-    The leader's x of stackelberg_exact with weight xi: the larger zero of
-    chi, or b_t(0) when xi is large enough that jamming is inhibited there.
-    Decreasing in xi.  Every xi, a float or an array, is solved by
-    columns.stackelberg_sweep in one batched pass; a float gives a float.
-    It refuses exactly the weights that stackelberg_exact refuses.
+    The leader's x of stackelberg_exact with weight xi, stackelberg_x(p, xi):
+    the larger zero of chi, or b_t(0) when xi is large enough that jamming is
+    inhibited there.  Decreasing in xi.  It refuses a weight that is not
+    positive and finite, and exactly the weights that stackelberg_exact
+    refuses.
     """
-    xi = np.asarray(xi, dtype=float)
-    if not np.all((xi > 0) & np.isfinite(xi)):
+    if not xp.all((xi > 0) & xp.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
-    return _float_if_scalar(columns.stackelberg_sweep(p, xi))
+    return _float_if_scalar(stackelberg_x(p, xi))
 
 
-@_finite_result
-def realized_utility(p: GameParams, xi, c_t=None):
+@_kernel
+def realized_utility(p: GameParams, xi, c_t=None, *, xp):
     """Target utility when it plays g(xi) but the true weight is p.c_t.
 
     Overestimating the weight (xi > c_t) leaves the channel jammed wherever
@@ -113,17 +95,19 @@ def realized_utility(p: GameParams, xi, c_t=None):
     (xi <= c_t) overshoots the silence bound but silences the jammer: plain
     capacity at y = 0, as is every play the true jammer leaves unjammed.
     ``c_t``, an array of true weights, evaluates a whole column in place of
-    p.c_t; xi may then be an array that broadcasts against it.
+    p.c_t; xi may then be an array that broadcasts against it.  Refused past
+    the largest double.
     """
     g = g_of_xi(p, xi)
-    c_t = p.c_t if c_t is None else np.asarray(c_t, dtype=float)
-    log2g = _log_ratio(p, g, np, "log2")
+    c_t = p.c_t if c_t is None else c_t
+    log2g = _log_ratio(p, g, xp, "log2")
     jammed = (xi > c_t) & (chi(p, g, c_t) > 0.0)
-    u = np.where(jammed, np.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
-    return _float_if_scalar(u)
+    u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
+    return _float_if_scalar(_finite("realized_utility", u, xp))
 
 
-def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
+@_kernel
+def expected_utility_closed(p: GameParams, prior: UniformPrior, xi, *, xp):
     """Closed form of the prior-expected utility on the prior support.
 
     p_j * (t_aj + g(xi)/2) / (xi_max - xi_min)
@@ -135,15 +119,14 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi):
     c_t_tilde.  The test suite checks it against an independent quadrature
     of the realized utility.  Accepts a scalar or an array of xi.
     """
-    if not np.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
+    if not xp.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
         raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
-    xi = np.minimum(xi, _c_t_tilde(p))
+    xi = xp.minimum(xi, _c_t_tilde(p))
     g = g_of_xi(p, xi)
-    bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * np.sqrt(xi) * prior.xi_min**1.5
+    bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * xp.sqrt(xi) * prior.xi_min**1.5
     return _float_if_scalar(p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket)
 
 
-@_finite_result
 def xi_opt(p: GameParams, prior: UniformPrior) -> float:
     """Assumed weight maximizing the expected utility over the prior support.
 
@@ -158,27 +141,27 @@ def xi_opt(p: GameParams, prior: UniformPrior) -> float:
     """
     lo, hi = prior.xi_min, prior.xi_max
     while True:
-        grid = columns.log_grid(lo, hi, _GRID_POINTS)
+        grid = log_grid(lo, hi, _GRID_POINTS)
         k = int(np.argmax(expected_utility_closed(p, prior, grid)))
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
         if hi - lo <= 1e-10 * prior.xi_max:
             return float(grid[k])
 
 
-@_finite_result
-def efficiency(p: GameParams, xi, c_t=None):
+@_kernel
+def efficiency(p: GameParams, xi, c_t=None, *, xp):
     """Realized utility under assumed weight xi relative to perfect knowledge.
 
     ``c_t``, an array of true weights, gives the whole column at once; xi
     may then be an array that broadcasts against it, such as one row per
-    assumed weight.
+    assumed weight.  Refused past the largest double.
     """
     denom = realized_utility(p, p.c_t if c_t is None else c_t, c_t)
-    if np.any(denom <= 0.0):
+    if xp.any(denom <= 0.0):
         raise DegenerateUtility(
-            f"perfect-knowledge utility is non-positive ({np.min(denom):g})"
+            f"perfect-knowledge utility is non-positive ({xp.min(denom):g})"
         )
-    return realized_utility(p, xi, c_t) / denom
+    return _float_if_scalar(_finite("efficiency", realized_utility(p, xi, c_t) / denom, xp))
 
 
 def foc_residual(p: GameParams, prior: UniformPrior, xi: float) -> float:

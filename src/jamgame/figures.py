@@ -3,7 +3,8 @@
 ``solver(p, cfg)`` does once what does not depend on the grid (the
 efficiency figure reads its prior and solves xi_opt) and returns
 ``solve(v)``: the figure's columns after the first on a slice v of the
-grid, each elementwise in v.  Only ``sweep`` imports this module.
+grid, each elementwise in v.  ``log_grid`` is the grid of the sweep and
+of ``belief.xi_opt``.  No other command imports this module.
 """
 
 from __future__ import annotations
@@ -12,13 +13,23 @@ import math
 
 import numpy as np
 
-from . import columns as col
 from .best_response import best_response_jammer, best_response_target
 from .errors import ConfigError
 from .model import GameParams, utilities_xy
-from .stackelberg import leader_utility
+from .nash import nash_xy
+from .stackelberg import improvement_report, leader_utility, stackelberg_approx_x, stackelberg_x
 
-__all__ = ["FIGURES", "sweep_slices"]
+__all__ = ["FIGURES", "log_grid", "sweep_slices"]
+
+
+def log_grid(a: float, b: float, n: int) -> np.ndarray:
+    """n points from a to b with a constant ratio between neighbours; the last is b exactly.
+
+    Each point is the Python float ``a * ratio**k``: numpy's vectorised power
+    differs from it in the last bit at some k.
+    """
+    ratio = (b / a) ** (1.0 / (n - 1))
+    return np.fromiter((a * ratio**k if k < n - 1 else b for k in range(n)), float, n)
 
 
 def _finite(cfg: dict, key: str, default: float) -> float:
@@ -30,15 +41,15 @@ def _finite(cfg: dict, key: str, default: float) -> float:
 
 def _payoffs(p: GameParams, cfg: dict):
     def solve(v):
-        rep = col.improvement_sweep(p, v)
+        rep = improvement_report(p, v)
         return [rep.u_t_ne, rep.u_j_ne, rep.u_t_se, rep.u_j_se, rep.improved]
     return solve
 
 
 def _approx(p: GameParams, cfg: dict):
     def solve(v):
-        x_se = col.stackelberg_sweep(p, v)
-        x_ap = col.stackelberg_approx_sweep(p, v)
+        x_se = stackelberg_x(p, v)
+        x_ap = stackelberg_approx_x(p, v)
         u_se = utilities_xy(p, x_se, 0.0, v)[0]
         u_ap = leader_utility(p, x_ap, v)
         return [x_se, x_ap, u_se, u_ap, u_ap / u_se]
@@ -59,7 +70,7 @@ def _comparison(p: GameParams, cfg: dict):
     x_naive = best_response_target(p, 0.0)
 
     def solve(v):
-        rep = col.improvement_sweep(p, v)
+        rep = improvement_report(p, v)
         y_naive = best_response_jammer(p, x_naive, v)
         # Case A: target ignores the jammer (assumes y ~ 0) and gets jammed.
         u_t_a, u_j_a = utilities_xy(p, x_naive, y_naive, v)
@@ -72,13 +83,11 @@ def _comparison(p: GameParams, cfg: dict):
 FIGURES = {
     "brX": (["y", "x_best"], lambda p, cfg: lambda v: [best_response_target(p, v)]),
     "brY": (["x", "y_best"], lambda p, cfg: lambda v: [best_response_jammer(p, v)]),
-    "neX": (["c_t", "x_ne"], lambda p, cfg: lambda v: [col.nash_sweep(p, v).x]),
-    "neY": (["c_t", "y_ne"], lambda p, cfg: lambda v: [col.nash_sweep(p, v).y]),
-    "seX": (["c_t", "x_ne", "x_se"],
-            lambda p, cfg: lambda v: [col.nash_sweep(p, v).x, col.stackelberg_sweep(p, v)]),
+    "neX": (["c_t", "x_ne"], lambda p, cfg: lambda v: [nash_xy(p, v)[0]]),
+    "neY": (["c_t", "y_ne"], lambda p, cfg: lambda v: [nash_xy(p, v)[1]]),
+    "seX": (["c_t", "x_ne", "x_se"], lambda p, cfg: lambda v: [nash_xy(p, v)[0], stackelberg_x(p, v)]),
     # The follower never jams a committed leader: y_se is 0 by construction.
-    "seY": (["c_t", "y_ne", "y_se"],
-            lambda p, cfg: lambda v: [col.nash_sweep(p, v).y, np.zeros_like(v)]),
+    "seY": (["c_t", "y_ne", "y_se"], lambda p, cfg: lambda v: [nash_xy(p, v)[1], np.zeros_like(v)]),
     "payoffs": (["c_t", "u_t_ne", "u_j_ne", "u_t_se", "u_j_se", "improved"], _payoffs),
     "approx": (["c_t", "x_se", "x_se_approx", "u_t_se", "u_t_se_approx", "accuracy_ratio"], _approx),
     "efficiency": (["c_t", "xi_opt", "e_xi_opt", "e_xi_mean", "e_xi_max", "e_xi_min"], _efficiency),
@@ -92,7 +101,7 @@ def sweep_slices(figure: str, p: GameParams, cfg: dict, a: float, b: float, n: i
 
     Every block is solved before this returns, so a refused weight leaves none to write.
     """
-    v = col.log_grid(a, b, n)
+    v = log_grid(a, b, n)
     # Weights near the ends of the double range overflow or divide by zero on
     # the way into W; the inf that results is refused there as a DomainError.
     with np.errstate(over="ignore", divide="ignore"):

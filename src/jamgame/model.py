@@ -236,7 +236,9 @@ def utilities_xy(p: GameParams, x, y, c_t=None, *, xp) -> UtilityPair:
     """(u_t, u_j) at (x, y): capacity minus each side's energy cost.
 
     The jammer's cost charges the commanded mean y; weights c_t replace p.c_t
-    when given.  Realized-energy accounting belongs to the simulator, not to
+    when given.  u_t does not depend on the weights, so it takes the shape of
+    x and y alone: with float x and y and an array c_t, u_t is 0-d and u_j
+    an array.  Realized-energy accounting belongs to the simulator, not to
     the analytic game.  Either utility is refused past the largest double.
     """
     c = capacity_xy(p, x, y)

@@ -27,7 +27,7 @@ from .best_response import (
 )
 from .errors import DomainError, InvalidStrategy
 from .lambertw import WBranch, lambert_w
-from .model import GameParams, StrategyProfile, UtilityPair, _log_ratio, utilities_xy
+from .model import GameParams, StrategyProfile, UtilityPair, _eta, _kernel, _log_ratio, utilities_xy
 from .roots import larger_zero
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "BrdTrace",
     "ConvergenceCert",
     "SPrimeBounds",
+    "nash_xy",
     "nash_closed_form",
     "brd",
     "convergence_certificate",
@@ -94,29 +95,41 @@ class SPrimeBounds(NamedTuple):
     y_M: float
 
 
-def nash_closed_form(p: GameParams) -> EquilibriumResult:
-    """The unique Nash equilibrium in closed form, with regime tag.
+@_kernel
+def nash_xy(p: GameParams, c_t=None, *, xp):
+    """The unique Nash equilibrium (x, y) in closed form; weights c_t replace p.c_t when given.
 
     Interior (c_t < c_t_tilde):
         x* = delta * e^(W(8/(eta*delta^2))/2)
         y* = (delta/2) * (W(8/(eta*delta^2))/2 - 1) * e^(W(..)/2) - t_aj
     Border (otherwise): x* = b_t(0), y* = 0.
 
-    The returned point is a simultaneous fixed point of both best responses
-    to machine precision.
+    The point is a simultaneous fixed point of both best responses to
+    machine precision.  A weight numerically indistinguishable from the
+    threshold, whose interior y* is not positive, takes the border form.
     """
-    if p.c_t < _c_t_tilde(p):
-        w8 = lambert_w(_ratio("8/(eta*delta^2)", 8.0, p.eta * _delta_squared(p)), WBranch.PRINCIPAL)
-        half = 0.5 * w8
-        x_star = p.delta * math.exp(half)
-        y_star = 0.5 * p.delta * (half - 1.0) * math.exp(half) - p.t_aj
-        if y_star > 0.0:
-            prof = StrategyProfile(x=x_star, y=y_star)
-            return EquilibriumResult(prof, Regime.INTERIOR_NE, utilities_xy(p, x_star, y_star))
-        # c_t numerically indistinguishable from the threshold: fall through
-        # to the border form rather than report an "interior" point at y <= 0.
-    x = best_response_target(p, 0.0)
-    return EquilibriumResult(StrategyProfile(x=x, y=0.0), Regime.BORDER_NE, utilities_xy(p, x, 0.0))
+    c_t = p.c_t if c_t is None else c_t
+    interior = inner = c_t < _c_t_tilde(p)
+    x = y = 0.0
+    if xp.any(inner):
+        # A border weight takes the smallest interior weight's W, so its own
+        # 8/(eta*delta^2) is neither formed nor refused.
+        c_in = xp.where(inner, c_t, xp.min(xp.where(inner, c_t, math.inf)))
+        ratio = _ratio("8/(eta*delta^2)", 8.0, _eta(p, c_in, xp) * _delta_squared(p), xp)
+        half = 0.5 * lambert_w(ratio, WBranch.PRINCIPAL)
+        x = p.delta * xp.exp(half)
+        y = 0.5 * p.delta * (half - 1.0) * xp.exp(half) - p.t_aj
+        interior = inner & (y > 0.0)
+    if xp.all(interior):
+        return x, y
+    return xp.where(interior, x, best_response_target(p, 0.0)), xp.where(interior, y, 0.0)
+
+
+def nash_closed_form(p: GameParams) -> EquilibriumResult:
+    """nash_xy(p) with its regime tag and utilities: interior where the jammer jams (y* > 0)."""
+    x, y = nash_xy(p)
+    regime = Regime.INTERIOR_NE if y > 0.0 else Regime.BORDER_NE
+    return EquilibriumResult(StrategyProfile(x=x, y=y), regime, utilities_xy(p, x, y))
 
 
 def _scaled_step(p: GameParams, a: StrategyProfile, b: StrategyProfile) -> float:

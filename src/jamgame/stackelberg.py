@@ -16,21 +16,25 @@ from typing import NamedTuple
 from .best_response import _delta_squared, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
-from .model import GameParams, StrategyProfile, _finite, _floats, _kernel, _log_ratio, utilities_xy
-from .nash import EquilibriumResult, Regime, nash_closed_form
+from .model import (
+    GameParams, StrategyProfile, _check_strategy, _eta, _finite, _floats, _kernel, _log_ratio, utilities_xy,
+)
+from .nash import EquilibriumResult, Regime, nash_xy
 from .roots import larger_zero
 
 __all__ = [
     "ImprovementReport",
     "leader_utility",
+    "stackelberg_x",
     "stackelberg_exact",
+    "stackelberg_approx_x",
     "stackelberg_approx",
     "improvement_report",
 ]
 
 
 class ImprovementReport(NamedTuple):
-    """Nash vs Stackelberg utilities; arrays when built by columns.improvement_sweep."""
+    """Nash vs Stackelberg utilities: arrays, one element per weight, for a column of weights."""
 
     u_t_ne: float
     u_t_se: float
@@ -58,53 +62,70 @@ def leader_utility(p: GameParams, x, c_t=None, *, xp):
     return _finite("u_t", u - p.c_t_star * p.t_p * p.p_t, xp)
 
 
-def stackelberg_exact(p: GameParams) -> EquilibriumResult:
-    """Unique Stackelberg equilibrium; the jammer's component is exactly 0.
+@_kernel
+def stackelberg_x(p: GameParams, c_t=None, *, xp):
+    """The leader's x of the unique Stackelberg equilibrium; weights c_t replace p.c_t when given.
 
     If the unjammed optimum b_t(0) already satisfies chi <= 0 (jammer
     inhibited there, which includes every c_t >= c_t_max), the leader plays
     b_t(0).  Otherwise the optimum is the larger zero of chi, to float
     resolution.
     """
-    x = best_response_target(p, 0.0)
-    if chi(p, x) > 0.0:
-        x = larger_zero(p, x)
-    return EquilibriumResult(
-        StrategyProfile(x=x, y=0.0), Regime.STACKELBERG_EXACT, utilities_xy(p, x, 0.0)
-    )
+    c_t = p.c_t if c_t is None else c_t
+    x0 = best_response_target(p, 0.0)
+    jammed = chi(p, x0, c_t) > 0.0
+    x = x0
+    if xp.any(jammed):
+        # An unjammed weight takes the smallest weight's Newton: chi falls as
+        # the weight grows, so that one is jammed.
+        x = larger_zero(p, x0, xp.where(jammed, c_t, xp.min(c_t)))
+    return xp.where(jammed, x, x0)
 
 
-def stackelberg_approx(p: GameParams) -> EquilibriumResult:
-    """Closed-form approximation of the leader's optimum.
+def stackelberg_exact(p: GameParams) -> EquilibriumResult:
+    """Unique Stackelberg equilibrium, stackelberg_x(p); the jammer's component is exactly 0."""
+    x = stackelberg_x(p)
+    return EquilibriumResult(StrategyProfile(x=x, y=0.0), Regime.STACKELBERG_EXACT, utilities_xy(p, x, 0.0))
+
+
+@_kernel
+def stackelberg_approx_x(p: GameParams, c_t=None, *, xp):
+    """Closed-form approximation of the leader's optimum; weights c_t replace p.c_t when given.
 
     Dropping t_aj against x/2 in chi turns the larger root into
     x = delta * e^(-W_-1(-ln2 c_t p_j delta^2 / 2) / 2); the lower branch of W
     is what selects the root above x_hat (the principal branch would give the
-    smaller one).  Undefined when the W argument falls below -1/e.
+    smaller one).  Raises ApproxUndefined where the W argument falls below
+    -1/e, and InvalidStrategy where x falls below 2*delta; on a column of
+    weights, each message names the first weight refused.
     """
-    arg = -p.eta * _delta_squared(p) / 2.0
-    if arg < BRANCH_POINT:
-        raise ApproxUndefined(
-            f"approximation needs eta*delta^2 <= 2/e, got argument {arg:g} < -1/e"
-        )
-    x_approx = _approx_x(p, arg, _floats)
-    return EquilibriumResult(
-        StrategyProfile(x=x_approx, y=0.0), Regime.STACKELBERG_APPROX, utilities_xy(p, x_approx, 0.0)
-    )
+    c_t = p.c_t if c_t is None else c_t
+    first = lambda refused: float(c_t.flat[refused.argmax()])  # noqa: E731  the first weight refused
+    arg = -_eta(p, c_t, xp) * _delta_squared(p) / 2.0
+    if xp.any(arg < BRANCH_POINT):
+        at = f"got argument {arg:g} < -1/e" if xp is _floats else f"undefined from c_t = {first(arg < BRANCH_POINT):g}"
+        raise ApproxUndefined(f"approximation needs eta*delta^2 <= 2/e, {at}")
+    x = p.delta * xp.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
+    _check_strategy(p, x, 0.0, xp, lambda refused: "" if xp is _floats else f", not met from c_t = {first(refused):g}")
+    return x
 
 
-def _approx_x(p: GameParams, arg, xp):
-    return p.delta * xp.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
+def stackelberg_approx(p: GameParams) -> EquilibriumResult:
+    """stackelberg_approx_x(p) as an equilibrium: the jammer's component is 0."""
+    x = stackelberg_approx_x(p)
+    return EquilibriumResult(StrategyProfile(x=x, y=0.0), Regime.STACKELBERG_APPROX, utilities_xy(p, x, 0.0))
 
 
-def improvement_report(p: GameParams) -> ImprovementReport:
-    """Compare both players' utilities at the Nash and Stackelberg outcomes.
+@_kernel
+def improvement_report(p: GameParams, c_t=None, *, xp) -> ImprovementReport:
+    """Compare both players' utilities at the Nash and Stackelberg outcomes; weights c_t replace p.c_t when given.
 
     ``improved`` is a strict comparison with 1e-12 absolute slack, so exactly
     coincident equilibria (border regime) report False.
     """
-    ne = nash_closed_form(p).utilities
-    se = stackelberg_exact(p).utilities
+    x_ne, y_ne = nash_xy(p, c_t)
+    u_t_ne, u_j_ne = utilities_xy(p, x_ne, y_ne, c_t)
+    u_t_se, u_j_se = utilities_xy(p, stackelberg_x(p, c_t), 0.0, c_t)
     return ImprovementReport(
-        u_t_ne=ne.u_t, u_t_se=se.u_t, u_j_ne=ne.u_j, u_j_se=se.u_j, improved=se.u_t > ne.u_t + 1e-12
+        u_t_ne=u_t_ne, u_t_se=u_t_se, u_j_ne=u_j_ne, u_j_se=u_j_se, improved=u_t_se > u_t_ne + 1e-12
     )

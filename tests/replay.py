@@ -46,7 +46,7 @@ def commands(workdir: Path) -> list[list[str]]:
     from jamgame.config import dump_config
 
     from .conftest import FULL_RANGE, WIDE_BOX, wide_params
-    from .test_cli import MORE_WIDE_COMMANDS, WIDE_COMMANDS
+    from .test_cli import MORE_WIDE_COMMANDS, TRANSMIT_COST_BOX, WIDE_COMMANDS
 
     argvs = []
     for seed in (1, 2, 3):
@@ -59,8 +59,7 @@ def commands(workdir: Path) -> list[list[str]]:
             cfg = f"sweep{seed}.cfg"
             (workdir / cfg).write_text(S.sweep_config(op["params"]))
             argvs.append([*op["args"][:1], cfg, *op["args"][2:-1], f"sweep{seed}_{op['out']}"])
-    boxes = {"wide": (WIDE_BOX, 16), "full": (FULL_RANGE, 17),
-             "cost": (dict(FULL_RANGE, c_t_star=(5e-324, 1.7e308)), 18)}
+    boxes = {"wide": (WIDE_BOX, 16), "full": (FULL_RANGE, 17), "cost": (TRANSMIT_COST_BOX, 18)}
     for name, (box, seed) in boxes.items():
         rng = np.random.default_rng(seed)
         for k in range(DRAWS):

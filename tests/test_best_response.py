@@ -13,8 +13,8 @@ from jamgame import (
     best_response_jammer,
     best_response_target,
     chi,
-    columns,
     nash_closed_form,
+    nash_xy,
     psi,
     stackelberg_approx,
     thresholds,
@@ -270,4 +270,4 @@ def test_delta_squared_outside_the_normal_doubles_is_refused(table1, delta):
         with pytest.raises(DomainError, match=r"delta\*\*2 leaves the double range"):
             solve(p)
     with pytest.raises(DomainError, match=r"delta\*\*2 leaves the double range"):
-        columns.nash_sweep(p, np.array([1e6]))
+        nash_xy(p, np.array([1e6]))

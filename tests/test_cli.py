@@ -474,7 +474,7 @@ def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
     # interpreter: none of them loads numpy, the numpy-backed layers or
     # dataclasses (with its inspect); a sweep loads numpy but not dataclasses.
     query_unloaded = (
-        "scipy", "concurrent.futures", "numpy", "jamgame.columns", "jamgame.sim", "jamgame.belief", "jamgame.figures",
+        "scipy", "concurrent.futures", "numpy", "jamgame.sim", "jamgame.belief", "jamgame.figures",
         "dataclasses", "inspect",
     )
     sweep = ["sweep", "--figure", "efficiency", "--log-range", "1e5", "1e9", "20"]
@@ -558,6 +558,8 @@ MORE_WIDE_COMMANDS = [
     *(["sweep", "--figure", figure] for figure in ("brX", "brY", "neX", "neY", "seX", "seY")),
     ["simulate", "--seed", "1"],
 ]
+# The full positive range with the transmit cost drawn too: c_t_star * t_p * p_t may overflow.
+TRANSMIT_COST_BOX = dict(FULL_RANGE, c_t_star=(5e-324, 1.7e308))
 
 
 def test_every_command_ends_in_a_documented_exit_on_a_wide_box(tmp_path):
@@ -570,8 +572,18 @@ def test_every_command_ends_in_a_documented_exit_on_the_full_positive_range(tmp_
 
 def test_every_command_ends_in_a_documented_exit_with_the_transmit_cost_drawn(tmp_path):
     # c_t_star * t_p * p_t may overflow: u_t is refused, never printed as -inf.
-    box = dict(FULL_RANGE, c_t_star=(5e-324, 1.7e308))
-    _every_command_ends_in_a_documented_exit(tmp_path, box, np.random.default_rng(18), 100)
+    _every_command_ends_in_a_documented_exit(tmp_path, TRANSMIT_COST_BOX, np.random.default_rng(18), 100)
+
+
+def test_a_nash_sweep_is_not_refused_on_utilities_it_does_not_print(tmp_path):
+    # The first draw of the transmit-cost box, whose u_t is refused: neX
+    # prints only x, so it answers (it priced and refused u_t before).
+    p, _, (a, b) = wide_params(np.random.default_rng(18), TRANSMIT_COST_BOX)
+    cfg = tmp_path / "cost0.cfg"
+    cfg.write_text(dump_config(vars(p)))
+    code, out, err = run_sweep(["sweep", str(cfg), "--figure", "neX", "--log-range", repr(a), repr(b), "5"])
+    assert (code, err) == (0, "")
+    _assert_finite_tables(out, "neX", p)
 
 
 def _assert_equilibrium_residuals(command, p, row):

@@ -27,25 +27,31 @@ from jamgame import (
     GameParams,
     InvalidStrategy,
     JamGameError,
+    Regime,
     SingularError,
     WBranch,
     best_response_jammer,
     best_response_target,
     capacity_xy,
     chi,
-    columns,
     improvement_report,
     lambert_w,
     lambert_w_prime,
     leader_utility,
     nash_closed_form,
+    nash_xy,
     psi,
     stackelberg_approx,
+    stackelberg_approx_x,
     stackelberg_exact,
+    stackelberg_x,
     thresholds,
     utilities_xy,
 )
+from jamgame import nash as nash_module
+from jamgame import stackelberg as stackelberg_module
 from jamgame.belief import g_of_xi
+from jamgame.figures import log_grid
 from jamgame.roots import larger_zero
 from .conftest import FULL_RANGE, WIDE_BOX, random_params, wide_params
 from .oracles import decimal_newton_w
@@ -116,7 +122,7 @@ def leader_utility_pair(p, c, x, y, rng):
 def stackelberg_x_pair(p, c, x, y, rng):
     # Each x stops where a Newton step on chi no longer lowers it, so the
     # last step's logs set its last bits.
-    a = columns.stackelberg_sweep(p, c)
+    a = stackelberg_x(p, c)
     scalar = [stackelberg_exact(replace(p, c_t=ck)).profile.x for ck in c.tolist()]
     return scalar, a, a * np.maximum(1.0, np.log(a / p.delta))
 
@@ -166,7 +172,7 @@ def test_log_grid_is_the_python_power_of_each_point(a, b):
     n = 24_000
     ratio = (b / a) ** (1.0 / (n - 1))
     want = [a * ratio**k for k in range(n - 1)] + [b]
-    assert columns.log_grid(a, b, n).tolist() == want
+    assert log_grid(a, b, n).tolist() == want
 
 
 def _answer(solve):
@@ -179,18 +185,18 @@ def _answer(solve):
 
 
 def _solvers(p, x, y):
-    """Each scalar solver at p's own weight, with its array forms at the one-element column of it."""
-    w = np.array([p.c_t])
+    """Each solver kernel at p's own weight as a float, with its array forms at the one-element column of it."""
+    c, w = p.c_t, np.array([p.c_t])
 
-    def nash():
-        ne = nash_closed_form(p)
-        return [ne.profile.x, ne.profile.y, *ne.utilities]
+    def nash(c_t):
+        x, y = nash_xy(p, c_t)
+        return [x, y, *utilities_xy(p, x, y, c_t)]
 
     return [
-        (nash, [lambda: columns.nash_sweep(p, w)]),
-        (lambda: stackelberg_exact(p).profile.x, [lambda: columns.stackelberg_sweep(p, w), lambda: g_of_xi(p, w)]),
-        (lambda: stackelberg_approx(p).profile.x, [lambda: columns.stackelberg_approx_sweep(p, w)]),
-        (lambda: improvement_report(p), [lambda: columns.improvement_sweep(p, w)]),
+        (lambda: nash(c), [lambda: nash(w)]),
+        (lambda: stackelberg_x(p, c), [lambda: stackelberg_x(p, w), lambda: g_of_xi(p, w)]),
+        (lambda: stackelberg_approx_x(p, c), [lambda: stackelberg_approx_x(p, w)]),
+        (lambda: improvement_report(p, c), [lambda: improvement_report(p, w)]),
         (lambda: best_response_target(p, y), [lambda: best_response_target(p, np.asarray(y))]),
         (lambda: best_response_jammer(p, x), [lambda: best_response_jammer(p, x, w)]),
     ]
@@ -223,14 +229,14 @@ def test_approx_sweep_refuses_an_x_below_2_delta_as_the_scalar_does():
     p = GameParams(t_aj=4.09e-11, delta=1.16e-4, p_t=1.0, p_j=3.70, t_p=1e-3, c_t=2.11e7)
     with pytest.raises(InvalidStrategy, match=r"x must be >= 2\*delta") as scalar:
         stackelberg_approx(p)
-    for c_t in (np.array([1e6, p.c_t]), p.c_t):  # a column, and one weight as a 0-d array
+    for c_t in (np.array([1e6, p.c_t]), np.array(p.c_t)):  # a column, and one weight as a 0-d array
         with pytest.raises(InvalidStrategy, match=r"x must be >= 2\*delta") as array:
-            columns.stackelberg_approx_sweep(p, c_t)
+            stackelberg_approx_x(p, c_t)
         assert str(array.value).startswith(str(scalar.value))
         assert str(array.value).endswith("from c_t = 2.11e+07")
     with pytest.raises(ApproxUndefined, match="undefined from c_t = 3e"):
-        columns.stackelberg_approx_sweep(p, 3e7)
-    assert columns.stackelberg_approx_sweep(p, np.array([1e6]))[0] > p.x_min
+        stackelberg_approx_x(p, np.array(3e7))
+    assert stackelberg_approx_x(p, np.array([1e6]))[0] > p.x_min
 
 
 def _refusal(call):
@@ -294,7 +300,7 @@ REFUSALS = {
     "W' z = -1/e": (SingularError, lambda p: lambert_w_prime(-math.exp(-1.0)),
                     lambda p: lambert_w_prime(np.array([1.0, -math.exp(-1.0)]))),
     "nash 8/(eta*delta^2) overflows": (DomainError, lambda p: nash_closed_form(replace(p, c_t=1e-300)),
-                                       lambda p: columns.nash_sweep(p, np.array([1e6, 1e-300]))),
+                                       lambda p: nash_xy(p, np.array([1e6, 1e-300]))),
     "utilities u_j overflows": (DomainError, lambda p: utilities_xy(p, 3e-6, 1e303),
                                 lambda p: utilities_xy(p, 3e-6, np.array([0.0, 1e303]), p.c_t)),
     # ln(x/delta)/eta overflows at the Newton start.
@@ -328,31 +334,37 @@ KERNEL_ARGS = {
     best_response_jammer: (_LAB, 3e-5, 10**6),
     leader_utility: (_LAB, 3e-5, 10**6),
     larger_zero: (_LAB, 3e-5, 10**6),
+    nash_xy: (_LAB, 10**6),
+    stackelberg_x: (_LAB, 10**6),
+    stackelberg_approx_x: (_LAB, 10**6),
+    improvement_report: (_LAB, 10**6),
 }
-# The five kernels that price the jammer, and the index of the weight c_t among their arguments.
-WEIGHT_AT = {utilities_xy: 3, chi: 2, best_response_jammer: 2, leader_utility: 2, larger_zero: 2}
+# The kernels that price the jammer, and the index of the weight c_t among their arguments.
+WEIGHT_AT = {utilities_xy: 3, chi: 2, best_response_jammer: 2, leader_utility: 2, larger_zero: 2,
+             nash_xy: 1, stackelberg_x: 1, stackelberg_approx_x: 1, improvement_report: 1}
 
 
 def _outputs(kernel, *args):
-    """kernel(*args) as a list: the two utilities of utilities_xy, the one result of any other."""
+    """kernel(*args) as a list: each field of a tuple result, or the one result."""
     out = kernel(*args)
-    return list(out) if kernel is utilities_xy else [out]
+    return list(out) if isinstance(out, tuple) else [out]
 
 
 @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=lambda f: f.__name__)
 def test_a_kernel_gives_floats_for_floats_and_arrays_for_arrays(kernel):
-    # Floats and ints give floats; 2-d arrays give arrays of their shape; a
-    # float x with a column of weights gives a column (of u_j: u_t does not
-    # depend on the weights).
+    # Floats and ints give floats (improvement_report's ``improved`` a bool);
+    # 2-d arrays give arrays of their shape; a float x with a column of
+    # weights gives a column, but for utilities_xy's u_t, which does not
+    # depend on the weights and keeps the shape of x and y.
     args = KERNEL_ARGS[kernel]
-    assert all(type(v) is float for v in _outputs(kernel, *args))
+    assert all(type(v) in (float, bool) for v in _outputs(kernel, *args))
     grid = [a if isinstance(a, GameParams) else np.full((2, 3), float(a)) for a in args]
     assert all(v.shape == (2, 3) for v in _outputs(kernel, *grid))
     if kernel in WEIGHT_AT:
         weights = list(args)
         weights[WEIGHT_AT[kernel]] = np.array([1e6, 2e6])
-        column = _outputs(kernel, *weights)[-1]
-        assert isinstance(column, np.ndarray) and column.shape == (2,)
+        shapes = [np.shape(v) for v in _outputs(kernel, *weights)]
+        assert shapes == ([(), (2,)] if kernel is utilities_xy else [(2,)] * len(shapes))
 
 
 def test_every_kernel_on_floats_leaves_numpy_unloaded():
@@ -361,3 +373,17 @@ def test_every_kernel_on_floats_leaves_numpy_unloaded():
     code = f"import sys; from jamgame import GameParams; {imports}; {calls}; print('numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (res.returncode, res.stdout.strip()) == (0, "False"), res.stderr
+
+
+def test_a_float_weight_that_needs_neither_runs_no_w_for_nash_and_no_newton(table1, monkeypatch):
+    # Past c_t_tilde and c_t_max the Nash point is b_t(0) and the leader is
+    # unjammed there: 8/(eta*delta^2) goes into no W and no weight into Newton.
+    def called(*args):
+        raise AssertionError("called")
+
+    p = replace(table1, c_t=1e11)
+    monkeypatch.setattr(nash_module, "lambert_w", called)
+    monkeypatch.setattr(stackelberg_module, "larger_zero", called)
+    assert nash_closed_form(p).regime is Regime.BORDER_NE
+    assert stackelberg_exact(p).profile.x == best_response_target(p, 0.0)
+    assert improvement_report(p).improved is False

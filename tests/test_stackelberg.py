@@ -20,7 +20,7 @@ from jamgame import (
     nash_closed_form,
     stackelberg_approx,
     stackelberg_exact,
-    stackelberg_sweep,
+    stackelberg_x,
     thresholds,
     x_hat,
 )
@@ -137,7 +137,7 @@ def test_array_newton_takes_each_scalar_path_down_to_tiny_t_aj_over_delta():
     for _ in range(2000):
         p = low_ratio_params(rng)
         x = stackelberg_exact(p).profile.x
-        assert abs(stackelberg_sweep(p, np.array([p.c_t]))[0] - x) <= ULPS * math.ulp(x)
+        assert abs(stackelberg_x(p, np.array([p.c_t]))[0] - x) <= ULPS * math.ulp(x)
         if chi(p, best_response_target(p, 0.0)) > 0.0:
             jammed.append(p)
             assert abs(chi(p, x)) <= 1e-15 * (p.t_aj + x / 2.0)

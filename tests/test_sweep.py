@@ -20,6 +20,7 @@ from jamgame import (
     leader_utility,
     nash_closed_form,
     stackelberg_approx,
+    stackelberg_approx_x,
     stackelberg_exact,
     thresholds,
     utilities_xy,
@@ -27,8 +28,7 @@ from jamgame import (
 )
 from jamgame import cli
 from jamgame.cli import MAX_SWEEP_POINTS, main
-from jamgame.figures import FIGURES
-from jamgame.columns import log_grid, stackelberg_approx_sweep
+from jamgame.figures import FIGURES, log_grid
 from jamgame.errors import ApproxUndefined
 from .test_stackelberg import X_HAT_BELOW_TWO_DELTA
 
@@ -170,9 +170,9 @@ def test_refusal_in_the_last_slice_leaves_no_rows_and_no_file(tmp_path, monkeypa
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(config_text(table1))
     grid = log_grid(1e9, 1e12, 9)
-    stackelberg_approx_sweep(table1, grid[:-1])
+    stackelberg_approx_x(table1, grid[:-1])
     with pytest.raises(ApproxUndefined):
-        stackelberg_approx_sweep(table1, grid[-1:])
+        stackelberg_approx_x(table1, grid[-1:])
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
     out = tmp_path / "approx.csv"
     for extra in ([], ["--out", str(out)]):
