@@ -150,6 +150,19 @@ class GameParams(_Record):
         return _eta(self, self.c_t, _floats)
 
     @property
+    def transmit_cost(self) -> float:
+        """c_t_star * t_p * p_t, the target's energy cost in its utility [bit/s].
+
+        Taken left to right; where that overflows, as (smallest * largest) *
+        middle of the three factors, which is finite wherever the product is.
+        """
+        cost = self.c_t_star * self.t_p * self.p_t
+        if cost == math.inf:
+            lo, mid, hi = sorted((self.c_t_star, self.t_p, self.p_t))
+            cost = (lo * hi) * mid
+        return cost
+
+    @property
     def x_min(self) -> float:
         """Smallest admissible silence bound: at least one bit per cycle."""
         return 2.0 * self.delta
@@ -243,7 +256,7 @@ def utilities_xy(p: GameParams, x, y, c_t=None, *, xp) -> UtilityPair:
     """
     c = capacity_xy(p, x, y)
     u_j = -c - (p.c_t if c_t is None else c_t) * y * p.p_j
-    return UtilityPair(_finite("u_t", c - p.c_t_star * p.t_p * p.p_t, xp), _finite("u_j", u_j, xp))
+    return UtilityPair(_finite("u_t", c - p.transmit_cost, xp), _finite("u_j", u_j, xp))
 
 
 def _finite(quantity: str, v, xp=_floats):

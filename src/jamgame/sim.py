@@ -110,7 +110,7 @@ class SimTrace:
         """
         p, c = self.config.params, self.realized_capacity
         return UtilityPair(
-            u_t=_finite("u_t", c - p.c_t_star * p.t_p * p.p_t),
+            u_t=_finite("u_t", c - p.transmit_cost),
             u_j=_finite("u_j", -c - p.c_t * float(self.jam.sum()) * p.p_j / self.config.total_cycles),
         )
 

@@ -59,7 +59,7 @@ def leader_utility(p: GameParams, x, c_t=None, *, xp):
     jammed = chi(p, x, c_t) > 0.0
     log2x = _log_ratio(p, x, xp, "log2")
     u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2x), log2x / (p.t_aj + x / 2.0))
-    return _finite("u_t", u - p.c_t_star * p.t_p * p.p_t, xp)
+    return _finite("u_t", u - p.transmit_cost, xp)
 
 
 @_kernel

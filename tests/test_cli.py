@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -575,15 +576,33 @@ def test_every_command_ends_in_a_documented_exit_with_the_transmit_cost_drawn(tm
     _every_command_ends_in_a_documented_exit(tmp_path, TRANSMIT_COST_BOX, np.random.default_rng(18), 100)
 
 
-def test_a_nash_sweep_is_not_refused_on_utilities_it_does_not_print(tmp_path):
-    # The first draw of the transmit-cost box, whose u_t is refused: neX
-    # prints only x, so it answers (it priced and refused u_t before).
-    p, _, (a, b) = wide_params(np.random.default_rng(18), TRANSMIT_COST_BOX)
+def _transmit_cost_draw_0(tmp_path):
+    """The first draw of the transmit-cost box, its config file and its range of weights.
+
+    Its c_t_star * t_p overflows, while c_t_star * t_p * p_t is 6.2e226.
+    """
+    p, _, weights = wide_params(np.random.default_rng(18), TRANSMIT_COST_BOX)
     cfg = tmp_path / "cost0.cfg"
     cfg.write_text(dump_config(vars(p)))
-    code, out, err = run_sweep(["sweep", str(cfg), "--figure", "neX", "--log-range", repr(a), repr(b), "5"])
+    return p, str(cfg), weights
+
+
+def test_a_nash_sweep_is_not_refused_on_utilities_it_does_not_print(tmp_path):
+    # neX prints only x: it answers where it once priced u_t and refused it.
+    p, cfg, (a, b) = _transmit_cost_draw_0(tmp_path)
+    code, out, err = run_sweep(["sweep", cfg, "--figure", "neX", "--log-range", repr(a), repr(b), "5"])
     assert (code, err) == (0, "")
     _assert_finite_tables(out, "neX", p)
+
+
+def test_a_transmit_cost_that_overflows_left_to_right_is_priced(tmp_path):
+    p, cfg, _ = _transmit_cost_draw_0(tmp_path)
+    assert p.c_t_star * p.t_p == math.inf
+    code, out, err = run_sweep(["nash", cfg])
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    cost = float(Decimal(p.c_t_star) * Decimal(p.t_p) * Decimal(p.p_t))
+    assert float(dict(zip(header, rows[0]))["u_t"]) == pytest.approx(-cost, rel=1e-15)
 
 
 def _assert_equilibrium_residuals(command, p, row):
