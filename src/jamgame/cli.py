@@ -28,8 +28,8 @@ import os
 import sys
 
 from .best_response import thresholds
-from .config import dump_config, game_params_from_config, read_config
-from .errors import ConfigError, InvalidParams, JamGameError
+from .config import game_params_from_config, read_config
+from .errors import ConfigError, JamGameError
 from .model import StrategyProfile
 from .nash import DEFAULT_MAX_ITER, DEFAULT_TOL, brd, nash_closed_form
 from .stackelberg import improvement_report, leader_utility, stackelberg_approx, stackelberg_exact
@@ -68,23 +68,12 @@ def _slices(rows: int):
     return [(start, min(start + _CHUNK_ROWS, rows)) for start in range(0, rows, _CHUNK_ROWS)]
 
 
-def _check_positive_finite(name: str, v: float) -> None:
-    if not (math.isfinite(v) and v > 0):
-        raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
-
-
-def _count(cfg: dict, key: str, default: int) -> int:
-    v = cfg.get(key, default)
-    if not (math.isfinite(v) and v >= 1 and v == int(v)):
-        raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
-    return int(v)
-
-
 # ---------------------------------------------------------------------------
 # nash
 
 def _cmd_nash(args) -> int:
-    _check_positive_finite("--tol", args.tol)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     if args.max_iter < 1:
         raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
     cfg = read_config(args.config)
@@ -158,43 +147,9 @@ def _cmd_sweep(args) -> int:
 # simulate
 
 def _cmd_simulate(args) -> int:
-    import secrets
-    from . import sim
+    from .sim import write_trace
 
-    cfg = read_config(args.config)
-    p = game_params_from_config(cfg)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
-    try:  # SimConfig owns the sim-setting rules; breaking one is a config error
-        sim_cfg = sim.SimConfig(
-            params=p,
-            total_cycles=_count(cfg, "total_cycles", 200),
-            update_period_cycles=_count(cfg, "update_period_cycles", 10),
-            rng_seed=seed,
-        )
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
-    trace = sim.run_sim(sim_cfg)
-    updates = sim.updates_to_equilibrium(trace)  # may refuse the game: before --out is opened
-
-    period, n = sim_cfg.update_period_cycles, sim_cfg.total_cycles
-    head = [
-        "# jamgame simulation trace",
-        f"# seed={seed}",
-        f"# rng={sim.RNG_ALGORITHM}",
-        f"# update_period_cycles={period}",
-        f"# total_cycles={n}",
-        f"# params={dump_config(cfg).strip().replace(chr(10), '; ')}",
-    ]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in head)
-        strategy = (sim.strategy_columns(trace, *bounds) for bounds in _slices(len(trace.x)))
-        events = (sim.event_columns(trace, *bounds) for bounds in _slices(n))
-        _write_table(fh, sim.STRATEGY_COLUMNS, strategy)
-        fh.write("\n")
-        _write_table(fh, sim.EVENT_COLUMNS, events)
-
-    final = [trace.x[-1:], trace.y[-1:], [updates]]
-    _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])
+    write_trace(args.config, args.out, args.seed)
     return EXIT_OK
 
 

@@ -151,11 +151,7 @@ class GameParams(_Record):
 
     @property
     def transmit_cost(self) -> float:
-        """c_t_star * t_p * p_t, the target's energy cost in its utility [bit/s].
-
-        Taken left to right; where that overflows, as (smallest * largest) *
-        middle of the three factors, which is finite wherever the product is.
-        """
+        """c_t_star * t_p * p_t [bit/s]; where that overflows, (least * greatest) * middle of the three."""
         cost = self.c_t_star * self.t_p * self.p_t
         if cost == math.inf:
             lo, mid, hi = sorted((self.c_t_star, self.t_p, self.p_t))

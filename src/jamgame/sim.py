@@ -22,13 +22,15 @@ in force and its silence its uniform draw times the x in force.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .best_response import best_response_jammer, best_response_target
-from .errors import DomainError, InvalidParams
+from .config import dump_config, game_params_from_config, read_config
+from .errors import ConfigError, DomainError, InvalidParams
 from .model import GameParams, UtilityPair, _finite, _log_ratio
 from .nash import nash_closed_form, s_prime_bounds
 
@@ -40,6 +42,7 @@ __all__ = [
     "event_columns",
     "run_sim",
     "updates_to_equilibrium",
+    "write_trace",
 ]
 
 RNG_ALGORITHM = "numpy-PCG64/columns-v2"
@@ -211,3 +214,57 @@ def updates_to_equilibrium(trace: SimTrace) -> int:
     away = np.flatnonzero(~at_ne)
     last_away = int(away[-1]) if away.size else -1
     return -1 if last_away == len(at_ne) - 1 else last_away + 1
+
+
+def _count(cfg: dict, key: str, default: int) -> int:
+    v = cfg.get(key, default)
+    if not (math.isfinite(v) and v >= 1 and v == int(v)):
+        raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
+    return int(v)
+
+
+def write_trace(config, out, seed: Optional[int] = None) -> None:
+    """``jamgame simulate``: run the config file's game, write its trace to ``out`` and its final row to stdout.
+
+    The config's ``total_cycles`` (default 200) and ``update_period_cycles``
+    (default 10) set the run; a seed of None draws one.  A sim setting that
+    breaks a rule of SimConfig is a ConfigError.
+    """
+    import secrets
+
+    from .cli import _slices, _write_table
+
+    cfg = read_config(config)
+    p = game_params_from_config(cfg)
+    seed = seed if seed is not None else secrets.randbits(63)
+    try:
+        sim_cfg = SimConfig(
+            params=p,
+            total_cycles=_count(cfg, "total_cycles", 200),
+            update_period_cycles=_count(cfg, "update_period_cycles", 10),
+            rng_seed=seed,
+        )
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
+    trace = run_sim(sim_cfg)
+    updates = updates_to_equilibrium(trace)  # may refuse the game: before ``out`` is opened
+
+    period, n = sim_cfg.update_period_cycles, sim_cfg.total_cycles
+    head = [
+        "# jamgame simulation trace",
+        f"# seed={seed}",
+        f"# rng={RNG_ALGORITHM}",
+        f"# update_period_cycles={period}",
+        f"# total_cycles={n}",
+        f"# params={dump_config(cfg).strip().replace(chr(10), '; ')}",
+    ]
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in head)
+        strategy = (strategy_columns(trace, *bounds) for bounds in _slices(len(trace.x)))
+        events = (event_columns(trace, *bounds) for bounds in _slices(n))
+        _write_table(fh, STRATEGY_COLUMNS, strategy)
+        fh.write("\n")
+        _write_table(fh, EVENT_COLUMNS, events)
+
+    final = [trace.x[-1:], trace.y[-1:], [updates]]
+    _write_table(sys.stdout, ["final_x", "final_y", "updates_to_ne"], [final])

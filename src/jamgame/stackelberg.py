@@ -126,6 +126,4 @@ def improvement_report(p: GameParams, c_t=None, *, xp) -> ImprovementReport:
     x_ne, y_ne = nash_xy(p, c_t)
     u_t_ne, u_j_ne = utilities_xy(p, x_ne, y_ne, c_t)
     u_t_se, u_j_se = utilities_xy(p, stackelberg_x(p, c_t), 0.0, c_t)
-    return ImprovementReport(
-        u_t_ne=u_t_ne, u_t_se=u_t_se, u_j_ne=u_j_ne, u_j_se=u_j_se, improved=u_t_se > u_t_ne + 1e-12
-    )
+    return ImprovementReport(u_t_ne, u_t_se, u_j_ne, u_j_se, improved=u_t_se > u_t_ne + 1e-12)
