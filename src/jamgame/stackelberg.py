@@ -100,7 +100,10 @@ def stackelberg_approx_x(p: GameParams, c_t=None, *, xp):
     weights, each message names the first weight refused.
     """
     c_t = p.c_t if c_t is None else c_t
-    first = lambda refused: float(c_t.flat[refused.argmax()])  # noqa: E731  the first weight refused
+
+    def first(refused):  # the first weight of the column where refused holds
+        return float(c_t.flat[refused.argmax()])
+
     arg = -_eta(p, c_t, xp) * _delta_squared(p) / 2.0
     if xp.any(arg < BRANCH_POINT):
         at = f"got argument {arg:g} < -1/e" if xp is _floats else f"undefined from c_t = {first(arg < BRANCH_POINT):g}"
@@ -118,7 +121,7 @@ def stackelberg_approx(p: GameParams) -> EquilibriumResult:
 
 @_kernel
 def improvement_report(p: GameParams, c_t=None, *, xp) -> ImprovementReport:
-    """Compare both players' utilities at the Nash and Stackelberg outcomes; weights c_t replace p.c_t when given.
+    """Both players' utilities at the Nash and Stackelberg outcomes; weights c_t replace p.c_t when given.
 
     ``improved`` is a strict comparison with 1e-12 absolute slack, so exactly
     coincident equilibria (border regime) report False.
