@@ -121,7 +121,7 @@ def _run_tree(src: Path, tmp: Path, workdir: Path) -> list[list]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="python -m tests.replay", description=__doc__.split("\n\n")[0])
-    ap.add_argument("rev", nargs="?", help="the revision to compare this tree with")
+    ap.add_argument("rev", nargs="?", metavar="REV", help="the revision to compare this tree with")
     ap.add_argument("--child", nargs=2, metavar=("COMMANDS", "DIGESTS"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
