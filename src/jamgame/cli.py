@@ -42,12 +42,12 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 # A sweep holds its grid and the per-slice arrays of every figure column, 8 B a
-# point each (1 B for ``improved``), plus one slice of work: 16-72 B a point,
-# and ~45 MB peak RSS for neX at this limit.
+# point each (1 B for ``improved``), plus one slice of work: 17-74 B a point
+# under tracemalloc, and ~44 MB peak RSS for neX at this limit.
 MAX_SWEEP_POINTS = 10**6
-# _slices cuts every table (sweep's, and simulate's two) into this many rows,
-# so only one slice at a time exists as Python floats and strings.
-_CHUNK_ROWS = 4096
+# _slices cuts every table (sweep's, and simulate's two) into this many rows: a
+# slice's solve temporaries then cost about what a 2-point sweep's do.
+_CHUNK_ROWS = 1024
 
 
 # Formatters by the Python type of a column's values; numbers are written with repr.
@@ -55,10 +55,10 @@ _FORMAT = {bool: lambda v: "true" if v else "false", str: str}
 
 
 def _write_table(out, header, blocks) -> None:
-    """Write ``header`` and the rows of each block of equal-length lists, ranges or arrays."""
+    """Write ``header`` and the rows of each block of equal-length lists, ranges or arrays, read in place."""
     out.write(",".join(header) + "\n")
     for block in blocks:
-        columns = [col.tolist() if hasattr(col, "tolist") else list(col) for col in block]
+        columns = [memoryview(col) if hasattr(col, "tolist") else col for col in block]
         rows = zip(*(map(_FORMAT.get(type(c[0]), repr), c) for c in columns))
         out.writelines(",".join(row) + "\n" for row in rows)
 

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,10 +150,10 @@ def test_slices_join_seamlessly(tmp_path, monkeypatch, table1, figure):
     assert len(whole.splitlines()) == 1 + 40
 
 
-@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 8195])
+@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2051])
 def test_slice_seams_at_the_real_slice_size(tmp_path, monkeypatch, table1, n):
     # payoffs holds the one-byte improved column next to the float ones.
-    assert cli._CHUNK_ROWS == 4096
+    assert cli._CHUNK_ROWS == 1024
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(config_text(table1))
     argv = ["sweep", str(cfg), "--figure", "payoffs", "--log-range", "1e5", "1e11", str(n)]
@@ -162,6 +163,43 @@ def test_slice_seams_at_the_real_slice_size(tmp_path, monkeypatch, table1, n):
     assert run_sweep(argv) == (0, sliced, "")
     lines = sliced.splitlines()
     assert len(lines) == 1 + n and lines[-1].split(",")[0] == "100000000000.0"
+
+
+def _table(columns) -> str:
+    out = io.StringIO()
+    cli._write_table(out, [f"c{k}" for k in range(len(columns))], [columns])
+    return out.getvalue()
+
+
+def test_an_array_column_writes_the_bytes_of_its_values_as_a_list():
+    floats = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, -2.5e300])
+    columns = [
+        floats,
+        (floats > 0.0) | np.isnan(floats),
+        np.arange(-5, len(floats) - 5, dtype=np.int64) * 10**15,
+        np.repeat(floats, 2)[::2],  # a strided view
+        (np.arange(4 * len(floats)).reshape(4, -1) / 7.0)[1],  # a row, as the efficiency figure's
+    ]
+    assert all(isinstance(c, np.ndarray) for c in columns)
+    text = _table(columns)
+    assert text == _table([c.tolist() for c in columns])
+    assert text.splitlines()[1].split(",")[:3] == ["-0.0", "false", "-5000000000000000"]
+    assert "nan,true" in text and "5e-324" in text and "1e+16" in text and "1e-05" in text
+
+
+def test_the_writer_keeps_no_copy_of_a_block(tmp_path):
+    # A 4096-row block of 9 float64 columns is 288 KB of arrays; as lists of
+    # Python floats it would take ~1.15 MB more while it is written.
+    columns = [np.linspace(k, k + 1, 4096) / 3.0 for k in range(9)]
+    with open(tmp_path / "table.csv", "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            cli._write_table(out, [f"c{k}" for k in range(9)], [columns])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64_000, peak
+    assert len((tmp_path / "table.csv").read_text().splitlines()) == 1 + 4096
 
 
 def test_refusal_in_the_last_slice_leaves_no_rows_and_no_file(tmp_path, monkeypatch, table1):
