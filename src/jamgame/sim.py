@@ -183,19 +183,21 @@ def strategy_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray
     return (update, update * trace.config.update_period_cycles, *(c[start:stop] for c in history))
 
 
-def event_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, ...]:
+def event_columns(trace: SimTrace, start: int, stop: int) -> tuple:
     """The event table's columns (``EVENT_COLUMNS``) for cycles [start, stop).
 
     ``bits`` is log2(x/delta) and ``jam_energy_j`` is jam * p_j, both for the
-    strategy in force during the cycle.
+    strategy in force during the cycle.  ``bits`` is a list of the values'
+    repr text, formatted once per update window; the other columns are arrays.
     """
     cfg = trace.config
     p, period = cfg.params, cfg.update_period_cycles
     first = start // period
-    bits = np.fromiter(_bits(trace.x[first : (stop - 1) // period + 1], p), float)
-    cycle = np.arange(start, stop)
+    bits = []
+    for k, b in enumerate(_bits(trace.x[first : (stop - 1) // period + 1], p), first):
+        bits += [repr(b)] * (min(stop, (k + 1) * period) - max(start, k * period))
     jam = trace.jam[start:stop]
-    return cycle, trace.silence[start:stop], jam, bits[cycle // period - first], jam * p.p_j
+    return np.arange(start, stop), trace.silence[start:stop], jam, bits, jam * p.p_j
 
 
 def updates_to_equilibrium(trace: SimTrace) -> int:
