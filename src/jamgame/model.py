@@ -43,6 +43,7 @@ class _floats:
     any = all = bool
     maximum, minimum = max, min
     min = max = float  # the least and the greatest of one float are itself
+    extract = staticmethod(lambda cond, a: [a] if cond else [])  # one float is a column of one
     where = staticmethod(lambda cond, a, b: a if cond else b)  # both branches evaluated, as in numpy
 
 

@@ -17,7 +17,7 @@ from .best_response import _delta_squared, best_response_target, chi
 from .errors import ApproxUndefined, DomainError
 from .lambertw import BRANCH_POINT, WBranch, lambert_w
 from .model import (
-    GameParams, StrategyProfile, _check_strategy, _eta, _finite, _floats, _kernel, _log_ratio, utilities_xy,
+    GameParams, StrategyProfile, _check_strategy, _eta, _finite, _kernel, _log_ratio, utilities_xy,
 )
 from .nash import EquilibriumResult, Regime, nash_xy
 from .roots import larger_zero
@@ -96,20 +96,19 @@ def stackelberg_approx_x(p: GameParams, c_t=None, *, xp):
     x = delta * e^(-W_-1(-ln2 c_t p_j delta^2 / 2) / 2); the lower branch of W
     is what selects the root above x_hat (the principal branch would give the
     smaller one).  Raises ApproxUndefined where the W argument falls below
-    -1/e, and InvalidStrategy where x falls below 2*delta; on a column of
-    weights, each message names the first weight refused.
+    -1/e, and InvalidStrategy where x falls below 2*delta; each message names
+    the first weight refused (a float weight is a column of one).
     """
     c_t = p.c_t if c_t is None else c_t
 
-    def first(refused):  # the first weight of the column where refused holds
-        return float(c_t.flat[refused.argmax()])
+    def at(refused):  # the first weight where refused holds
+        return f"from c_t = {float(xp.extract(refused, c_t)[0]):g}"
 
     arg = -_eta(p, c_t, xp) * _delta_squared(p) / 2.0
     if xp.any(arg < BRANCH_POINT):
-        at = f"got argument {arg:g} < -1/e" if xp is _floats else f"undefined from c_t = {first(arg < BRANCH_POINT):g}"
-        raise ApproxUndefined(f"approximation needs eta*delta^2 <= 2/e, {at}")
+        raise ApproxUndefined(f"approximation needs eta*delta^2 <= 2/e, undefined {at(arg < BRANCH_POINT)}")
     x = p.delta * xp.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
-    _check_strategy(p, x, 0.0, xp, lambda refused: "" if xp is _floats else f", not met from c_t = {first(refused):g}")
+    _check_strategy(p, x, 0.0, xp, lambda refused: f", not met {at(refused)}")
     return x
 
 
