@@ -11,10 +11,11 @@ of its stdout and of its ``--out`` file.  Every command whose digests
 differ is printed, then their count; the exit status is 1 on any
 difference.
 
-The list holds the 60 ``query`` commands of benchmark seeds 1-3 and the 18
-sweeps of seeds 1-2 (``perfbench/scenarios.py``), then the 15 commands of
-the wide-box exit test (``tests/test_cli.py``) on the first 120 draws of
-each of its three boxes: 5478 commands.  Two trees on one host are compared,
+The list holds the 60 ``query`` commands of benchmark seeds 1-3, the 18
+sweeps of seeds 1-2 and the 3 ``simulate`` runs of seed 1, 1e5 cycles each
+(``perfbench/scenarios.py``), then the 15 commands of the wide-box exit
+test (``tests/test_cli.py``) on the first 120 draws of each of its three
+boxes: 5481 commands.  Two trees on one host are compared,
 not a stored digest, because numpy's exp and log may differ in the last bit
 between CPUs.
 """
@@ -59,6 +60,10 @@ def commands(workdir: Path) -> list[list[str]]:
             cfg = f"sweep{seed}.cfg"
             (workdir / cfg).write_text(S.sweep_config(op["params"]))
             argvs.append([*op["args"][:1], cfg, *op["args"][2:-1], f"sweep{seed}_{op['out']}"])
+    for op in S.simulate_ops(1):  # many slices per table, where the wide box's runs fill one
+        cfg = f"simulate1_{op['config']}"
+        (workdir / cfg).write_text(S.simulate_config(op["params"]))
+        argvs.append([op["args"][0], cfg, *op["args"][2:]])
     boxes = {"wide": (WIDE_BOX, 16), "full": (FULL_RANGE, 17), "cost": (TRANSMIT_COST_BOX, 18)}
     for name, (box, seed) in boxes.items():
         rng = np.random.default_rng(seed)
