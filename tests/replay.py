@@ -15,9 +15,8 @@ The list holds the 60 ``query`` commands of benchmark seeds 1-3, the 18
 sweeps of seeds 1-2 and the 3 ``simulate`` runs of seed 1, 1e5 cycles each
 (``perfbench/scenarios.py``), then the 15 commands of the wide-box exit
 test (``tests/test_cli.py``) on the first 120 draws of each of its three
-boxes: 5481 commands.  Two trees on one host are compared,
-not a stored digest, because numpy's exp and log may differ in the last bit
-between CPUs.
+boxes: 5481 commands.  Two trees on one host are compared, not a stored
+digest, because numpy's exp and log may differ in the last bit between CPUs.
 """
 
 from __future__ import annotations

@@ -188,8 +188,8 @@ def test_an_array_column_writes_the_bytes_of_its_values_as_a_list():
 
 
 def test_the_writer_keeps_no_copy_of_a_block(tmp_path):
-    # A 4096-row block of 9 float64 columns is 288 KB of arrays; as lists of
-    # Python floats it would take ~1.15 MB more while it is written.
+    # A 4096-row block of 9 float64 columns is 288 KB of arrays; copied into
+    # lists of Python floats it would take ~1.2 MB more while it is written.
     columns = [np.linspace(k, k + 1, 4096) / 3.0 for k in range(9)]
     with open(tmp_path / "table.csv", "w", encoding="utf-8") as out:
         tracemalloc.start()
