@@ -7,25 +7,24 @@ Subcommands::
     jamgame sweep CONFIG --figure ID --log-range A B N [--out PATH]
     jamgame simulate CONFIG --out PATH [--seed K]
 
+``--brd`` adds the best-response dynamics from (X, Y), by default (2*delta, 0),
+until the scaled step is at most T or for N steps; ``--approx`` adds the W_-1
+approximation's accuracy ratio.  Options go before or after CONFIG, as
+``--opt V`` or ``--opt=V``, by any unique prefix; the last one given wins.
+
 All output is CSV with a header row; floats are printed with shortest
 round-trip precision (repr).  Exit codes: 0 ok, 2 config/usage error,
 3 game-invariant violation, 4 I/O error, a failed write to stdout included.
-``sweep`` takes each figure's header and solver from ``jamgame.figures``,
-which no other command loads.
-
-As a command (``run``), jamgame starts numpy's BLAS with one thread, since
-it makes no BLAS call (a user's ``OPENBLAS_NUM_THREADS`` is kept), and the
-process ends as soon as its output is flushed, without the interpreter's
-teardown.  ``main`` runs the same commands for callers in the process and
-returns the exit code.
+``main`` runs a command in this process and returns its exit code; ``run``
+ends the process as soon as the output is flushed.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .best_response import thresholds
 from .config import game_params_from_config, read_config
@@ -68,57 +67,40 @@ def _slices(rows: int):
     return [(start, min(start + _CHUNK_ROWS, rows)) for start in range(0, rows, _CHUNK_ROWS)]
 
 
-# ---------------------------------------------------------------------------
-# nash
-
 def _cmd_nash(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     if args.max_iter < 1:
         raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
-    cfg = read_config(args.config)
-    p = game_params_from_config(cfg)
+    p = game_params_from_config(read_config(args.config))
     res = nash_closed_form(p)
     th = thresholds(p)
-    trace = None
     if args.brd:
-        start = StrategyProfile(
-            x=args.start_x if args.start_x is not None else 2.0 * p.delta,
-            y=args.start_y if args.start_y is not None else 0.0,
-        )
+        start = StrategyProfile(2.0 * p.delta if args.start_x is None else args.start_x, args.start_y)
         trace = brd(p, start, tol=args.tol, max_iter=args.max_iter)
     row = (res.profile.x, res.profile.y, res.regime.value, res.utilities.u_t,
            res.utilities.u_j, th.c_t_tilde, th.c_t_max)
     header = ["x_ne", "y_ne", "regime", "u_t", "u_j", "c_t_tilde", "c_t_max"]
     _write_table(sys.stdout, header, [[[v] for v in row]])
-    if trace is not None:
+    if args.brd:
         sys.stdout.write("\n")
         xs, ys = [s.x for s in trace.iterates], [s.y for s in trace.iterates]
         _write_table(sys.stdout, ["iteration", "x", "y"], [[range(len(xs)), xs, ys]])
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# stackelberg
-
 def _cmd_stackelberg(args) -> int:
-    cfg = read_config(args.config)
-    p = game_params_from_config(cfg)
+    p = game_params_from_config(read_config(args.config))
     se = stackelberg_exact(p)
     rep = improvement_report(p)
     header = ["x_se", "y_se", "u_t_se", "u_t_ne", "improved"]
     row = [se.profile.x, se.profile.y, rep.u_t_se, rep.u_t_ne, rep.improved]
     if args.approx:
-        approx = stackelberg_approx(p)
-        ratio = leader_utility(p, approx.profile.x) / se.utilities.u_t
         header.append("accuracy_ratio")
-        row.append(ratio)
+        row.append(leader_utility(p, stackelberg_approx(p).profile.x) / se.utilities.u_t)
     _write_table(sys.stdout, header, [[[v] for v in row]])
     return EXIT_OK
 
-
-# ---------------------------------------------------------------------------
-# sweep
 
 def _cmd_sweep(args) -> int:
     from .figures import FIGURES, sweep_slices
@@ -143,9 +125,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# simulate
-
 def _cmd_simulate(args) -> int:
     from .sim import write_trace
 
@@ -153,72 +132,93 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
+# The option table: each command's synopsis (the docstring's line), function and
+# options, each (type, default, arity, required), where arity 0 makes a flag.
+_FLAG = (bool, False, 0, False)
+_HELP = {"-h": _FLAG, "--help": _FLAG}
+_COMMANDS = {
+    "nash": ("jamgame nash CONFIG [--brd] [--tol T] [--max-iter N] [--start-x X --start-y Y]", _cmd_nash, {
+        "--brd": _FLAG, "--tol": (float, DEFAULT_TOL, 1, False), "--max-iter": (int, DEFAULT_MAX_ITER, 1, False),
+        "--start-x": (float, None, 1, False), "--start-y": (float, 0.0, 1, False)}),
+    "stackelberg": ("jamgame stackelberg CONFIG [--approx]", _cmd_stackelberg, {"--approx": _FLAG}),
+    "sweep": ("jamgame sweep CONFIG --figure ID --log-range A B N [--out PATH]", _cmd_sweep, {
+        "--figure": (str, None, 1, True), "--log-range": (float, None, 3, True), "--out": (str, None, 1, False)}),
+    "simulate": ("jamgame simulate CONFIG --out PATH [--seed K]", _cmd_simulate, {
+        "--seed": (int, None, 1, False), "--out": (str, None, 1, True)}),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, with usage errors led by ``error: `` like every other failure.
 
-    ``--help`` flushes its text before argparse's SystemExit, and a failed
-    write of it raises: argparse's own writer drops the error.
+def _help(text) -> int:
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _parse(argv):
+    """``(function, argument)`` for argv: a ``_cmd_*`` and its namespace, or ``_help`` and its text.
+
+    Words are read as argparse reads them, but an option's value is the next word (words, at arity 3)
+    unless it starts with ``--``.  A usage error raises ConfigError in argparse's words, then a usage line.
     """
-
-    def error(self, message):
-        self.exit(EXIT_CONFIG, f"error: {message}\n{self.format_usage()}")
-
-    def print_help(self, file=None):
-        out = file or sys.stdout
-        out.write(self.format_help())
-        out.flush()
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="jamgame", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p_nash = sub.add_parser("nash", help="closed-form Nash equilibrium (optionally BRD trace)")
-    p_nash.add_argument("config")
-    p_nash.add_argument("--brd", action="store_true", help="also emit the dynamics trace")
-    p_nash.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_nash.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p_nash.add_argument("--start-x", type=float, default=None, help="default 2*delta")
-    p_nash.add_argument("--start-y", type=float, default=None, help="default 0")
-    p_nash.set_defaults(fn=_cmd_nash)
-
-    p_se = sub.add_parser("stackelberg", help="Stackelberg equilibrium of the committed game")
-    p_se.add_argument("config")
-    p_se.add_argument("--approx", action="store_true")
-    p_se.set_defaults(fn=_cmd_stackelberg)
-
-    p_sw = sub.add_parser("sweep", help="parameter sweep to CSV, one figure id per schema")
-    p_sw.add_argument("config")
-    p_sw.add_argument("--figure", required=True)
-    p_sw.add_argument("--log-range", nargs=3, type=float, required=True, metavar=("A", "B", "N"))
-    p_sw.add_argument("--out", default=None)
-    p_sw.set_defaults(fn=_cmd_sweep)
-
-    p_sim = sub.add_parser("simulate", help="cycle-level simulation, trace to CSV file")
-    p_sim.add_argument("config")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(fn=_cmd_simulate)
-    return ap
+    usage, options, table, config, seen = "jamgame {" + ",".join(_COMMANDS) + "} ...", _HELP, None, None, {}
+    words, i, dashes, extras = list(argv), 0, False, []
+    try:
+        while i < len(words):
+            word, i = words[i], i + 1
+            name, eq, value = word.partition("=")
+            names = [name] if name in options else [o for o in options if o.startswith(name)]
+            if word == "--" and not dashes:  # every later word is CONFIG or unrecognized
+                dashes = True
+            elif dashes or word == "-" or not word.startswith("-") or word[1:].replace(".", "", 1).isdecimal():
+                if table is None:
+                    if word not in _COMMANDS:
+                        raise ConfigError(f"argument command: invalid choice: {word!r} "
+                                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+                    usage, fn, table = _COMMANDS[word]
+                    options, dashes = {**_HELP, **table}, False
+                elif config is None:
+                    config = word
+                else:
+                    extras.append(word)
+            elif len(names) > 1:
+                raise ConfigError(f"ambiguous option: {word} could match {', '.join(names)}")
+            elif not names:
+                extras.append(word)
+            else:
+                name, (kind, _, arity, _) = names[0], options[names[0]]
+                given = [value] if eq else words[i:i + arity]
+                i += 0 if eq else arity
+                if len(given) != arity or not eq and any(v.startswith("--") for v in given):
+                    wanted = "one argument" if arity == 1 else f"{arity} arguments"
+                    raise ConfigError(f"argument {name}: ignored explicit argument {value!r}" if eq and not arity
+                                      else f"argument {name}: expected {wanted}")
+                if name in _HELP:
+                    return _help, f"usage: {usage}\n\n{__doc__ or ''}"
+                try:
+                    for k, v in enumerate(given):
+                        given[k] = kind(v)
+                except ValueError:
+                    raise ConfigError(f"argument {name}: invalid {kind.__name__} value: {v!r}") from None
+                seen[name] = True if arity == 0 else given[0] if arity == 1 else given
+        missing = ["command"] if table is None else ["config"] * (config is None) + [
+            o for o, spec in table.items() if spec[3] and o not in seen]
+        if missing or extras:
+            raise ConfigError(f"the following arguments are required: {', '.join(missing)}" if missing
+                              else f"unrecognized arguments: {' '.join(extras)}")
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}\nusage: {usage}") from None
+    return fn, SimpleNamespace(config=config, **{o[2:].replace("-", "_"): seen.get(o, s[1]) for o, s in table.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)  # --help and usage errors raise SystemExit
-        code = args.fn(args)
+        fn, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = fn(args)
         sys.stdout.flush()  # a failed write to stdout is an I/O error too
         return code
-    except ConfigError as exc:
+    except (JamGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except JamGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return (EXIT_CONFIG if isinstance(exc, ConfigError) else
+                EXIT_INVARIANT if isinstance(exc, JamGameError) else EXIT_IO)
 
 
 def run() -> None:
@@ -227,7 +227,7 @@ def run() -> None:
     Every file is closed by then and jamgame registers no ``atexit``
     callback, so the skipped teardown would write nothing.
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: jamgame makes no BLAS call
     code = main()
     sys.stderr.flush()
     os._exit(code)

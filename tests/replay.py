@@ -15,8 +15,11 @@ The list holds the 60 ``query`` commands of benchmark seeds 1-3, the 18
 sweeps of seeds 1-2 and the 3 ``simulate`` runs of seed 1, 1e5 cycles each
 (``perfbench/scenarios.py``), then the 15 commands of the wide-box exit
 test (``tests/test_cli.py``) on the first 120 draws of each of its three
-boxes: 5481 commands.  Two trees on one host are compared, not a stored
-digest, because numpy's exp and log may differ in the last bit between CPUs.
+boxes: 5481 valid commands.  Last come the 18 usage errors of
+``tests/test_cli.py``'s table, a ``--start-y`` of ``-1e-6`` and two
+``--help`` commands, so that a change to the parser shows: 5502 commands.
+Two trees on one host are compared, not a stored digest, because numpy's
+exp and log may differ in the last bit between CPUs.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def commands(workdir: Path) -> list[list[str]]:
     from jamgame.config import dump_config
 
     from .conftest import FULL_RANGE, WIDE_BOX, wide_params
-    from .test_cli import MORE_WIDE_COMMANDS, TRANSMIT_COST_BOX, WIDE_COMMANDS
+    from .test_cli import MORE_WIDE_COMMANDS, TABLE1_CFG, TRANSMIT_COST_BOX, USAGE_ERRORS, WIDE_COMMANDS
 
     argvs = []
     for seed in (1, 2, 3):
@@ -79,6 +82,10 @@ def commands(workdir: Path) -> list[list[str]]:
                 if command[0] == "simulate":
                     argv += ["--out", f"{name}{k}.trace.csv"]
                 argvs.append(argv)
+    (workdir / "usage.cfg").write_text(TABLE1_CFG)
+    for argv, _ in USAGE_ERRORS:
+        argvs.append([word.replace("{cfg}", "usage.cfg").replace("{out}", "usage.csv") for word in argv])
+    argvs += [["nash", "usage.cfg", "--brd", "--start-y", "-1e-6"], ["--help"], ["nash", "--help"]]
     return argvs
 
 
@@ -98,11 +105,13 @@ def digests(argvs: list[list[str]]) -> list[list]:
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
+                # argparse's --help and usage errors, in a tree from before the option table
                 code = exc.code
             except RuntimeWarning as exc:
                 code = f"RuntimeWarning: {exc}"
         written = None
-        if "--out" in argv and os.path.exists(target := argv[argv.index("--out") + 1]):
+        target = argv[argv.index("--out") + 1] if "--out" in argv[:-1] else None
+        if target is not None and os.path.exists(target):
             written = _sha(Path(target).read_bytes())
             os.remove(target)
         out.append([code, stderr.getvalue(), _sha(stdout.getvalue().encode()), written])

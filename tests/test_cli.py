@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import math
 import os
 import re
@@ -17,6 +19,7 @@ import pytest
 
 from jamgame import best_response_target, cli, nash_closed_form, thresholds
 from jamgame.figures import FIGURES
+from jamgame.nash import DEFAULT_MAX_ITER, DEFAULT_TOL
 from jamgame.config import dump_config, game_params_from_config, parse_config_text
 from . import oracles
 from .conftest import FULL_RANGE, WIDE_BOX, wide_params
@@ -472,16 +475,18 @@ def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):
 
 def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
     # Importing the package or the CLI, and every query command, in a fresh
-    # interpreter: none of them loads numpy, the numpy-backed layers or
-    # dataclasses (with its inspect); a sweep loads numpy but not dataclasses.
+    # interpreter: none of them loads numpy, the numpy-backed layers,
+    # dataclasses (with its inspect) or argparse (with its gettext and
+    # locale); a sweep loads numpy but neither dataclasses nor argparse.
+    parsing = ("argparse", "gettext", "locale")
     query_unloaded = (
         "scipy", "concurrent.futures", "numpy", "jamgame.sim", "jamgame.belief", "jamgame.figures",
-        "dataclasses", "inspect",
+        "dataclasses", "inspect", *parsing,
     )
     sweep = ["sweep", "--figure", "efficiency", "--log-range", "1e5", "1e9", "20"]
     queries = [None, ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]]
     inputs = [(argv, query_unloaded) for argv in queries]
-    inputs.append((sweep, ("scipy", "concurrent.futures", "jamgame.sim", "dataclasses")))
+    inputs.append((sweep, ("scipy", "concurrent.futures", "jamgame.sim", "dataclasses", *parsing)))
     for argv, unloaded in inputs:
         run = "0" if argv is None else f"jamgame.cli.main([{argv[0]!r}, {cfg1!r}, *{argv[1:]!r}])"
         code = (
@@ -508,16 +513,168 @@ def _synopsis_options(text):
 
 
 def test_usage_synopses_match_the_parser():
-    # The synopsis in the README and in the CLI docstring name exactly the
-    # options each subcommand's parser accepts.
-    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    want = {
-        name: {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
-        for name, parser in sub.choices.items()
-    }
+    # Each command's synopsis in the option table is its line in the CLI
+    # docstring and in the README, and names exactly the options it holds.
+    want = {name: set(options) for name, (_, _, options) in cli._COMMANDS.items()}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert _synopsis_options(cli.__doc__) == want
     assert _synopsis_options(readme) == want
+    for synopsis, _, _ in cli._COMMANDS.values():
+        assert f"\n    {synopsis}\n" in cli.__doc__ and f"\n{synopsis}\n" in readme
+
+
+class _Refused(Exception):
+    pass
+
+
+class _ArgparseReference(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _argparse_reference():
+    """The argparse parser the CLI had before its option table: the reference for how argv is read."""
+    ap = _ArgparseReference(prog="jamgame")
+    sub = ap.add_subparsers(dest="command", required=True)
+    p_nash = sub.add_parser("nash")
+    p_nash.add_argument("config")
+    p_nash.add_argument("--brd", action="store_true")
+    p_nash.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_nash.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_nash.add_argument("--start-x", type=float, default=None)
+    p_nash.add_argument("--start-y", type=float, default=0.0)  # None there, which nash read as 0
+    p_se = sub.add_parser("stackelberg")
+    p_se.add_argument("config")
+    p_se.add_argument("--approx", action="store_true")
+    p_sw = sub.add_parser("sweep")
+    p_sw.add_argument("config")
+    p_sw.add_argument("--figure", required=True)
+    p_sw.add_argument("--log-range", nargs=3, type=float, required=True, metavar=("A", "B", "N"))
+    p_sw.add_argument("--out", default=None)
+    p_sim = sub.add_parser("simulate")
+    p_sim.add_argument("config")
+    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--out", required=True)
+    return ap
+
+
+def _read_by_both(argv):
+    """What argparse and the option table make of argv: ("help",), ("error", first line) or (command, values)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            ns = vars(_argparse_reference().parse_args(argv))
+        reference = (ns.pop("command"), ns)
+    except SystemExit:
+        reference = ("help",)
+    except _Refused as exc:
+        reference = ("error", str(exc))
+    try:
+        fn, args = cli._parse(argv)
+        table = ("help",) if fn is cli._help else (fn.__name__.removeprefix("_cmd_"), vars(args))
+    except cli.ConfigError as exc:
+        table = ("error", str(exc).split("\n")[0])
+    return reference, table
+
+
+VALID_ARGVS = [
+    ["nash", "lab.cfg"],
+    ["nash", "lab.cfg", "--brd"],
+    ["nash", "--brd", "lab.cfg"],
+    ["nash", "lab.cfg", "--brd", "--tol", "1e-9", "--max-iter", "50"],
+    ["nash", "lab.cfg", "--tol=1e-9", "--max-iter=50"],
+    ["nash", "--tol", "1e-9", "lab.cfg", "--brd"],
+    ["nash", "lab.cfg", "--tol", "1e-9", "--tol", "1e-6"],
+    ["nash", "lab.cfg", "--start-x", "3e-5", "--start-y", "0"],
+    ["nash", "lab.cfg", "--brd", "--start-x", "-0.5"],
+    ["nash", "lab.cfg", "--start-y", "-0.5", "--start-x=-1"],
+    ["nash", "lab.cfg", "--max", "7", "--b"],
+    ["nash", "lab.cfg", "--tol", "inf", "--max-iter", "1_000"],
+    ["nash", "--", "lab.cfg"],
+    ["nash", "-"],
+    ["nash", "-1"],
+    ["stackelberg", "lab.cfg"],
+    ["stackelberg", "lab.cfg", "--approx"],
+    ["stackelberg", "--appr", "lab.cfg"],
+    ["stackelberg", "lab.cfg", "--a", "--approx"],
+    ["sweep", "lab.cfg", "--figure", "neX", "--log-range", "1e5", "1e9", "5"],
+    ["sweep", "--log-range", "5.0", "1e9", "5.0", "--figure", "seX", "lab.cfg"],
+    ["sweep", "lab.cfg", "--figure=payoffs", "--log-range", "1", "2", "3", "--out", "o.csv"],
+    ["sweep", "lab.cfg", "--fig", "neY", "--log", "1e5", "1e9", "5", "--o=o.csv"],
+    ["sweep", "lab.cfg", "--figure", "neX", "--figure", "brX", "--log-range", "-1", "2", "3"],
+    ["sweep", "lab.cfg", "--figure", "nope", "--log-range", "inf", "0", "2.5"],
+    ["simulate", "lab.cfg", "--out", "t.csv"],
+    ["simulate", "lab.cfg", "--out", "t.csv", "--seed", "0"],
+    ["simulate", "--seed=7", "--out=t.csv", "lab.cfg"],
+    ["simulate", "lab.cfg", "--se", "3", "--ou", "t.csv", "--seed", "4"],
+    ["simulate", "lab.cfg", "--out", "-", "--seed", "-1"],
+    ["-h"], ["--he"], ["nash", "--help"], ["nash", "lab.cfg", "--h"], ["sweep", "-h", "--figure"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_the_option_table_reads_valid_argv_as_argparse_did(argv):
+    reference, table = _read_by_both(argv)
+    assert reference[0] != "error", reference
+    assert table == reference
+
+
+_TOP_USAGE = "jamgame {nash,stackelberg,sweep,simulate} ..."
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["solve", "{cfg}"], "argument command: invalid choice: 'solve' (choose from 'nash', 'stackelberg', 'sweep', "
+                         "'simulate')"),
+    (["nash"], "the following arguments are required: config"),
+    (["stackelberg", "{cfg}", "--x-tol", "1e-9"], "unrecognized arguments: --x-tol 1e-9"),
+    (["nash", "{cfg}", "--tol"], "argument --tol: expected one argument"),
+    (["nash", "{cfg}", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["nash", "{cfg}", "--max-iter", "3.0"], "argument --max-iter: invalid int value: '3.0'"),
+    (["nash", "{cfg}", "--start", "1"], "ambiguous option: --start could match --start-x, --start-y"),
+    (["nash", "{cfg}", "--brd=1"], "argument --brd: ignored explicit argument '1'"),
+    (["sweep", "{cfg}", "--figure", "neX", "--log-range", "1e5", "1e9"], "argument --log-range: expected 3 arguments"),
+    (["sweep", "{cfg}", "--figure", "neX", "--log-range", "1e5", "1e9", "--out", "{out}"],
+     "argument --log-range: expected 3 arguments"),
+    (["sweep", "{cfg}", "--figure", "neX", "--log-range", "1", "2", "x", "--out", "{out}"],
+     "argument --log-range: invalid float value: 'x'"),
+    (["sweep", "{cfg}", "--log-range", "1e5", "1e9", "3", "--out", "{out}"],
+     "the following arguments are required: --figure"),
+    (["sweep", "--figure", "neX"], "the following arguments are required: config, --log-range"),
+    (["simulate", "{cfg}", "--seed", "1"], "the following arguments are required: --out"),
+    (["simulate", "{cfg}", "--out"], "argument --out: expected one argument"),
+    (["simulate", "{cfg}", "--out", "{out}", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["simulate", "{cfg}", "extra", "--out", "{out}"], "unrecognized arguments: extra"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(argv) or "(none)" for argv, _ in USAGE_ERRORS])
+def test_a_usage_error_exits_2_in_argparse_words_with_the_synopsis(cfg1, tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    argv = [word.replace("{cfg}", cfg1).replace("{out}", str(out)) for word in argv]
+    assert _read_by_both(argv) == (("error", message),) * 2
+    synopsis = cli._COMMANDS[argv[0]][0] if argv and argv[0] in cli._COMMANDS else _TOP_USAGE
+    assert run_sweep(argv) == (2, "", f"error: {message}\nusage: {synopsis}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nash", "--help"], ["sweep", "{cfg}", "-h", "--figure"]])
+def test_help_prints_the_synopsis_and_the_docstring(cfg1, argv):
+    argv = [word.replace("{cfg}", cfg1) for word in argv]
+    synopsis = _TOP_USAGE if argv[0] == "--help" else cli._COMMANDS[argv[0]][0]
+    assert run_sweep(argv) == (0, f"usage: {synopsis}\n\n{cli.__doc__}", "")
+
+
+def test_help_without_docstrings_prints_the_synopsis_alone():
+    # python -OO strips the docstring that --help prints after the synopsis.
+    res = subprocess.run([sys.executable, "-OO", "-m", "jamgame", "nash", "--help"], capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, f"usage: {cli._COMMANDS['nash'][0]}\n\n", "")
+
+
+def test_an_option_value_may_start_with_one_dash(cfg1):
+    # argparse read -1e-6 as an option (its negative-number pattern has no
+    # exponent) and refused the argv; the value now reaches the strategy
+    # check, as -0.5 always did.
+    for value, shown in (("-1e-6", "-1e-06"), ("-0.5", "-0.5")):
+        code, out, err = run_sweep(["nash", cfg1, "--brd", "--start-y", value])
+        assert (code, out, err) == (3, "", f"error: y must be >= 0 and finite, got {shown}\n")
 
 
 def test_readme_schema_table_matches_the_figures():
@@ -733,8 +890,8 @@ def test_a_failed_write_to_stdout_exits_4(cfg1, argv, sink):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["nash", "--help"]], ids=["jamgame", "nash"])
 def test_help_to_a_failing_stdout_exits_4(argv, unbuffered):
-    # argparse exits before main's flush, and its own writer drops a failed
-    # write: the help text is flushed as it is written, so neither loses it.
+    # The help text is written as a command's table is, so main's flush
+    # reports a failed write of it as an I/O error.
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     env = _buffered_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))

@@ -68,13 +68,10 @@ def config_text(p):
 
 
 def run_sweep(argv):
-    """cli.main in-process: (exit code, stdout, stderr); argparse errors give their exit code."""
+    """cli.main in-process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
