@@ -40,10 +40,6 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
 
-# A sweep holds its grid and the per-slice arrays of every figure column, 8 B a
-# point each (1 B for ``improved``), plus one slice of work: 17-74 B a point
-# under tracemalloc, and ~44 MB peak RSS for neX at this limit.
-MAX_SWEEP_POINTS = 10**6
 # _slices cuts every table (sweep's, and simulate's two) into this many rows: a
 # slice's solve temporaries then cost about what a 2-point sweep's do.
 _CHUNK_ROWS = 1024
@@ -67,7 +63,7 @@ def _slices(rows: int):
     return [(start, min(start + _CHUNK_ROWS, rows)) for start in range(0, rows, _CHUNK_ROWS)]
 
 
-def _cmd_nash(args) -> int:
+def _cmd_nash(args) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     if args.max_iter < 1:
@@ -86,10 +82,9 @@ def _cmd_nash(args) -> int:
         sys.stdout.write("\n")
         xs, ys = [s.x for s in trace.iterates], [s.y for s in trace.iterates]
         _write_table(sys.stdout, ["iteration", "x", "y"], [[range(len(xs)), xs, ys]])
-    return EXIT_OK
 
 
-def _cmd_stackelberg(args) -> int:
+def _cmd_stackelberg(args) -> None:
     p = game_params_from_config(read_config(args.config))
     se = stackelberg_exact(p)
     rep = improvement_report(p)
@@ -99,37 +94,18 @@ def _cmd_stackelberg(args) -> int:
         header.append("accuracy_ratio")
         row.append(leader_utility(p, stackelberg_approx(p).profile.x) / se.utilities.u_t)
     _write_table(sys.stdout, header, [[[v] for v in row]])
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    from .figures import FIGURES, sweep_slices
+def _cmd_sweep(args) -> None:
+    from .figures import write_sweep
 
-    if args.figure not in FIGURES:
-        raise ConfigError(f"unknown figure id {args.figure!r}; choose from {sorted(FIGURES)}")
-    a, b, n = args.log_range
-    if not (0 < a < b and math.isfinite(b / a)):
-        raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
-    if not (math.isfinite(n) and 2 <= n <= MAX_SWEEP_POINTS and n == int(n)):
-        raise ConfigError(f"--log-range needs an integer 2 <= N <= {MAX_SWEEP_POINTS}, got {n!r}")
-    cfg = read_config(args.config)
-    n = int(n)
-    # Every slice is solved before anything is written: a refused weight leaves no rows.
-    blocks = sweep_slices(args.figure, game_params_from_config(cfg), cfg, a, b, n, _slices(n))
-    header = FIGURES[args.figure][0]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_table(fh, header, blocks)
-    else:
-        _write_table(sys.stdout, header, blocks)
-    return EXIT_OK
+    write_sweep(args.config, args.figure, args.log_range, args.out)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     from .sim import write_trace
 
     write_trace(args.config, args.out, args.seed)
-    return EXIT_OK
 
 
 # The option table: each command's synopsis (the docstring's line), function and
@@ -148,9 +124,8 @@ _COMMANDS = {
 }
 
 
-def _help(text) -> int:
+def _help(text) -> None:
     sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _parse(argv):
@@ -212,9 +187,9 @@ def _parse(argv):
 def main(argv=None) -> int:
     try:
         fn, args = _parse(sys.argv[1:] if argv is None else argv)
-        code = fn(args)
+        fn(args)
         sys.stdout.flush()  # a failed write to stdout is an I/O error too
-        return code
+        return EXIT_OK
     except (JamGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_CONFIG if isinstance(exc, ConfigError) else

@@ -1,25 +1,33 @@
-"""The figures of ``jamgame sweep``: ``FIGURES[id]`` is ``(header, solver)``; ``sweep_slices`` runs one.
+"""The body of ``jamgame sweep``: ``write_sweep`` solves one figure on a log grid and writes its table.
 
-``solver(p, cfg)`` does once what does not depend on the grid (the
-efficiency figure reads its prior and solves xi_opt) and returns
-``solve(v)``: the figure's columns after the first on a slice v of the
-grid, each elementwise in v.  ``log_grid`` is the grid of the sweep and
-of ``belief.xi_opt``.  No other command imports this module.
+``FIGURES[id]`` is ``(header, solver)``.  ``solver(p, cfg)`` does once what
+does not depend on the grid (the efficiency figure reads its prior and
+solves xi_opt) and returns ``solve(v)``: the figure's columns after the
+first on a slice v of the grid, each elementwise in v.  ``log_grid`` is the
+grid of the sweep; ``belief`` imports it for ``xi_opt``.  No other command
+imports this module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .best_response import best_response_jammer, best_response_target
+from .config import game_params_from_config, read_config
 from .errors import ConfigError
 from .model import GameParams, utilities_xy
 from .nash import nash_xy
 from .stackelberg import improvement_report, leader_utility, stackelberg_approx_x, stackelberg_x
 
-__all__ = ["FIGURES", "log_grid", "sweep_slices"]
+__all__ = ["FIGURES", "MAX_SWEEP_POINTS", "log_grid", "write_sweep"]
+
+# A sweep holds its grid and the per-slice arrays of every figure column, 8 B a
+# point each (1 B for ``improved``), plus one slice of work: 17-74 B a point
+# under tracemalloc, and ~44 MB peak RSS for neX at this limit.
+MAX_SWEEP_POINTS = 10**6
 
 
 def log_grid(a: float, b: float, n: int) -> np.ndarray:
@@ -96,14 +104,31 @@ FIGURES = {
 }
 
 
-def sweep_slices(figure: str, p: GameParams, cfg: dict, a: float, b: float, n: int, slices):
-    """The figure's columns on the n-point log grid from a to b: one block per ``(start, stop)``.
+def write_sweep(config, figure: str, log_range, out) -> None:
+    """``jamgame sweep``: solve the config file's game on the log grid ``(A, B, N)``, write it to ``out`` or stdout.
 
-    Every block is solved before this returns, so a refused weight leaves none to write.
+    Every slice is solved before ``out`` is opened or a row written, so a refused weight leaves none.
     """
-    v = log_grid(a, b, n)
+    from .cli import _slices, _write_table
+
+    if figure not in FIGURES:
+        raise ConfigError(f"unknown figure id {figure!r}; choose from {sorted(FIGURES)}")
+    a, b, n = log_range
+    if not (0 < a < b and math.isfinite(b / a)):
+        raise ConfigError(f"--log-range needs 0 < A < B with B/A finite, got {a!r} {b!r}")
+    if not (math.isfinite(n) and 2 <= n <= MAX_SWEEP_POINTS and n == int(n)):
+        raise ConfigError(f"--log-range needs an integer 2 <= N <= {MAX_SWEEP_POINTS}, got {n!r}")
+    cfg = read_config(config)
+    p = game_params_from_config(cfg)
+    v = log_grid(a, b, int(n))
+    header, solver = FIGURES[figure]
     # Weights near the ends of the double range overflow or divide by zero on
     # the way into W; the inf that results is refused there as a DomainError.
     with np.errstate(over="ignore", divide="ignore"):
-        solve = FIGURES[figure][1](p, cfg)
-        return [[v[start:stop], *solve(v[start:stop])] for start, stop in slices]
+        solve = solver(p, cfg)
+        blocks = [[v[start:stop], *solve(v[start:stop])] for start, stop in _slices(len(v))]
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_table(fh, header, blocks)
+    else:
+        _write_table(sys.stdout, header, blocks)

@@ -336,10 +336,11 @@ def test_simulate_draws_and_records_seed(cfg2, tmp_path):
 
 
 def test_simulate_unwritable_exit_4(cfg2):
-    res = run_cli("simulate", cfg2, "--seed", "1", "--out", "/nonexistent-dir/x.csv")
-    assert (res.returncode, res.stdout) == (4, "")
-    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
-
+    for argv in (["simulate", "--seed", "1"], ["sweep", "--figure", "neX", "--log-range", "1e5", "1e9", "5"]):
+        res = run_cli(argv[0], cfg2, *argv[1:], "--out", "/nonexistent-dir/x.csv")
+        assert (res.returncode, res.stdout) == (4, ""), argv
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
 def test_simulate_refuses_jam_energies_past_the_largest_double(tmp_path):
@@ -866,9 +867,11 @@ def test_the_process_writes_what_main_writes(cfg1, tmp_path, argv):
     ["nash"],
     ["stackelberg"],
     ["sweep", "--figure", "brY", "--log-range", "1e-5", "1e-3", "2000"],  # fails before the last flush
+    ["simulate", "--seed", "1", "--out", "{out}"],  # the trace goes to a file, the summary row to stdout
 ])
 @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
-def test_a_failed_write_to_stdout_exits_4(cfg1, argv, sink):
+def test_a_failed_write_to_stdout_exits_4(cfg1, tmp_path, argv, sink):
+    argv = [a.replace("{out}", str(tmp_path / "trace.csv")) for a in argv]
     command = [sys.executable, "-m", "jamgame", argv[0], cfg1, *argv[1:]]
     if sink == "/dev/full":
         if not os.path.exists("/dev/full"):

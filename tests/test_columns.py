@@ -178,7 +178,7 @@ def test_log_grid_is_the_python_power_of_each_point(a, b):
 def _answer(solve):
     """solve()'s values as one float array, or None where it is refused."""
     try:
-        with np.errstate(over="ignore", divide="ignore"):  # as figures.sweep_slices runs the array forms
+        with np.errstate(over="ignore", divide="ignore"):  # as figures.write_sweep runs the array forms
             return np.array(solve(), dtype=float).ravel()
     except JamGameError:
         return None

@@ -28,8 +28,8 @@ from jamgame import (
     xi_opt,
 )
 from jamgame import cli
-from jamgame.cli import MAX_SWEEP_POINTS, main
-from jamgame.figures import FIGURES, log_grid
+from jamgame.cli import main
+from jamgame.figures import FIGURES, MAX_SWEEP_POINTS, log_grid
 from jamgame.errors import ApproxUndefined
 from .test_stackelberg import X_HAT_BELOW_TWO_DELTA
 
