@@ -7,8 +7,8 @@ best-responds.  This module evaluates the realized utility of that play, its
 expectation under a uniform prior (by the printed closed form), the
 expectation-maximizing assumed weight, and the resulting efficiency relative
 to perfect knowledge.  Each quantity but xi_opt is a kernel
-(``model._kernel``): a float xi runs in ``math`` and gives a float, and an
-array of weights is solved in one numpy pass and gives an array.
+(``model._kernel``, which does every conversion): a float xi runs in
+``math`` and gives a float, an array of weights one numpy pass and an array.
 
 Everything here runs on the zero-transmit-cost convention (the constant
 c_t_star term cancels from every comparison of interest).
@@ -63,11 +63,6 @@ class UniformPrior(_Record):
         return 1.0 / (self.xi_max - self.xi_min)
 
 
-def _float_if_scalar(out):
-    """A 0-d result, such as the one of a numpy scalar or a 0-d array, as a Python float; an array as it is."""
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @_kernel
 def g_of_xi(p: GameParams, xi, *, xp):
     """Leader strategy if the jammer's weight were xi.
@@ -80,7 +75,7 @@ def g_of_xi(p: GameParams, xi, *, xp):
     """
     if not xp.all((xi > 0) & xp.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
-    return _float_if_scalar(stackelberg_x(p, xi))
+    return stackelberg_x(p, xi, xp=xp)
 
 
 @_kernel
@@ -98,12 +93,12 @@ def realized_utility(p: GameParams, xi, c_t=None, *, xp):
     p.c_t; xi may then be an array that broadcasts against it.  Refused past
     the largest double.
     """
-    g = g_of_xi(p, xi)
+    g = g_of_xi(p, xi, xp=xp)
     c_t = p.c_t if c_t is None else c_t
     log2g = _log_ratio(p, g, xp, "log2")
-    jammed = (xi > c_t) & (chi(p, g, c_t) > 0.0)
+    jammed = (xi > c_t) & (chi(p, g, c_t, xp=xp) > 0.0)
     u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2g), log2g / (p.t_aj + g / 2.0))
-    return _float_if_scalar(_finite("realized_utility", u, xp))
+    return _finite("realized_utility", u, xp)
 
 
 @_kernel
@@ -119,12 +114,14 @@ def expected_utility_closed(p: GameParams, prior: UniformPrior, xi, *, xp):
     c_t_tilde.  The test suite checks it against an independent quadrature
     of the realized utility.  Accepts a scalar or an array of xi.
     """
-    if not xp.all((prior.xi_min <= xi) & (xi <= prior.xi_max)):
-        raise DomainError(f"xi={xi!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
+    inside = (prior.xi_min <= xi) & (xi <= prior.xi_max)
+    if not xp.all(inside):  # a NaN is inside no support
+        first = float(xp.extract(xp.where(inside, False, True), xi)[0])
+        raise DomainError(f"xi={first!r} outside prior support [{prior.xi_min}, {prior.xi_max}]")
     xi = xp.minimum(xi, _c_t_tilde(p))
-    g = g_of_xi(p, xi)
+    g = g_of_xi(p, xi, xp=xp)
     bracket = xi * prior.xi_max - xi**2 / 3.0 - (2.0 / 3.0) * xp.sqrt(xi) * prior.xi_min**1.5
-    return _float_if_scalar(p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket)
+    return p.p_j * (p.t_aj + g / 2.0) * prior.density * bracket
 
 
 def xi_opt(p: GameParams, prior: UniformPrior) -> float:
@@ -156,12 +153,10 @@ def efficiency(p: GameParams, xi, c_t=None, *, xp):
     may then be an array that broadcasts against it, such as one row per
     assumed weight.  Refused past the largest double.
     """
-    denom = realized_utility(p, p.c_t if c_t is None else c_t, c_t)
+    denom = realized_utility(p, p.c_t) if c_t is None else realized_utility(p, c_t, c_t, xp=xp)  # constants: in math
     if xp.any(denom <= 0.0):
-        raise DegenerateUtility(
-            f"perfect-knowledge utility is non-positive ({xp.min(denom):g})"
-        )
-    return _float_if_scalar(_finite("efficiency", realized_utility(p, xi, c_t) / denom, xp))
+        raise DegenerateUtility(f"perfect-knowledge utility is non-positive ({xp.min(denom):g})")
+    return _finite("efficiency", realized_utility(p, xi, c_t, xp=xp) / denom, xp)
 
 
 def foc_residual(p: GameParams, prior: UniformPrior, xi: float) -> float:

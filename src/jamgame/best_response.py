@@ -52,7 +52,7 @@ def psi(p: GameParams, y, *, xp):
     """Principal-branch W of 2*(t_aj + y) / (e * delta); positive for y >= 0."""
     if xp.any(y < 0):
         raise DomainError("psi requires y >= 0")
-    return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL)
+    return lambert_w(2.0 * (p.t_aj + y) / (math.e * p.delta), WBranch.PRINCIPAL, xp=xp)
 
 
 @_kernel
@@ -78,7 +78,7 @@ def best_response_target(p: GameParams, y, *, xp):
     Equals delta * e^(psi(y)+1); strictly increasing in y and always > 2*delta
     for t_aj > 0.  Refused past the largest double.
     """
-    return _finite("b_t(y)", p.delta * xp.exp(psi(p, y) + 1.0), xp)
+    return _finite("b_t(y)", p.delta * xp.exp(psi(p, y, xp=xp) + 1.0), xp)
 
 
 @_kernel
@@ -89,7 +89,7 @@ def best_response_jammer(p: GameParams, x, c_t=None, *, xp):
     """
     if xp.any(x < 2.0 * p.delta):
         raise DomainError("best_response_jammer requires x >= 2*delta")
-    return _finite("b_j(x)", xp.maximum(chi(p, x, c_t), 0.0), xp)
+    return _finite("b_j(x)", xp.maximum(chi(p, x, c_t, xp=xp), 0.0), xp)
 
 
 def x_hat(p: GameParams) -> float:

@@ -97,7 +97,7 @@ def lambert_w_prime(z, branch: WBranch = WBranch.PRINCIPAL, *, xp):
         raise DomainError("lambert_w_prime is undefined at z = 0")
     if xp.any(math.e * z + 1.0 < 1e-14):
         raise SingularError("lambert_w_prime is singular at z = -1/e")
-    w = lambert_w(z, branch)
+    w = lambert_w(z, branch, xp=xp)
     return w / (z * (w + 1.0))
 
 

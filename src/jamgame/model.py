@@ -182,28 +182,32 @@ class UtilityPair(NamedTuple):
 
 
 _KEPT = (_Record, type(None), Enum, str)  # the arguments a kernel passes as they are
-_ON_FLOATS = (float, int, *_KEPT)
+_ON_FLOATS = {float, int, type(None), str, GameParams}  # exact types, so a numpy scalar is converted
 
 
 def _kernel(body):
     """``body(..., *, xp)``, written over ``xp``, as one function of floats or arrays.
 
-    Python floats and ints (``np.float64`` is a float) run it on ``_floats``
-    and give floats.  Any other number, such as an array, a list or a 0-d
-    array, imports numpy and runs it on float arrays, with overflow warnings
-    off.  A GameParams, a WBranch, a string and None pass as they are.
+    Numbers with no dimension (numpy scalars and 0-d arrays too) run it on
+    ``_floats`` as Python floats, others on numpy float arrays with overflow
+    warnings off; a GameParams, a WBranch, a string and None pass as they are.
+    Only a kernel passes ``xp``: its own, to a kernel it calls, unchecked.
     """
 
     @functools.wraps(body)
-    def kernel(*args, **kwargs):
-        for a in (*args, *kwargs.values()):
-            if not isinstance(a, _ON_FLOATS):
-                import numpy as np
+    def kernel(*args, xp=None, **kwargs):
+        if xp is None:
+            xp = _floats
+            for a in (*args, *kwargs.values()) if kwargs else args:
+                if type(a) not in _ON_FLOATS and not isinstance(a, _KEPT):
+                    import numpy as np
 
-                cast = lambda a: a if isinstance(a, _KEPT) else np.asarray(a, dtype=float)  # noqa: E731
-                with np.errstate(over="ignore"):
-                    return body(*map(cast, args), **{k: cast(a) for k, a in kwargs.items()}, xp=np)
-        return body(*args, **kwargs, xp=_floats)
+                    dims = any(np.ndim(v) for v in (*args, *kwargs.values()) if not isinstance(v, _KEPT))
+                    xp, cast = (np, functools.partial(np.asarray, dtype=float)) if dims else (_floats, float)
+                    conv = lambda v: v if isinstance(v, _KEPT) else cast(v)  # noqa: E731
+                    with np.errstate(over="ignore"):
+                        return body(*map(conv, args), **{k: conv(a) for k, a in kwargs.items()}, xp=xp)
+        return body(*args, **kwargs, xp=xp)
 
     return kernel
 
@@ -251,7 +255,7 @@ def utilities_xy(p: GameParams, x, y, c_t=None, *, xp) -> UtilityPair:
     an array.  Realized-energy accounting belongs to the simulator, not to
     the analytic game.  Either utility is refused past the largest double.
     """
-    c = capacity_xy(p, x, y)
+    c = capacity_xy(p, x, y, xp=xp)
     u_j = -c - (p.c_t if c_t is None else c_t) * y * p.p_j
     return UtilityPair(_finite("u_t", c - p.transmit_cost, xp), _finite("u_j", u_j, xp))
 

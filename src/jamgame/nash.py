@@ -116,13 +116,13 @@ def nash_xy(p: GameParams, c_t=None, *, xp):
         # 8/(eta*delta^2) is neither formed nor refused.
         c_in = xp.where(inner, c_t, xp.min(xp.where(inner, c_t, math.inf)))
         ratio = _ratio("8/(eta*delta^2)", 8.0, _eta(p, c_in, xp) * _delta_squared(p), xp)
-        half = 0.5 * lambert_w(ratio, WBranch.PRINCIPAL)
+        half = 0.5 * lambert_w(ratio, WBranch.PRINCIPAL, xp=xp)
         x = p.delta * xp.exp(half)
         y = 0.5 * p.delta * (half - 1.0) * xp.exp(half) - p.t_aj
         interior = inner & (y > 0.0)
     if xp.all(interior):
         return x, y
-    return xp.where(interior, x, best_response_target(p, 0.0)), xp.where(interior, y, 0.0)
+    return xp.where(interior, x, best_response_target(p, 0.0)), xp.where(interior, y, 0.0)  # constants: in math
 
 
 def nash_closed_form(p: GameParams) -> EquilibriumResult:

@@ -56,7 +56,7 @@ def leader_utility(p: GameParams, x, c_t=None, *, xp):
     if xp.any(x < 2.0 * p.delta):
         raise DomainError("leader_utility requires x >= 2*delta")
     c_t = p.c_t if c_t is None else c_t
-    jammed = chi(p, x, c_t) > 0.0
+    jammed = chi(p, x, c_t, xp=xp) > 0.0
     log2x = _log_ratio(p, x, xp, "log2")
     u = xp.where(jammed, xp.sqrt(c_t * p.p_j * log2x), log2x / (p.t_aj + x / 2.0))
     return _finite("u_t", u - p.transmit_cost, xp)
@@ -72,13 +72,13 @@ def stackelberg_x(p: GameParams, c_t=None, *, xp):
     resolution.
     """
     c_t = p.c_t if c_t is None else c_t
-    x0 = best_response_target(p, 0.0)
-    jammed = chi(p, x0, c_t) > 0.0
+    x0 = best_response_target(p, 0.0)  # constants: in math
+    jammed = chi(p, x0, c_t, xp=xp) > 0.0
     x = x0
     if xp.any(jammed):
         # An unjammed weight takes the smallest weight's Newton: chi falls as
         # the weight grows, so that one is jammed.
-        x = larger_zero(p, x0, xp.where(jammed, c_t, xp.min(c_t)))
+        x = larger_zero(p, x0, xp.where(jammed, c_t, xp.min(c_t)), xp=xp)
     return xp.where(jammed, x, x0)
 
 
@@ -107,7 +107,7 @@ def stackelberg_approx_x(p: GameParams, c_t=None, *, xp):
     arg = -_eta(p, c_t, xp) * _delta_squared(p) / 2.0
     if xp.any(arg < BRANCH_POINT):
         raise ApproxUndefined(f"approximation needs eta*delta^2 <= 2/e, undefined {at(arg < BRANCH_POINT)}")
-    x = p.delta * xp.exp(-0.5 * lambert_w(arg, WBranch.MINUS1))
+    x = p.delta * xp.exp(-0.5 * lambert_w(arg, WBranch.MINUS1, xp=xp))
     _check_strategy(p, x, 0.0, xp, lambda refused: f", not met {at(refused)}")
     return x
 
@@ -125,7 +125,7 @@ def improvement_report(p: GameParams, c_t=None, *, xp) -> ImprovementReport:
     ``improved`` is a strict comparison with 1e-12 absolute slack, so exactly
     coincident equilibria (border regime) report False.
     """
-    x_ne, y_ne = nash_xy(p, c_t)
-    u_t_ne, u_j_ne = utilities_xy(p, x_ne, y_ne, c_t)
-    u_t_se, u_j_se = utilities_xy(p, stackelberg_x(p, c_t), 0.0, c_t)
+    x_ne, y_ne = nash_xy(p, c_t, xp=xp)
+    u_t_ne, u_j_ne = utilities_xy(p, x_ne, y_ne, c_t, xp=xp)
+    u_t_se, u_j_se = utilities_xy(p, stackelberg_x(p, c_t, xp=xp), 0.0, c_t, xp=xp)
     return ImprovementReport(u_t_ne, u_t_se, u_j_ne, u_j_se, improved=u_t_se > u_t_ne + 1e-12)

@@ -123,6 +123,13 @@ def differing(base: list[list], change: list[list]) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(base, change, strict=True)) if a != b]
 
 
+def export(rev: str, dest: Path) -> Path:
+    """REV's ``src`` directory, written into dest with ``git archive``; its path."""
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest / "src"
+
+
 def _run_tree(src: Path, tmp: Path, workdir: Path) -> list[list]:
     """The digests of tmp/commands.json, run by one child on the jamgame in src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]), OPENBLAS_NUM_THREADS="1")
@@ -145,14 +152,12 @@ def main(argv=None) -> int:
         ap.error("REV is required")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        base, workdir = tmp / "base", tmp / "work"
-        base.mkdir()
+        workdir = tmp / "work"
         workdir.mkdir()
-        archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        base = export(args.rev, tmp)
         argvs = commands(workdir)
         (tmp / "commands.json").write_text(json.dumps(argvs))
-        before = _run_tree(base / "src", tmp, workdir)
+        before = _run_tree(base, tmp, workdir)
         after = _run_tree(ROOT / "src", tmp, workdir)
     differ = differing(before, after)
     for i in differ:

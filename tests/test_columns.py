@@ -50,7 +50,7 @@ from jamgame import (
 )
 from jamgame import nash as nash_module
 from jamgame import stackelberg as stackelberg_module
-from jamgame.belief import g_of_xi
+from jamgame.belief import UniformPrior, efficiency, expected_utility_closed, g_of_xi, realized_utility
 from jamgame.figures import log_grid
 from jamgame.roots import larger_zero
 from .conftest import FULL_RANGE, WIDE_BOX, random_params, wide_params
@@ -197,7 +197,7 @@ def _solvers(p, x, y):
         (lambda: stackelberg_x(p, c), [lambda: stackelberg_x(p, w), lambda: g_of_xi(p, w)]),
         (lambda: stackelberg_approx_x(p, c), [lambda: stackelberg_approx_x(p, w)]),
         (lambda: improvement_report(p, c), [lambda: improvement_report(p, w)]),
-        (lambda: best_response_target(p, y), [lambda: best_response_target(p, np.asarray(y))]),
+        (lambda: best_response_target(p, y), [lambda: best_response_target(p, np.array([y]))]),
         (lambda: best_response_jammer(p, x), [lambda: best_response_jammer(p, x, w)]),
     ]
 
@@ -306,6 +306,11 @@ REFUSALS = {
     # ln(x/delta)/eta overflows at the Newton start.
     "larger zero: weight too small": (DomainError, lambda p: larger_zero(replace(p, c_t=2e-308), 3e-6),
                                       lambda p: larger_zero(p, 3e-6, np.array([1e6, 2e-308]))),
+    "g_of_xi xi <= 0": (DomainError, lambda p: g_of_xi(p, 0.0), lambda p: g_of_xi(p, np.array([1e6, 0.0]))),
+    # A column is refused in the float's words, naming its first weight outside the support.
+    "expected utility xi below the support": (
+        DomainError, lambda p: expected_utility_closed(p, UniformPrior(1e5, 1e9), 1e3),
+        lambda p: expected_utility_closed(p, UniformPrior(1e5, 1e9), np.array([1e6, 1e3, 1.0]))),
     **_non_finite(math.inf),
     **_non_finite(math.nan),
 }
@@ -339,9 +344,18 @@ KERNEL_ARGS = {
     stackelberg_approx_x: (_LAB, 10**6),
     improvement_report: (_LAB, 10**6),
 }
+# The belief kernels, which live in a module that imports numpy.
+BELIEF_ARGS = {
+    g_of_xi: (_LAB, 2e6),
+    realized_utility: (_LAB, 2e6, 10**6),
+    expected_utility_closed: (_LAB, UniformPrior(1e5, 1e9), 2 * 10**6),
+    efficiency: (_LAB, 2e6, 10**6),
+}
 # The kernels that price the jammer, and the index of the weight c_t among their arguments.
 WEIGHT_AT = {utilities_xy: 3, chi: 2, best_response_jammer: 2, leader_utility: 2, larger_zero: 2,
-             nash_xy: 1, stackelberg_x: 1, stackelberg_approx_x: 1, improvement_report: 1}
+             nash_xy: 1, stackelberg_x: 1, stackelberg_approx_x: 1, improvement_report: 1,
+             realized_utility: 2, efficiency: 2}
+EVERY_KERNEL_ARGS = {**KERNEL_ARGS, **BELIEF_ARGS}
 
 
 def _outputs(kernel, *args):
@@ -350,15 +364,26 @@ def _outputs(kernel, *args):
     return list(out) if isinstance(out, tuple) else [out]
 
 
-@pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=lambda f: f.__name__)
+def _each_number(f, args):
+    """args with f applied to each number, the game and the prior as they are."""
+    return [a if isinstance(a, (GameParams, UniformPrior)) else f(a) for a in args]
+
+
+@pytest.mark.parametrize("kernel", EVERY_KERNEL_ARGS, ids=lambda f: f.__name__)
 def test_a_kernel_gives_floats_for_floats_and_arrays_for_arrays(kernel):
-    # Floats and ints give floats (improvement_report's ``improved`` a bool);
-    # 2-d arrays give arrays of their shape; a float x with a column of
-    # weights gives a column, but for utilities_xy's u_t, which does not
+    # Floats and ints give floats (improvement_report's ``improved`` a bool),
+    # and so do the same numbers as numpy scalars or 0-d arrays, with equal
+    # values; 2-d arrays give arrays of their shape; a float x with a column
+    # of weights gives a column, but for utilities_xy's u_t, which does not
     # depend on the weights and keeps the shape of x and y.
-    args = KERNEL_ARGS[kernel]
-    assert all(type(v) in (float, bool) for v in _outputs(kernel, *args))
-    grid = [a if isinstance(a, GameParams) else np.full((2, 3), float(a)) for a in args]
+    args = EVERY_KERNEL_ARGS[kernel]
+    want = _outputs(kernel, *args)
+    assert all(type(v) in (float, bool) for v in want)
+    numpy_scalar = lambda a: np.int64(a) if type(a) is int else np.float64(a)  # noqa: E731
+    for zero_d in (numpy_scalar, np.asarray):
+        got = _outputs(kernel, *_each_number(zero_d, args))
+        assert [type(v) for v in got] == [type(v) for v in want] and got == want, zero_d
+    grid = _each_number(lambda a: np.full((2, 3), float(a)), args)
     assert all(v.shape == (2, 3) for v in _outputs(kernel, *grid))
     if kernel in WEIGHT_AT:
         weights = list(args)
