@@ -77,12 +77,4 @@ def game_params_from_config(cfg: dict[str, float]) -> GameParams:
     missing = [k for k in REQUIRED_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-    return GameParams(
-        t_aj=cfg["t_aj"],
-        delta=cfg["delta"],
-        p_t=cfg["p_t"],
-        p_j=cfg["p_j"],
-        t_p=cfg["t_p"],
-        c_t=cfg["c_t"],
-        c_t_star=cfg.get("c_t_star", 0.0),
-    )
+    return GameParams(**{k: cfg[k] for k in GameParams.__match_args__ if k in cfg})

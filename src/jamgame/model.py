@@ -76,9 +76,10 @@ class _Record:
     """Base of the frozen records: fields set once by ``__init__``, compared and hashed as a tuple.
 
     Each subclass's ``__init__`` takes its fields in order, stores them with
-    ``_set`` and validates them.  ``repr``, ``==``, ``hash`` and assignment
-    behave as on a frozen dataclass, without importing ``dataclasses`` unless
-    an assignment is refused or the dataclass view is read.
+    ``_set`` (a float subclass, such as a numpy float, as a Python float) and
+    validates them.  ``repr``, ``==``, ``hash`` and assignment behave as on a
+    frozen dataclass, without importing ``dataclasses`` unless an assignment
+    is refused or the dataclass view is read.
     """
 
     __dataclass_fields__ = _DataclassFields()
@@ -89,7 +90,7 @@ class _Record:
 
     def _set(self, *values):
         for name, v in zip(self.__match_args__, values):
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, v if type(v) is float or not isinstance(v, float) else float(v))
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, n) for n in self.__match_args__)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .best_response import best_response_jammer, best_response_target
 from .config import dump_config, game_params_from_config, read_config
 from .errors import ConfigError, DomainError, InvalidParams
-from .model import GameParams, UtilityPair, _finite, _log_ratio
+from .model import GameParams, UtilityPair, _finite, _log_ratio, _Record
 from .nash import nash_closed_form, s_prime_bounds
 
 __all__ = [
@@ -59,29 +58,25 @@ STRATEGY_COLUMNS = ("update", "cycle", "x", "y", "x_est_by_jammer", "y_est_by_ta
 EVENT_COLUMNS = ("cycle", "silence_s", "jam_s", "bits", "jam_energy_j")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    params: GameParams
-    total_cycles: int
-    update_period_cycles: int = 10
-    rng_seed: int = 0
-    # Pin the initial strategies instead of drawing them from the seed.
-    x0: Optional[float] = None
-    y0: Optional[float] = None
+class SimConfig(_Record):
+    """One run of a game; x0 and y0 pin the initial strategies instead of drawing them from the seed."""
 
-    def __post_init__(self):
-        if self.update_period_cycles < 1:
+    def __init__(
+        self, params: GameParams, total_cycles: int, update_period_cycles: int = 10, rng_seed: int = 0,
+        x0: Optional[float] = None, y0: Optional[float] = None,
+    ):
+        self._set(params, total_cycles, update_period_cycles, rng_seed, x0, y0)
+        if update_period_cycles < 1:
             raise InvalidParams("update_period_cycles must be >= 1")
-        if self.total_cycles < self.update_period_cycles:
+        if total_cycles < update_period_cycles:
             raise InvalidParams("total_cycles must be >= update_period_cycles")
-        if self.total_cycles > MAX_TOTAL_CYCLES:
+        if total_cycles > MAX_TOTAL_CYCLES:
             raise InvalidParams(f"total_cycles must be <= {MAX_TOTAL_CYCLES}")
-        if self.rng_seed < 0:
+        if rng_seed < 0:
             raise InvalidParams("rng_seed must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class SimTrace:
+class SimTrace(_Record):
     """The strategy history as columns and the per-cycle jam and silence durations.
 
     Row k of ``x``, ``y``, ``x_est_by_jammer`` and ``y_est_by_target`` is update
@@ -89,13 +84,13 @@ class SimTrace:
     NaN estimates.  The realized capacity and utilities are computed when read.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    x_est_by_jammer: np.ndarray
-    y_est_by_target: np.ndarray
-    jam: np.ndarray
-    silence: np.ndarray
-    config: SimConfig = field(repr=False)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a trace equals only itself: its columns compare elementwise
+
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, x_est_by_jammer: np.ndarray, y_est_by_target: np.ndarray,
+        jam: np.ndarray, silence: np.ndarray, config: SimConfig,
+    ):
+        self._set(x, y, x_est_by_jammer, y_est_by_target, jam, silence, config)
 
     @property
     def realized_capacity(self) -> float:
@@ -171,9 +166,7 @@ def run_sim(cfg: SimConfig, perfect_observation: bool = False) -> SimTrace:
     silence *= np.repeat(xs, period)[:n]
     if not math.isfinite(float(jam.max()) * p.p_j):
         raise DomainError("jam_energy_j = jam_s * p_j leaves the double range")
-    return SimTrace(
-        x=xs, y=ys, x_est_by_jammer=x_ests, y_est_by_target=y_ests, jam=jam, silence=silence, config=cfg
-    )
+    return SimTrace(xs, ys, x_ests, y_ests, jam, silence, cfg)
 
 
 def strategy_columns(trace: SimTrace, start: int, stop: int) -> tuple[np.ndarray, ...]:

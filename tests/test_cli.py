@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from jamgame import best_response_target, cli, nash_closed_form, thresholds
-from jamgame.figures import FIGURES
+from jamgame.figures import FIGURES, MAX_SWEEP_POINTS
 from jamgame.nash import DEFAULT_MAX_ITER, DEFAULT_TOL
 from jamgame.config import dump_config, game_params_from_config, parse_config_text
 from . import oracles
@@ -474,11 +475,12 @@ def test_bad_input_exit_2_without_output(tmp_path, cfg_text, argv):
     assert not out.exists()
 
 
-def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
+def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1, tmp_path):
     # Importing the package or the CLI, and every query command, in a fresh
     # interpreter: none of them loads numpy, the numpy-backed layers,
     # dataclasses (with its inspect) or argparse (with its gettext and
-    # locale); a sweep loads numpy but neither dataclasses nor argparse.
+    # locale); a sweep and a simulation load numpy but neither dataclasses
+    # nor argparse.
     parsing = ("argparse", "gettext", "locale")
     query_unloaded = (
         "scipy", "concurrent.futures", "numpy", "jamgame.sim", "jamgame.belief", "jamgame.figures",
@@ -488,6 +490,8 @@ def test_cli_import_loads_neither_scipy_nor_thread_pool(cfg1):
     queries = [None, ["nash"], ["nash", "--brd"], ["stackelberg"], ["stackelberg", "--approx"]]
     inputs = [(argv, query_unloaded) for argv in queries]
     inputs.append((sweep, ("scipy", "concurrent.futures", "jamgame.sim", "dataclasses", *parsing)))
+    simulate = ["simulate", "--out", str(tmp_path / "trace.csv")]
+    inputs.append((simulate, ("scipy", "concurrent.futures", "dataclasses", *parsing)))
     for argv, unloaded in inputs:
         run = "0" if argv is None else f"jamgame.cli.main([{argv[0]!r}, {cfg1!r}, *{argv[1:]!r}])"
         code = (
@@ -676,6 +680,95 @@ def test_an_option_value_may_start_with_one_dash(cfg1):
     for value, shown in (("-1e-6", "-1e-06"), ("-0.5", "-0.5")):
         code, out, err = run_sweep(["nash", cfg1, "--brd", "--start-y", value])
         assert (code, out, err) == (3, "", f"error: y must be >= 0 and finite, got {shown}\n")
+
+
+# The argv fuzz.  Its seed and its number of inputs were fixed before its first
+# run: an input it refuses is a fault to mend, not a draw to avoid.
+FUZZ_SEED, FUZZ_INPUTS = 33, 2000
+_NUMBERS = ["0", "1", "3", "-1", "-0.5", "-1e-6", "2.5e-5", "3e-5", "1e-9", "1e5", "1e9", "1e308", "1e-320",
+            "nan", "inf", "-inf", "1_000", "99999999999999999999"]
+# Each option's values, by position; an option not listed takes numbers.  The
+# --out names are relative, so inside the working directory.
+_FUZZ_VALUES = {
+    "--figure": [[*FIGURES, "nope", "ne"]], "--out": [["o.csv", "t.csv", "-", ".", "no-such-dir/o.csv"]],
+    "--log-range": [["1e5", "3e-5", "1e-320", "1", "-1", "nan"], ["1e9", "1e308", "1e-300", "1e5", "inf"],
+                    ["2", "3", "5", "5.0", "1", "2.5", "-3", "nan", "1e9"]],
+    "--seed": [["0", "7", "-1", "99999999999999999999", "1.5", "x"]],
+    "--max-iter": [["1", "50", "1_000", "0", "-5", "3.0"]], "--tol": [["1e-9", "1e-300", "0", "-1", "nan", "inf"]],
+}
+
+
+def _fuzz_argv(rnd, config, missing):
+    """One argv: a command (or none, or a wrong one), mostly its required options, other options, CONFIG, strays."""
+    every = {o: spec for _, _, table in cli._COMMANDS.values() for o, spec in table.items()}
+    command = rnd.choice([*cli._COMMANDS] * 4 + ["na", "solve", None])
+    table = cli._COMMANDS[command][2] if command in cli._COMMANDS else every
+    options = [o for o, spec in table.items() if spec[3] and rnd.random() < 0.9]
+    options += [rnd.choice(list(table)) if rnd.random() < 0.9 else rnd.choice([*every, *cli._HELP])
+                for _ in range(rnd.randrange(4))]
+    groups = []
+    for option in options:
+        arity = max(0, {**every, **cli._HELP}[option][2] + (rnd.choice([-1, 1]) if rnd.random() < 0.1 else 0))
+        word = option if option == "-h" else option[: rnd.randint(3, len(option))]  # a prefix, maybe ambiguous
+        pools = _FUZZ_VALUES.get(option, [_NUMBERS])
+        given = [rnd.choice(pools[min(k, len(pools) - 1)]) for k in range(arity)]
+        groups.append([f"{word}={given[0]}"] if arity == 1 and rnd.random() < 0.25 else [word, *given])
+    strays = rnd.choice([0] * 6 + [1, 2])
+    groups += [rnd.choice([["--"], ["-"], [rnd.choice(_NUMBERS)], ["extra"]]) for _ in range(strays)]
+    if groups and rnd.random() < 0.2:
+        groups.append(rnd.choice(groups))  # a repeat
+    rnd.shuffle(groups)
+    if rnd.random() < 0.9:
+        path = missing if rnd.random() < 0.1 else config
+        groups.insert(rnd.randint(0, len(groups)), ["--", path] if rnd.random() < 0.1 else [path])
+    return [command] * (command is not None) + [word for group in groups for word in group]
+
+
+def _fuzz_runs_small(argv):
+    """Whether argv, as the option table reads it, runs no sweep of more than 5 points and no BRD past 1000 steps."""
+    try:
+        fn, args = cli._parse(argv)
+    except cli.ConfigError:
+        return True
+    if fn is cli._cmd_sweep:
+        return not 5 < args.log_range[2] <= MAX_SWEEP_POINTS
+    return not (fn is cli._cmd_nash and args.brd and args.max_iter > 1000)
+
+
+def test_every_argv_ends_in_a_documented_exit(tmp_path, monkeypatch):
+    # In process, from the option table's words: an exit of 0, 2, 3 or 4 and
+    # no exception, SystemExit included.  A refusal writes nothing to stdout,
+    # leaves no file and says one error line, plus the usage line for a usage
+    # error.  The config runs 40 simulated cycles; an argv whose sweep has
+    # more than 5 points, or whose BRD may take more than 1000 steps, is drawn again.
+    inputs, work = tmp_path / "in", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = inputs / "lab.cfg"
+    rnd, runs, codes = random.Random(FUZZ_SEED), 0, set()
+    while runs < FUZZ_INPUTS:
+        argv = _fuzz_argv(rnd, str(config), str(inputs / "missing.cfg"))
+        if not _fuzz_runs_small(argv):
+            continue
+        runs += 1
+        config.write_text(TABLE1_CFG + "total_cycles = 40\n")  # an --out may have taken its path
+        try:
+            code, out, err = run_sweep(argv)
+        except (Exception, SystemExit) as exc:
+            raise AssertionError(f"{argv} raised {exc!r}") from exc
+        lines, left = err.splitlines(), sorted(os.listdir(work)) + sorted(set(os.listdir(inputs)) - {"lab.cfg"})
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code:
+            assert (out, left) == ("", []), argv
+            usage = [line for line in lines[1:] if line.startswith("usage: ")]
+            assert lines[0].startswith("error: ") and lines[1:] == usage[: code == 2], (argv, err)
+        else:
+            assert err == "", argv
+        codes.add(code)
+        for name in os.listdir(work):
+            os.remove(name)
+    assert codes == {0, 2, 3, 4}
 
 
 def test_readme_schema_table_matches_the_figures():

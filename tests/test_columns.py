@@ -383,6 +383,11 @@ def test_a_kernel_gives_floats_for_floats_and_arrays_for_arrays(kernel):
     for zero_d in (numpy_scalar, np.asarray):
         got = _outputs(kernel, *_each_number(zero_d, args))
         assert [type(v) for v in got] == [type(v) for v in want] and got == want, zero_d
+    # So do the game and the prior rebuilt with numpy floats for fields.
+    numpy_fields = [type(a)(*map(np.float64, vars(a).values())) if isinstance(a, (GameParams, UniformPrior)) else a
+                    for a in args]
+    got = _outputs(kernel, *numpy_fields)
+    assert [type(v) for v in got] == [type(v) for v in want] and got == want
     grid = _each_number(lambda a: np.full((2, 3), float(a)), args)
     assert all(v.shape == (2, 3) for v in _outputs(kernel, *grid))
     if kernel in WEIGHT_AT:

@@ -1,6 +1,9 @@
 """Tests for the cycle-level simulator and its per-window estimates."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -96,6 +99,36 @@ def test_config_invariants(table2):
         SimConfig(params=table2, total_cycles=10**7 + 1)
     with pytest.raises(InvalidParams):
         SimConfig(params=table2, total_cycles=10, rng_seed=-1)
+
+
+def test_the_simulators_records_keep_the_frozen_dataclass_contract(table2):
+    # SimConfig behaves as the frozen dataclass it was: its fields, a replace
+    # that validates, refused assignment, copy and pickle.  A SimTrace is
+    # frozen too, but equal only to itself, as its columns compare elementwise.
+    cfg = SimConfig(params=table2, total_cycles=20, rng_seed=5)
+    assert dataclasses.is_dataclass(cfg) and dataclasses.is_dataclass(SimConfig)
+    missing = dataclasses.MISSING
+    assert [(f.name, f.default) for f in dataclasses.fields(cfg)] == [
+        ("params", missing), ("total_cycles", missing), ("update_period_cycles", 10), ("rng_seed", 0),
+        ("x0", None), ("y0", None),
+    ]
+    assert dataclasses.replace(cfg, total_cycles=30) == SimConfig(params=table2, total_cycles=30, rng_seed=5)
+    with pytest.raises(InvalidParams, match="^update_period_cycles must be >= 1$"):
+        dataclasses.replace(cfg, update_period_cycles=0)
+    trace = run_sim(cfg)
+    for record in (cfg, trace):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert copy.copy(cfg) == cfg and pickle.loads(pickle.dumps(cfg)) == cfg
+    assert dataclasses.is_dataclass(trace) and trace == trace and trace != run_sim(cfg)
+    assert hash(trace) == hash(trace)
+    back = pickle.loads(pickle.dumps(trace))
+    columns = ("x", "y", "x_est_by_jammer", "y_est_by_target", "jam", "silence")
+    assert all(np.array_equal(getattr(back, c), getattr(trace, c), equal_nan=True) for c in columns)
+    assert back.config == cfg
 
 
 def test_reproducibility_bit_identical(table2):
