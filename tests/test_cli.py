@@ -701,14 +701,14 @@ _FUZZ_VALUES = {
 def _fuzz_argv(rnd, config, missing):
     """One argv: a command (or none, or a wrong one), mostly its required options, other options, CONFIG, strays."""
     every = {o: spec for _, _, table in cli._COMMANDS.values() for o, spec in table.items()}
+    specs = {**every, **cli._HELP}
     command = rnd.choice([*cli._COMMANDS] * 4 + ["na", "solve", None])
     table = cli._COMMANDS[command][2] if command in cli._COMMANDS else every
     options = [o for o, spec in table.items() if spec[3] and rnd.random() < 0.9]
-    options += [rnd.choice(list(table)) if rnd.random() < 0.9 else rnd.choice([*every, *cli._HELP])
-                for _ in range(rnd.randrange(4))]
+    options += [rnd.choice(list(table if rnd.random() < 0.9 else specs)) for _ in range(rnd.randrange(4))]
     groups = []
     for option in options:
-        arity = max(0, {**every, **cli._HELP}[option][2] + (rnd.choice([-1, 1]) if rnd.random() < 0.1 else 0))
+        arity = max(0, specs[option][2] + (rnd.choice([-1, 1]) if rnd.random() < 0.1 else 0))
         word = option if option == "-h" else option[: rnd.randint(3, len(option))]  # a prefix, maybe ambiguous
         pools = _FUZZ_VALUES.get(option, [_NUMBERS])
         given = [rnd.choice(pools[min(k, len(pools) - 1)]) for k in range(arity)]
